@@ -65,11 +65,12 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the [`render`](Json::render)ing of the value to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(n) => out.push_str(&n.to_string()),
+            Json::UInt(n) => write_u64(*n, out),
             Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -171,6 +172,21 @@ impl Json {
     }
 }
 
+/// Appends `n` in decimal, formatted in a stack buffer.
+fn write_u64(mut n: u64, out: &mut String) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
@@ -232,7 +248,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b'"') => parse_string(bytes, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
-            let mut items = Vec::new();
+            // Most arrays are `[addr, byte]` data pairs: room for two
+            // rather than the default first growth to four halves each
+            // pair's allocation, and a large image has ~100k of them.
+            let mut items = Vec::with_capacity(2);
             skip_ws(bytes, pos);
             if bytes.get(*pos) == Some(&b']') {
                 *pos += 1;
@@ -282,7 +301,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         }
         Some(c) if c.is_ascii_digit() => {
             let start = *pos;
-            while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
+            // `None` once the value overflows; the digits are still
+            // consumed so a fraction or exponent is reported first.
+            let mut value = Some(0u64);
+            while let Some(&d) = bytes.get(*pos).filter(|d| d.is_ascii_digit()) {
+                value = value
+                    .and_then(|v| v.checked_mul(10))
+                    .and_then(|v| v.checked_add(u64::from(d - b'0')));
                 *pos += 1;
             }
             if matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E')) {
@@ -290,10 +315,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                     "non-integer number at byte {start} (the protocol carries exact counters only)"
                 ));
             }
-            let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits are UTF-8");
-            text.parse::<u64>()
-                .map(Json::UInt)
-                .map_err(|_| format!("integer out of range at byte {start}"))
+            value.map(Json::UInt).ok_or_else(|| format!("integer out of range at byte {start}"))
         }
         Some(b'-') => Err(format!("negative number at byte {pos} (unsigned counters only)")),
         Some(c) => Err(format!("unexpected byte '{}' at {pos}", *c as char)),
@@ -345,13 +367,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (multi-byte sequences pass
-                // through unmodified).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash as one
+                // slice (multi-byte sequences pass through unmodified).
+                let start = *pos;
+                while bytes.get(*pos).is_some_and(|&b| b != b'"' && b != b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
@@ -702,13 +726,17 @@ pub fn program_from_json(v: &Json) -> Result<Program, String> {
     let mut program =
         sdo_isa::parse_asm(asm).map_err(|e| format!("program '{name}': {e}"))?;
     program.set_name(name);
-    let data = program.data_mut();
-    for pair in v.arr_field("data")? {
+    let pairs = v.arr_field("data")?;
+    // The assembly's own bytes, then the listed writes in order: built
+    // into one image in one pass, the image `set_byte` would leave.
+    let mut writes = Vec::with_capacity(program.data().len() + pairs.len());
+    writes.extend(program.data().iter());
+    for pair in pairs {
         match pair {
             Json::Arr(items) if items.len() == 2 => {
                 match (&items[0], &items[1]) {
                     (Json::UInt(addr), Json::UInt(byte)) if *byte <= 0xff => {
-                        data.set_byte(*addr, *byte as u8);
+                        writes.push((*addr, *byte as u8));
                     }
                     _ => return Err("data pair is not [addr, byte]".to_string()),
                 }
@@ -716,6 +744,7 @@ pub fn program_from_json(v: &Json) -> Result<Program, String> {
             _ => return Err("data entry is not a two-element array".to_string()),
         }
     }
+    *program.data_mut() = writes.into_iter().collect();
     Ok(program)
 }
 
@@ -723,9 +752,16 @@ pub fn program_from_json(v: &Json) -> Result<Program, String> {
 /// [`RunKey`](crate::store::RunKey) representation).
 #[must_use]
 pub fn request_to_json(req: &RunRequest) -> Json {
+    request_to_json_with_config(req, req.config.as_ref())
+}
+
+/// [`request_to_json`] with `config` encoded in place of the request's
+/// own `config` field: the [`RunKey`](crate::store::RunKey) hashes the
+/// effective configuration this way without cloning the request.
+pub(crate) fn request_to_json_with_config(req: &RunRequest, config: Option<&SimConfig>) -> Json {
     // Exhaustive: a new RunRequest field must be added here (and thus to
     // the RunKey) before this compiles again.
-    let RunRequest { programs, prewarm, variant, attack, config, seed, record } = req;
+    let RunRequest { programs, prewarm, variant, attack, config: _, seed, record } = req;
     let programs_json: Vec<Json> = programs.iter().map(program_to_json).collect();
     let prewarm_json: Vec<Json> = prewarm
         .iter()
@@ -1396,6 +1432,79 @@ mod tests {
         ]);
         let text = v.render();
         assert_eq!(parse_json(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_round_trip_through_escapes_runs_and_multibyte_utf8() {
+        let cases = [
+            "",
+            "plain ascii run",
+            "a\"b\\c\nd\re\tf\u{1}g\u{1f}h",
+            "é",
+            "🙂",
+            "mixed é run \"quoted\" 🙂\\tail\u{7f}",
+            "\u{0}\u{8}\u{c}\n\n\"\"\\\\",
+            "   0: li r1, 4096\n   1: halt\n",
+        ];
+        for s in cases {
+            let mut text = String::new();
+            write_json_string(s, &mut text);
+            assert_eq!(parse_json(&text).unwrap(), Json::Str(s.to_string()), "{text}");
+        }
+        // The escapes themselves are pinned: stored entries and RunKeys
+        // hash these bytes.
+        let mut text = String::new();
+        write_json_string("a\"b\\c\nd\re\tf\u{1}g\u{1f}é🙂", &mut text);
+        assert_eq!(text, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fé🙂\"");
+        // Escapes the writer never emits still decode.
+        assert_eq!(
+            parse_json("\"\\/\\b\\f\\u00e9x\"").unwrap(),
+            Json::Str("/\u{8}\u{c}éx".to_string())
+        );
+    }
+
+    #[test]
+    fn integers_render_and_parse_exactly() {
+        for n in [0, 7, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX / 10, u64::MAX] {
+            assert_eq!(Json::UInt(n).render(), n.to_string());
+            assert_eq!(parse_json(&n.to_string()).unwrap(), Json::UInt(n));
+        }
+        assert_eq!(parse_json("0").unwrap(), Json::UInt(0));
+        assert_eq!(parse_json("007").unwrap(), Json::UInt(7));
+        assert_eq!(parse_json("18446744073709551615").unwrap(), Json::UInt(u64::MAX));
+        assert_eq!(
+            parse_json("18446744073709551616").unwrap_err(),
+            "integer out of range at byte 0"
+        );
+        assert_eq!(
+            parse_json("[1,99999999999999999999999]").unwrap_err(),
+            "integer out of range at byte 3"
+        );
+        for float in ["1.5", "1e3", "18446744073709551616.5"] {
+            assert_eq!(
+                parse_json(float).unwrap_err(),
+                "non-integer number at byte 0 (the protocol carries exact counters only)"
+            );
+        }
+    }
+
+    #[test]
+    fn data_images_decode_exactly_as_byte_writes_in_order() {
+        // Zero writes, repeated addresses (last write wins, a final zero
+        // removes), out-of-order addresses, on an empty image and on one
+        // the assembly already filled.
+        let writes = [(0x12, 7), (0x11, 0), (0x20, 3), (0x12, 9), (0x20, 0), (0x10, 0), (0x05, 1)];
+        let data = writes.iter().map(|&(a, b)| format!("[{a},{b}]")).collect::<Vec<_>>().join(",");
+        for asm in ["halt", ".byte 0x10 5 6\n.byte 0x20 4\nhalt"] {
+            let asm_json = Json::Str(asm.to_string()).render();
+            let json = format!("{{\"name\":\"t\",\"asm\":{asm_json},\"data\":[{data}]}}");
+            let decoded = program_from_json(&parse_json(&json).unwrap()).unwrap();
+            let mut expected = sdo_isa::parse_asm(asm).unwrap().data().clone();
+            for &(addr, byte) in &writes {
+                expected.set_byte(addr, byte);
+            }
+            assert_eq!(decoded.data(), &expected, "asm {asm:?}");
+        }
     }
 
     #[test]

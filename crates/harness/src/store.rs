@@ -42,75 +42,89 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
+const H0: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
 /// Computes the SHA-256 digest of `data`.
 #[must_use]
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h: [u32; 8] = [
-        0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-        0x5be0cd19,
-    ];
-    // Pad: 0x80, zeros, 64-bit big-endian bit length.
+    let mut h = H0;
+    let mut blocks = data.chunks_exact(64);
+    for block in &mut blocks {
+        compress(&mut h, block);
+    }
+    // Pad only the tail: 0x80, zeros, 64-bit big-endian bit length —
+    // one block, or two when the length no longer fits after the tail.
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    let end = if rest.len() < 56 { 64 } else { 128 };
     let bit_len = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
+    for block in tail[..end].chunks_exact(64) {
+        compress(&mut h, block);
     }
-    msg.extend_from_slice(&bit_len.to_be_bytes());
+    digest_bytes(&h)
+}
 
-    let mut w = [0u32; 64];
-    for chunk in msg.chunks_exact(64) {
-        for (i, word) in w.iter_mut().take(16).enumerate() {
-            *word = u32::from_be_bytes([
-                chunk[4 * i],
-                chunk[4 * i + 1],
-                chunk[4 * i + 2],
-                chunk[4 * i + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = h;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = hh
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            hh = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
-        h[5] = h[5].wrapping_add(f);
-        h[6] = h[6].wrapping_add(g);
-        h[7] = h[7].wrapping_add(hh);
-    }
+fn digest_bytes(h: &[u32; 8]) -> [u8; 32] {
     let mut out = [0u8; 32];
     for (i, word) in h.iter().enumerate() {
         out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
     }
     out
+}
+
+/// Folds one 64-byte block into the hash state.
+fn compress(h: &mut [u32; 8], block: &[u8]) {
+    let mut w = [0u32; 64];
+    for (i, word) in w.iter_mut().take(16).enumerate() {
+        *word = u32::from_be_bytes([
+            block[4 * i],
+            block[4 * i + 1],
+            block[4 * i + 2],
+            block[4 * i + 3],
+        ]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut hh] = *h;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = hh
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        hh = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    h[0] = h[0].wrapping_add(a);
+    h[1] = h[1].wrapping_add(b);
+    h[2] = h[2].wrapping_add(c);
+    h[3] = h[3].wrapping_add(d);
+    h[4] = h[4].wrapping_add(e);
+    h[5] = h[5].wrapping_add(f);
+    h[6] = h[6].wrapping_add(g);
+    h[7] = h[7].wrapping_add(hh);
 }
 
 // ---------------------------------------------------------------------------
@@ -130,20 +144,23 @@ impl RunKey {
     /// with `base`.
     #[must_use]
     pub fn of(req: &RunRequest, base: SimConfig) -> RunKey {
-        let mut canonical = req.clone();
-        canonical.config = Some(req.effective_config(base));
-        let payload = proto::request_to_json(&canonical).render();
-        RunKey(sha256(format!("{KEY_SCHEMA}\n{payload}").as_bytes()))
+        let config = req.effective_config(base);
+        let mut payload = String::from(KEY_SCHEMA);
+        payload.push('\n');
+        proto::request_to_json_with_config(req, Some(&config)).write(&mut payload);
+        RunKey(sha256(payload.as_bytes()))
     }
 
     /// The key as 64 lowercase hex digits.
     #[must_use]
     pub fn hex(&self) -> String {
-        let mut out = String::with_capacity(64);
-        for b in self.0 {
-            out.push_str(&format!("{b:02x}"));
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut out = [0u8; 64];
+        for (pair, b) in out.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = DIGITS[usize::from(b >> 4)];
+            pair[1] = DIGITS[usize::from(b & 0xf)];
         }
-        out
+        out.iter().map(|&d| char::from(d)).collect()
     }
 }
 
@@ -352,6 +369,37 @@ mod tests {
 
     fn hex(bytes: &[u8; 32]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The reference padding: append 0x80, zeros and the bit length to a
+    /// copy of the whole message, then hash every block.
+    fn sha256_reference(data: &[u8]) -> [u8; 32] {
+        let bit_len = (data.len() as u64).wrapping_mul(8);
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&bit_len.to_be_bytes());
+        let mut h = H0;
+        for block in msg.chunks_exact(64) {
+            compress(&mut h, block);
+        }
+        digest_bytes(&h)
+    }
+
+    #[test]
+    fn tail_padding_matches_the_copying_reference() {
+        let data: Vec<u8> =
+            (0..(1u32 << 20) + 57).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        // Every length through 200 covers the one- and two-block tails
+        // (55/56/63/64/119/120 are the edges).
+        for len in 0..=200 {
+            assert_eq!(sha256(&data[..len]), sha256_reference(&data[..len]), "length {len}");
+        }
+        for len in [1 << 20, (1 << 20) + 57] {
+            assert_eq!(sha256(&data[..len]), sha256_reference(&data[..len]), "length {len}");
+        }
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! [`RunKey`] identity is what makes memoization sound: two requests map
 //! to the same key exactly when the simulator is guaranteed (by
 //! determinism) to produce byte-identical results for them. These tests
-//! pin the key of one fixed request to a literal digest — so any change
+//! pin the keys of two fixed requests to literal digests — so any change
 //! to the canonical encoding is a *visible* decision that invalidates
 //! stores, not a silent one — and walk representative knobs at every
 //! config layer proving each one lands in the key.
 
-use sdo_harness::store::RunKey;
+use sdo_harness::proto::Request;
+use sdo_harness::store::{sha256, RunKey};
 use sdo_harness::{JobPool, Runner, RunRequest, SimConfig, Variant};
+use sdo_mem::CacheLevel;
 use sdo_uarch::AttackModel;
 use sdo_workloads::kernels::{self, l1_resident};
 
@@ -29,6 +31,41 @@ fn runkey_digest_is_pinned() {
         RunKey::of(&req, base).hex(),
         "a6da69c55830cf6ba25b5bfc842f136fdc7e5238c57caf22a61acdd9bd6cd635",
     );
+}
+
+/// A large-image request as a `Runner` client sends it: a 64 KiB
+/// `hash_lookup` table warmed into L3, the config resolved client-side.
+/// Its wire line is 344 KB, mostly a dense data image, so it exercises
+/// the codec paths the small `fixed_request()` barely touches.
+fn large_image_request() -> RunRequest {
+    RunRequest::program(&kernels::hash_lookup(8192, 100, 1))
+        .warmed(0x80_0000, 64 << 10, CacheLevel::L3)
+        .variant(Variant::Hybrid)
+        .config(SimConfig::table_i())
+}
+
+/// The large-image request's key and the SHA-256 of its rendered wire
+/// line, both pinned: the codec's fast paths must produce exactly the
+/// bytes the straightforward encoder did.
+#[test]
+fn large_image_runkey_and_wire_bytes_are_pinned() {
+    let req = large_image_request();
+    assert_eq!(
+        RunKey::of(&req, SimConfig::table_i()).hex(),
+        "0683030f7110dd5f17c872eda276c5a1a0b0b12cebf858e1a73a7f381205ace8",
+    );
+    let line = Request::Run { id: 0, request: req, no_cache: false }.render();
+    assert_eq!(line.len(), 344_429);
+    assert_eq!(
+        hex(&sha256(line.as_bytes())),
+        "8cca8fb0698df7ebcc7e4bfbf1acf6679b880a932c447ab5126d067488c3a2a5",
+    );
+    // Decoding and re-encoding reproduces the line byte for byte.
+    assert_eq!(Request::parse(&line).unwrap().render(), line);
+}
+
+fn hex(bytes: &[u8; 32]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
 }
 
 #[test]

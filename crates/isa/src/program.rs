@@ -95,11 +95,25 @@ impl Extend<(u64, u8)> for DataImage {
     }
 }
 
+/// Builds an image from `(addr, byte)` writes in one pass. The result is
+/// the image [`DataImage::set_byte`] would leave after the writes in
+/// order: the last write to an address wins, and a last write of zero
+/// leaves the byte unwritten.
 impl FromIterator<(u64, u8)> for DataImage {
     fn from_iter<T: IntoIterator<Item = (u64, u8)>>(iter: T) -> Self {
-        let mut img = DataImage::new();
-        img.extend(iter);
-        img
+        let mut writes: Vec<(u64, u8)> = iter.into_iter().collect();
+        // Stable, so the writes to one address keep their order.
+        writes.sort_by_key(|&(addr, _)| addr);
+        // Fold each address's writes into its first, keeping the last value.
+        writes.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        writes.retain(|&(_, byte)| byte != 0);
+        DataImage { bytes: writes.into_iter().collect() }
     }
 }
 
@@ -244,6 +258,16 @@ mod tests {
         let img: DataImage = [(1u64, 2u8), (3, 4)].into_iter().collect();
         let v: Vec<_> = img.iter().collect();
         assert_eq!(v, vec![(1, 2), (3, 4)]);
+        // Out of order, repeated and zero writes collect to what the
+        // same `set_byte` calls in order leave.
+        let writes = [(9u64, 1u8), (3, 5), (9, 0), (3, 6), (7, 0), (4, 2), (4, 0), (4, 8)];
+        let mut expected = DataImage::new();
+        for (a, b) in writes {
+            expected.set_byte(a, b);
+        }
+        let img: DataImage = writes.into_iter().collect();
+        assert_eq!(img, expected);
+        assert_eq!(img.iter().collect::<Vec<_>>(), vec![(3, 6), (4, 8)]);
     }
 
     #[test]

@@ -17,6 +17,11 @@
 //! resubmitted in a later batch (the [`Runner`](sdo_harness::Runner)
 //! client does this automatically).
 //!
+//! A batch costs work in proportion to its requests, whatever the size
+//! of the store. The store's `manifest.tsv` index is derived from the
+//! entries, so it is not rewritten while serving: the `serve` binary
+//! writes it once, at exit ([`ResultStore::write_manifest`]).
+//!
 //! ## Fault containment
 //!
 //! Malformed lines, hangs, store failures and in-flight worker panics
@@ -108,10 +113,17 @@ impl Server {
         self.shutdown.load(Ordering::Relaxed)
     }
 
+    /// The store the daemon serves, if any.
+    #[must_use]
+    pub fn store(&self) -> Option<&ResultStore> {
+        self.store.as_ref()
+    }
+
     /// Serves one stream (stdio or an accepted socket connection) until
-    /// EOF or a `shutdown` request. Between batches — while the daemon
-    /// is otherwise idle — the store manifest is rewritten so
-    /// `manifest.tsv` always reflects the entries on disk.
+    /// EOF or a `shutdown` request. Each batch costs work in proportion
+    /// to its own requests, never to the size of the store: the store's
+    /// `manifest.tsv` is not touched here (the `serve` binary writes it
+    /// once, at exit).
     ///
     /// # Errors
     ///
@@ -127,11 +139,12 @@ impl Server {
                     eof = true;
                     break;
                 }
-                let trimmed = line.trim_end_matches(['\n', '\r']);
-                if trimmed.is_empty() {
+                let len = line.trim_end_matches(['\n', '\r']).len();
+                if len == 0 {
                     break;
                 }
-                lines.push(trimmed.to_string());
+                line.truncate(len);
+                lines.push(line);
             }
             if !lines.is_empty() {
                 for reply in self.handle_batch(&lines) {
@@ -139,12 +152,6 @@ impl Server {
                     writer.write_all(b"\n")?;
                 }
                 writer.flush()?;
-                if let Some(store) = &self.store {
-                    // Idle point: the batch is answered, nothing is
-                    // executing. Failures are non-fatal (the manifest is
-                    // regenerable from the entries).
-                    let _ = store.write_manifest();
-                }
             }
             if eof || self.shutting_down() {
                 return Ok(());

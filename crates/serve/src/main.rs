@@ -8,8 +8,11 @@
 //! returning byte-identical results with zero simulations executed.
 //! `--queue <N>` bounds how many run requests one batch may carry before
 //! the daemon answers `Busy` (explicit back-pressure; clients resubmit).
+//! On exit (stdio EOF or a `shutdown` request) the daemon writes the
+//! store's `manifest.tsv` index once.
 
 use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
+use sdo_harness::store::ResultStore;
 use sdo_harness::SimConfig;
 use sdo_serve::{ServeOptions, Server};
 
@@ -78,8 +81,14 @@ fn main() {
         }
         None => server.serve(std::io::stdin().lock(), std::io::stdout().lock()),
     };
+    // The manifest is derived from the entries, so it is written once,
+    // here, rather than after every batch.
+    let manifest = server.store().map(ResultStore::write_manifest);
     if let Err(e) = outcome {
         SPEC.runtime_error(&format!("transport failed: {e}"));
+    }
+    if let Some(Err(e)) = manifest {
+        SPEC.runtime_error(&format!("manifest not written: {e}"));
     }
     eprintln!(
         "serve: done ({} hits, {} misses)",

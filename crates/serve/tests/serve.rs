@@ -80,9 +80,61 @@ fn run_requests_hit_the_store_on_the_second_pass() {
     assert_eq!(server.hits(), reqs.len() as u64, "second pass: 100% hits");
     assert_eq!(server.misses(), reqs.len() as u64, "second pass executed nothing new");
 
-    // The idle-point manifest rewrite happened and covers every entry.
-    let manifest = std::fs::read_to_string(format!("{dir}/manifest.tsv")).unwrap();
+    // Serving batches never rescans the store for its manifest; the
+    // manifest, written on demand, lists every entry.
+    let manifest_path = std::path::Path::new(&dir).join("manifest.tsv");
+    assert!(!manifest_path.exists(), "serving batches wrote manifest.tsv");
+    let store = server.store().expect("the server has a store");
+    assert_eq!(store.write_manifest().unwrap(), manifest_path);
+    let manifest = std::fs::read_to_string(&manifest_path).unwrap();
     assert_eq!(manifest.lines().count(), reqs.len());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn serve_binary_writes_the_manifest_once_at_exit() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let dir = temp_dir("binary");
+    let prog = l1_resident(60, 1);
+    let reqs: Vec<Request> = [Variant::Unsafe, Variant::Hybrid]
+        .iter()
+        .enumerate()
+        .map(|(i, &v)| Request::Run {
+            id: i as u64,
+            request: RunRequest::program(&prog).variant(v),
+            no_cache: false,
+        })
+        .collect();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--store", &dir, "--jobs", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve binary starts");
+    // Closing stdin (EOF) ends the daemon.
+    child.stdin.take().unwrap().write_all(batch(&reqs).as_bytes()).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "serve exited with {}", out.status);
+    let replies: Vec<Reply> = String::from_utf8(out.stdout)
+        .unwrap()
+        .lines()
+        .map(|l| Reply::parse(l).unwrap())
+        .collect();
+    assert_eq!(replies.len(), 2);
+    assert!(replies.iter().all(|r| matches!(r, Reply::Result { cached: false, .. })));
+
+    let manifest = std::fs::read_to_string(format!("{dir}/manifest.tsv")).unwrap();
+    let lines: Vec<&str> = manifest.lines().collect();
+    assert_eq!(lines.len(), 2, "one manifest line per stored entry:\n{manifest}");
+    for variant in ["unsafe", "hybrid"] {
+        assert!(
+            lines.iter().any(|l| l.contains(&format!("\tl1_resident\t{variant}\tspectre\t"))),
+            "no {variant} line in:\n{manifest}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
