@@ -475,7 +475,7 @@ fn write_report(
     std::fs::write(format!("{dir}/findings.jsonl"), lines)?;
     if let Some(d) = diff {
         for cex in &d.disagreements {
-            std::fs::write(format!("{dir}/{}", cex.file_name()), cex.to_jsonl() + "\n")?;
+            std::fs::write(format!("{dir}/{}", cex.file_name()), cex.to_jsonl())?;
         }
     }
     Ok(())

@@ -13,7 +13,9 @@
 
 use crate::taint::Analysis;
 use sdo_harness::export::Column;
+use sdo_harness::proto::variant_from_slug;
 use sdo_harness::Variant;
+use sdo_obs::json::{obj, parse_json, Json};
 use sdo_workloads::Channel;
 use std::fmt;
 
@@ -78,38 +80,36 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// Serializes the finding as one JSONL record.
+    /// Serializes the finding as one JSONL record (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let channel = match self.channel {
-            Some(ch) => format!("\"{}\"", channel_name(ch)),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"type\":\"finding\",\"program\":\"{}\",\"variant\":\"{}\",\"kind\":\"{}\",\
-             \"pc\":{},\"channel\":{},\"inst\":\"{}\",\"sources\":[{}],\"branches\":[{}]}}",
-            json_escape(&self.program),
-            self.variant.slug(),
-            self.kind,
-            self.pc,
-            channel,
-            json_escape(&self.inst),
-            join_u64(&self.sources, ","),
-            join_u64(&self.branches, ","),
-        )
+        obj(vec![
+            ("type", Json::Str("finding".to_string())),
+            ("program", Json::Str(self.program.clone())),
+            ("variant", Json::Str(self.variant.slug().to_string())),
+            ("kind", Json::Str(self.kind.wire_name().to_string())),
+            ("pc", Json::UInt(self.pc)),
+            (
+                "channel",
+                self.channel.map_or(Json::Null, |ch| Json::Str(channel_name(ch).to_string())),
+            ),
+            ("inst", Json::Str(self.inst.clone())),
+            ("sources", u64_array(&self.sources)),
+            ("branches", u64_array(&self.branches)),
+        ])
+        .render()
     }
 
     /// Parses one line produced by [`Finding::to_jsonl`] — the same
-    /// round-trip contract `sdo_verify::Counterexample` has had since
-    /// PR 3, so report files are machine-consumable, not write-only.
+    /// round-trip contract `sdo_verify::Counterexample` has, so report
+    /// files are machine-consumable, not write-only.
     ///
     /// # Errors
     ///
     /// Returns a description of the first missing or malformed field.
-    pub fn parse_jsonl(line: &str) -> Result<Finding, String> {
-        let program = str_field(line, "program")?;
-        let variant = parse_variant(&str_field(line, "variant")?)?;
-        let kind_s = str_field(line, "kind")?;
+    pub fn parse_jsonl(text: &str) -> Result<Finding, String> {
+        let v = parse_json(text)?;
+        let kind_s = v.str_field("kind")?;
         let kind = [
             FindingKind::PotentialTransmitGadget,
             FindingKind::TaintedTraining,
@@ -118,74 +118,41 @@ impl Finding {
         .into_iter()
         .find(|k| k.wire_name() == kind_s)
         .ok_or_else(|| format!("unknown kind {kind_s:?}"))?;
-        let pc = int_field(line, "pc")?;
-        let channel = opt_channel_field(line)?;
-        let inst = str_field(line, "inst")?;
-        let sources = int_list_field(line, "sources")?;
-        let branches = int_list_field(line, "branches")?;
-        Ok(Finding { program, variant, kind, pc, channel, inst, sources, branches })
+        let channel = match v.get("channel") {
+            Some(Json::Null) => None,
+            _ => Some(parse_channel(v.str_field("channel")?)?),
+        };
+        Ok(Finding {
+            program: v.str_field("program")?.to_string(),
+            variant: variant_from_slug(v.str_field("variant")?)?,
+            kind,
+            pc: v.u64_field("pc")?,
+            channel,
+            inst: v.str_field("inst")?.to_string(),
+            sources: u64_list(&v, "sources")?,
+            branches: u64_list(&v, "branches")?,
+        })
     }
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 pub(crate) fn join_u64(xs: &[u64], sep: &str) -> String {
     xs.iter().map(u64::to_string).collect::<Vec<_>>().join(sep)
 }
 
-/// Extracts and unescapes a `"key":"value"` string field, honoring
-/// backslash escapes in the value (so fields before the last are safe
-/// even when the disassembly ever grows a quote).
-pub(crate) fn str_field(line: &str, key: &str) -> Result<String, String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat).ok_or_else(|| format!("missing field {key:?}"))? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '\\' => match chars.next() {
-                Some(e) => out.push(e),
-                None => return Err(format!("dangling escape in field {key:?}")),
-            },
-            '"' => return Ok(out),
-            _ => out.push(c),
-        }
-    }
-    Err(format!("unterminated field {key:?}"))
+/// A JSON array of integers.
+pub(crate) fn u64_array(xs: &[u64]) -> Json {
+    Json::Arr(xs.iter().map(|&x| Json::UInt(x)).collect())
 }
 
-/// Extracts a bare-integer `"key":N` field.
-pub(crate) fn int_field(line: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat).ok_or_else(|| format!("missing field {key:?}"))? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).ok_or_else(|| format!("unterminated field {key:?}"))?;
-    rest[..end].trim().parse().map_err(|e| format!("bad integer for {key:?}: {e}"))
-}
-
-/// Extracts a `"key":[1,2,...]` integer-array field.
-pub(crate) fn int_list_field(line: &str, key: &str) -> Result<Vec<u64>, String> {
-    let pat = format!("\"{key}\":[");
-    let start = line.find(&pat).ok_or_else(|| format!("missing field {key:?}"))? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(']').ok_or_else(|| format!("unterminated field {key:?}"))?;
-    let body = &rest[..end];
-    if body.is_empty() {
-        return Ok(Vec::new());
-    }
-    body.split(',')
-        .map(|x| x.trim().parse().map_err(|e| format!("bad integer in {key:?}: {e}")))
+/// A required integer-array field of an object.
+pub(crate) fn u64_list(v: &Json, key: &str) -> Result<Vec<u64>, String> {
+    v.arr_field(key)?
+        .iter()
+        .map(|x| match x {
+            Json::UInt(n) => Ok(*n),
+            _ => Err(format!("field '{key}' holds a non-integer")),
+        })
         .collect()
-}
-
-/// Parses a variant slug back into a [`Variant`].
-pub(crate) fn parse_variant(s: &str) -> Result<Variant, String> {
-    Variant::ALL
-        .into_iter()
-        .find(|v| v.slug() == s)
-        .ok_or_else(|| format!("unknown variant {s:?}"))
 }
 
 /// Parses a channel wire name back into a [`Channel`].
@@ -194,15 +161,6 @@ pub(crate) fn parse_channel(s: &str) -> Result<Channel, String> {
         .into_iter()
         .find(|c| channel_name(*c) == s)
         .ok_or_else(|| format!("unknown channel {s:?}"))
-}
-
-/// Extracts the nullable `"channel":` field (string wire name or
-/// `null`).
-pub(crate) fn opt_channel_field(line: &str) -> Result<Option<Channel>, String> {
-    if line.contains("\"channel\":null") {
-        return Ok(None);
-    }
-    parse_channel(&str_field(line, "channel")?).map(Some)
 }
 
 /// Stable channel wire name shared by JSONL and CSV.
@@ -384,7 +342,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_byte_identical() {
-        // The PR 3 counterexample contract, applied to findings: parse
+        // The counterexample contract, applied to findings: parse
         // then re-serialize must reproduce the input byte-for-byte.
         let analysis = crate::taint::analyze(&(sdo_workloads::CORPUS[0].build)(0));
         let mut seen = 0;

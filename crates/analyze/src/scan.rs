@@ -33,14 +33,15 @@
 use crate::callgraph;
 use crate::cfg::Cfg;
 use crate::findings::{
-    channel_name, int_field, int_list_field, join_u64, json_escape, mechanism_suppresses,
-    parse_channel, parse_variant, str_field,
+    channel_name, join_u64, mechanism_suppresses, parse_channel, u64_array, u64_list,
 };
 use crate::memory::MemModel;
 use crate::taint::{analyze_with, Analysis};
 use sdo_harness::export::Column;
+use sdo_harness::proto::variant_from_slug;
 use sdo_harness::Variant;
 use sdo_isa::Program;
+use sdo_obs::json::{obj, parse_json, Json};
 use sdo_rv32::Provenance;
 use sdo_workloads::Channel;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -72,20 +73,20 @@ pub struct Gadget {
 }
 
 impl Gadget {
-    /// Serializes the gadget as one JSONL record.
+    /// Serializes the gadget as one JSONL record (no trailing newline).
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"type\":\"gadget\",\"program\":\"{}\",\"variant\":\"{}\",\"channel\":\"{}\",\
-             \"access_pc\":{},\"transmit_pc\":{},\"pending_branch\":{},\"witness_path\":[{}]}}",
-            json_escape(&self.program),
-            self.variant.slug(),
-            channel_name(self.channel),
-            self.access_pc,
-            self.transmit_pc,
-            self.pending_branch,
-            join_u64(&self.witness_path, ","),
-        )
+        obj(vec![
+            ("type", Json::Str("gadget".to_string())),
+            ("program", Json::Str(self.program.clone())),
+            ("variant", Json::Str(self.variant.slug().to_string())),
+            ("channel", Json::Str(channel_name(self.channel).to_string())),
+            ("access_pc", Json::UInt(self.access_pc)),
+            ("transmit_pc", Json::UInt(self.transmit_pc)),
+            ("pending_branch", Json::UInt(self.pending_branch)),
+            ("witness_path", u64_array(&self.witness_path)),
+        ])
+        .render()
     }
 
     /// Parses one line produced by [`Gadget::to_jsonl`] — the same
@@ -95,15 +96,16 @@ impl Gadget {
     /// # Errors
     ///
     /// Returns a description of the first missing or malformed field.
-    pub fn parse_jsonl(line: &str) -> Result<Gadget, String> {
+    pub fn parse_jsonl(text: &str) -> Result<Gadget, String> {
+        let v = parse_json(text)?;
         Ok(Gadget {
-            program: str_field(line, "program")?,
-            variant: parse_variant(&str_field(line, "variant")?)?,
-            channel: parse_channel(&str_field(line, "channel")?)?,
-            access_pc: int_field(line, "access_pc")?,
-            transmit_pc: int_field(line, "transmit_pc")?,
-            pending_branch: int_field(line, "pending_branch")?,
-            witness_path: int_list_field(line, "witness_path")?,
+            program: v.str_field("program")?.to_string(),
+            variant: variant_from_slug(v.str_field("variant")?)?,
+            channel: parse_channel(v.str_field("channel")?)?,
+            access_pc: v.u64_field("access_pc")?,
+            transmit_pc: v.u64_field("transmit_pc")?,
+            pending_branch: v.u64_field("pending_branch")?,
+            witness_path: u64_list(&v, "witness_path")?,
         })
     }
 }

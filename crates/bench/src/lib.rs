@@ -2,28 +2,23 @@
 //!
 //! Shared helpers for the bench targets (plain `harness = false` mains
 //! timed with [`std::time::Instant`] — the workspace builds offline, so
-//! no external bench framework). Each bench target regenerates one of
-//! the paper's evaluation artifacts (the same rows and series, printed
-//! before measurement) and then times representative simulations:
+//! no external bench framework):
 //!
-//! * `fig6` — normalized execution time per kernel/variant,
-//! * `fig7` — overhead breakdown,
-//! * `fig8` — squashes vs execution time,
-//! * `table3` — predictor precision/accuracy,
+//! * `busy_cycle` — host throughput of the busy cycle path, fast-forward
+//!   off (CI runs it);
 //! * `ablations` — early-forwarding, hybrid components, greedy window and
 //!   DRAM-prediction design-choice sweeps (DESIGN.md §6).
 //!
-//! Bench runs use [`quick_suite`] — the same kernels at reduced trip
-//! counts — so `cargo bench` completes in minutes; the `sdo-harness`
-//! binaries run the full-size versions. All bench mains honor `--jobs N`
-//! / `SDO_JOBS` for the artifact-regeneration phase.
+//! The paper's tables and figures come from the `sdo-harness` binaries
+//! (`fig6`, `fig7`, `fig8`, `table3`, `all`); host-time throughput of
+//! the same suite kernels is measured by the repository benchmark in
+//! `benchmark/`. The ablations run [`quick_suite`] — the suite kernels at
+//! reduced trip counts — so they complete in minutes, and honor
+//! `--jobs N` / `SDO_JOBS`.
 
 #![warn(missing_docs)]
 
-use sdo_harness::engine::JobPool;
-use sdo_harness::{Runner, RunRequest, SimConfig, Variant};
 use sdo_mem::CacheLevel;
-use sdo_uarch::AttackModel;
 use sdo_workloads::kernels::{
     fp_subnormal, hash_lookup, l1_resident, matmul_blocked, mix_branchy, phase_shift, ptr_chase,
     stencil, stream, stride, Workload,
@@ -49,33 +44,6 @@ pub fn quick_suite() -> Vec<Workload> {
             .warmed(0xB0_0000, (1 << 16) * 8, CacheLevel::L3),
         Workload::new("l1_resident", l1_resident(1500, 10)),
     ]
-}
-
-/// Runs the quick suite over all variants/attacks, mirroring
-/// `sdo_harness::experiments::run_suite` but on [`quick_suite`].
-#[must_use]
-pub fn quick_results() -> sdo_harness::experiments::SuiteResults {
-    quick_results_with(&JobPool::serial())
-}
-
-/// [`quick_results`] with the simulations fanned out through `pool`.
-/// Byte-identical to the serial path regardless of worker count.
-#[must_use]
-pub fn quick_results_with(pool: &JobPool) -> sdo_harness::experiments::SuiteResults {
-    let runner = Runner::local(SimConfig::table_i());
-    sdo_harness::experiments::run_suite_on(&runner, &quick_suite(), pool)
-        .expect("quick suite completes")
-}
-
-/// Simulates one quick-suite kernel under one variant (the unit of work
-/// the bench mains time).
-#[must_use]
-pub fn simulate_one(workload: &Workload, variant: Variant, attack: AttackModel) -> u64 {
-    let runner = Runner::local(SimConfig::table_i());
-    runner
-        .run_one(&RunRequest::workload(workload).variant(variant).attack(attack))
-        .expect("kernel completes")
-        .cycles
 }
 
 /// Times `f` for `samples` iterations (after one untimed warmup run) and
@@ -104,13 +72,15 @@ pub fn bench_case<T>(name: &str, samples: u32, mut f: impl FnMut() -> T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdo_harness::{RunRequest, SimConfig, Simulator};
 
     #[test]
     fn quick_suite_is_complete_and_fast() {
         let q = quick_suite();
         assert_eq!(q.len(), 10);
-        // A representative run stays well under the full-size cost.
-        let cycles = simulate_one(&q[9], Variant::Unsafe, AttackModel::Spectre);
-        assert!(cycles > 0);
+        // A representative run completes on the Table I machine.
+        let sim = Simulator::new(SimConfig::table_i());
+        let result = sim.run(&RunRequest::workload(&q[9])).expect("kernel completes");
+        assert!(result.into_result().cycles > 0);
     }
 }

@@ -7,6 +7,7 @@
 
 use crate::config::{SimConfig, Variant};
 use crate::engine::JobPool;
+use crate::proto::attack_slug;
 use crate::runner::Runner;
 use crate::sim::{RunRequest, RunResult, SimError, Simulator};
 use crate::table::{norm, pct, BarChart, TextTable};
@@ -735,11 +736,7 @@ pub fn pentest_metrics(outcomes: &[PentestOutcome]) -> MetricsSnapshot {
     m.add("pentest.runs", outcomes.len() as u64);
     m.add("pentest.leaks", outcomes.iter().filter(|o| o.leaked).count() as u64);
     for o in outcomes {
-        let attack = match o.attack {
-            AttackModel::Spectre => "spectre",
-            AttackModel::Futuristic => "futuristic",
-        };
-        let prefix = format!("pentest.{attack}.{}", o.variant.slug());
+        let prefix = format!("pentest.{}.{}", attack_slug(o.attack), o.variant.slug());
         m.add(&format!("{prefix}.visible_bytes"), o.recovered.len() as u64);
         m.add(&format!("{prefix}.leaked"), u64::from(o.leaked));
     }

@@ -82,7 +82,6 @@ const COLD_FNS: &[&str] = &[
     "identity",
     "build_predictor",
     "record_commits",
-    "enable_trace",
     "enable_obs",
     "debug_head",
 ];
@@ -134,8 +133,8 @@ fn non_test_lines(text: &str) -> Vec<(usize, &str)> {
     out
 }
 
-fn indent_of(line: &str) -> usize {
-    line.len() - line.trim_start().len()
+fn indent_of(text: &str) -> usize {
+    text.len() - text.trim_start().len()
 }
 
 /// Line numbers of `_ =>` arms whose enclosing `match` has an

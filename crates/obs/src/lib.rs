@@ -1,6 +1,7 @@
 //! # sdo-obs — observability layer for the SDO simulator
 //!
-//! Three cooperating pieces, all dependency-free:
+//! Three cooperating pieces and the workspace's JSON codec, all
+//! dependency-free:
 //!
 //! * a **metrics registry** ([`MetricsSnapshot`]) — typed counters and
 //!   histograms keyed by hierarchical dotted path
@@ -11,7 +12,10 @@
 //!   LQ / SQ / MSHR fill levels bucketed against structure capacity;
 //! * a **structured event trace** ([`EventTrace`]) — a bounded JSONL
 //!   stream of dispatch / issue / obl-probe / validate / expose /
-//!   squash events that round-trips through [`EventTrace::parse_jsonl`].
+//!   squash events that round-trips through [`EventTrace::parse_jsonl`];
+//! * the workspace's one **JSON codec** ([`json`]) — the event trace,
+//!   the `sdo-serve` wire protocol and the analyzer and verifier reports
+//!   all render and parse through it.
 //!
 //! The per-core façade is [`PipelineObs`], constructed from an
 //! [`ObsConfig`]. The default config is fully off, and the simulator
@@ -22,6 +26,7 @@
 #![warn(missing_debug_implementations)]
 
 mod hist;
+pub mod json;
 mod metrics;
 mod observable;
 mod probe;

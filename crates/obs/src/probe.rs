@@ -1,10 +1,10 @@
 //! The per-core observability probe the cycle loop talks to.
 //!
 //! [`PipelineObs`] bundles the occupancy histograms and optional event
-//! trace for one core. The core owns it as `Option<Box<PipelineObs>>`
-//! (mirroring its `PipelineTrace` hook), so when observability is
-//! disabled the hot path pays exactly one `Option` check per cycle and
-//! performs **no allocation** — [`ObsConfig::default`] is fully off.
+//! trace for one core. The core owns it as `Option<Box<PipelineObs>>`,
+//! so when observability is disabled the hot path pays exactly one
+//! `Option` check per cycle and performs **no allocation** —
+//! [`ObsConfig::default`] is fully off.
 
 use crate::hist::Histogram;
 use crate::metrics::MetricsSnapshot;

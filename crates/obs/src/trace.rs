@@ -1,18 +1,20 @@
 //! Structured pipeline event trace with bounded buffering and a JSONL
 //! wire format.
 //!
-//! Where `sdo_uarch::PipelineTrace` renders a human-readable per-seq
-//! table, [`EventTrace`] records machine-readable [`Event`]s — one JSON
-//! object per line — so external tooling can reconstruct the exact
-//! interleaving of dispatch, issue, oblivious probes, validations,
-//! exposures and squashes. The buffer is capacity-bounded: once full,
-//! further events are counted in [`EventTrace::dropped`] instead of
-//! allocated, keeping long runs memory-safe.
+//! [`EventTrace`] records machine-readable [`Event`]s — one JSON object
+//! per line — so external tooling can reconstruct the exact interleaving
+//! of dispatch, issue, commit, oblivious probes, validations, exposures
+//! and squashes. The buffer is capacity-bounded: once full, further
+//! events are counted in [`EventTrace::dropped`] instead of allocated,
+//! keeping long runs memory-safe.
 //!
 //! The format round-trips: [`EventTrace::to_jsonl`] output parses back
-//! with [`EventTrace::parse_jsonl`] into equal events (no serde in the
-//! workspace, so both directions are hand-rolled against the same
-//! field set).
+//! with [`EventTrace::parse_jsonl`] into equal events. Both directions
+//! go through the shared [`json`](crate::json) codec, and the writer
+//! matches [`EventKind`] exhaustively, so a new event kind does not
+//! compile until it has a wire form.
+
+use crate::json::{obj, parse_json, Json};
 
 /// Why a pipeline squash happened (mirrors
 /// `sdo_uarch::stats::SquashCounts` one-to-one).
@@ -198,117 +200,82 @@ impl Event {
     /// Renders the event as one JSONL line (no trailing newline).
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"cycle\":{},\"seq\":{},\"pc\":{},\"event\":\"{}\"",
-            self.cycle,
-            self.seq,
-            self.pc,
-            self.kind.name()
-        );
+        // `cycle`, `seq`, `pc` and `event`, then the kind's own fields.
+        let mut pairs = vec![
+            ("cycle", Json::UInt(self.cycle)),
+            ("seq", Json::UInt(self.seq)),
+            ("pc", Json::UInt(self.pc)),
+            ("event", Json::Str(self.kind.name().to_string())),
+        ];
         match self.kind {
-            EventKind::OblProbe { level } => out.push_str(&format!(",\"level\":{level}")),
-            EventKind::Validate { matched } => out.push_str(&format!(",\"matched\":{matched}")),
+            EventKind::Dispatch
+            | EventKind::Issue
+            | EventKind::Commit
+            | EventKind::Expose
+            | EventKind::OblSafe => {}
+            EventKind::OblProbe { level } | EventKind::OblTouch { level } => {
+                pairs.push(("level", Json::UInt(level.into())));
+            }
+            EventKind::Validate { matched } => pairs.push(("matched", Json::Bool(matched))),
             EventKind::Squash { cause } => {
-                out.push_str(&format!(",\"cause\":\"{}\"", cause.name()));
+                pairs.push(("cause", Json::Str(cause.name().to_string())));
             }
-            EventKind::MemAccess { line, op, tainted } => {
-                out.push_str(&format!(
-                    ",\"line\":{line},\"op\":\"{}\",\"tainted\":{tainted}",
-                    op.name()
-                ));
-            }
-            EventKind::FpTransmit { tainted, oblivious } => {
-                out.push_str(&format!(",\"tainted\":{tainted},\"oblivious\":{oblivious}"));
-            }
-            EventKind::PredictorUpdate { tainted } => {
-                out.push_str(&format!(",\"tainted\":{tainted}"));
-            }
-            EventKind::OblTouch { level } => out.push_str(&format!(",\"level\":{level}")),
-            _ => {}
+            EventKind::MemAccess { line, op, tainted } => pairs.extend([
+                ("line", Json::UInt(line)),
+                ("op", Json::Str(op.name().to_string())),
+                ("tainted", Json::Bool(tainted)),
+            ]),
+            EventKind::FpTransmit { tainted, oblivious } => pairs
+                .extend([("tainted", Json::Bool(tainted)), ("oblivious", Json::Bool(oblivious))]),
+            EventKind::PredictorUpdate { tainted } => pairs.push(("tainted", Json::Bool(tainted))),
         }
-        out.push('}');
-        out
+        obj(pairs).render()
     }
 
     /// Parses one JSONL line produced by [`Event::to_json`].
     ///
     /// # Errors
     /// Returns a description of the first malformed or missing field.
-    pub fn parse(line: &str) -> Result<Event, String> {
-        let cycle = int_field(line, "cycle")?;
-        let seq = int_field(line, "seq")?;
-        let pc = int_field(line, "pc")?;
-        let kind = match str_field(line, "event")? {
+    pub fn parse(text: &str) -> Result<Event, String> {
+        let v = parse_json(text)?;
+        let level = || {
+            let level = v.u64_field("level")?;
+            u8::try_from(level).map_err(|_| format!("level {level} out of range"))
+        };
+        let kind = match v.str_field("event")? {
             "dispatch" => EventKind::Dispatch,
             "issue" => EventKind::Issue,
             "commit" => EventKind::Commit,
-            "obl_probe" => EventKind::OblProbe {
-                level: int_field(line, "level")? as u8,
-            },
-            "validate" => EventKind::Validate { matched: bool_field(line, "matched")? },
+            "obl_probe" => EventKind::OblProbe { level: level()? },
+            "validate" => EventKind::Validate { matched: v.bool_field("matched")? },
             "expose" => EventKind::Expose,
             "squash" => {
-                let c = str_field(line, "cause")?;
+                let c = v.str_field("cause")?;
                 EventKind::Squash {
                     cause: SquashCause::parse(c)
                         .ok_or_else(|| format!("unknown squash cause {c:?}"))?,
                 }
             }
             "mem" => {
-                let o = str_field(line, "op")?;
+                let o = v.str_field("op")?;
                 EventKind::MemAccess {
-                    line: int_field(line, "line")?,
+                    line: v.u64_field("line")?,
                     op: MemOp::parse(o).ok_or_else(|| format!("unknown mem op {o:?}"))?,
-                    tainted: bool_field(line, "tainted")?,
+                    tainted: v.bool_field("tainted")?,
                 }
             }
             "fp_transmit" => EventKind::FpTransmit {
-                tainted: bool_field(line, "tainted")?,
-                oblivious: bool_field(line, "oblivious")?,
+                tainted: v.bool_field("tainted")?,
+                oblivious: v.bool_field("oblivious")?,
             },
-            "pred_update" => EventKind::PredictorUpdate { tainted: bool_field(line, "tainted")? },
-            "obl_touch" => EventKind::OblTouch { level: int_field(line, "level")? as u8 },
+            "pred_update" => EventKind::PredictorUpdate { tainted: v.bool_field("tainted")? },
+            "obl_touch" => EventKind::OblTouch { level: level()? },
             "obl_safe" => EventKind::OblSafe,
             other => return Err(format!("unknown event kind {other:?}")),
         };
+        let (cycle, seq, pc) = (v.u64_field("cycle")?, v.u64_field("seq")?, v.u64_field("pc")?);
         Ok(Event { cycle, seq, pc, kind })
     }
-}
-
-/// The raw token following `"key":` in `line` (up to the next `,` or
-/// `}`), trimmed.
-fn raw_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":");
-    let start = line
-        .find(&pat)
-        .ok_or_else(|| format!("missing field {key:?} in {line:?}"))?
-        + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated field {key:?} in {line:?}"))?;
-    Ok(rest[..end].trim())
-}
-
-fn int_field(line: &str, key: &str) -> Result<u64, String> {
-    raw_field(line, key)?
-        .parse()
-        .map_err(|e| format!("bad integer for {key:?}: {e}"))
-}
-
-fn bool_field(line: &str, key: &str) -> Result<bool, String> {
-    match raw_field(line, key)? {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(format!("bad bool for {key:?}: {other:?}")),
-    }
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let raw = raw_field(line, key)?;
-    raw.strip_prefix('"')
-        .and_then(|r| r.strip_suffix('"'))
-        .ok_or_else(|| format!("field {key:?} is not a string: {raw:?}"))
 }
 
 /// A capacity-bounded buffer of [`Event`]s.
@@ -473,16 +440,51 @@ mod tests {
 
     #[test]
     fn every_kind_names_distinctly() {
-        let t = sample_events();
-        let text: Vec<String> = t.iter().map(Event::to_json).collect();
-        assert!(text[2].contains("\"level\":2"));
-        assert!(text[3].contains("\"matched\":true"));
-        assert!(text[5].contains("\"cause\":\"validation\""));
-        assert!(text[9].contains("\"op\":\"load\"") && text[9].contains("\"tainted\":true"));
-        assert!(text[10].contains("\"op\":\"store\"") && text[10].contains("\"tainted\":false"));
-        assert!(text[11].contains("\"oblivious\":true"));
-        assert!(text[13].contains("\"event\":\"obl_touch\"") && text[13].contains("\"level\":3"));
-        assert!(text[14].ends_with("\"event\":\"obl_safe\"}"));
+        // The bytes are pinned, key order included: counterexample
+        // reports embed these lines and are diffed across reruns.
+        let expected = [
+            r#"{"cycle":1,"seq":0,"pc":0,"event":"dispatch"}"#,
+            r#"{"cycle":2,"seq":0,"pc":0,"event":"issue"}"#,
+            r#"{"cycle":3,"seq":1,"pc":4,"event":"obl_probe","level":2}"#,
+            r#"{"cycle":9,"seq":1,"pc":4,"event":"validate","matched":true}"#,
+            r#"{"cycle":9,"seq":2,"pc":8,"event":"validate","matched":false}"#,
+            r#"{"cycle":10,"seq":2,"pc":8,"event":"squash","cause":"validation"}"#,
+            r#"{"cycle":11,"seq":3,"pc":12,"event":"expose"}"#,
+            r#"{"cycle":12,"seq":0,"pc":0,"event":"commit"}"#,
+            r#"{"cycle":13,"seq":4,"pc":16,"event":"squash","cause":"branch"}"#,
+            r#"{"cycle":14,"seq":5,"pc":20,"event":"mem","line":262144,"op":"load","tainted":true}"#,
+            r#"{"cycle":15,"seq":6,"pc":24,"event":"mem","line":7,"op":"store","tainted":false}"#,
+            r#"{"cycle":16,"seq":7,"pc":28,"event":"fp_transmit","tainted":true,"oblivious":true}"#,
+            r#"{"cycle":17,"seq":8,"pc":32,"event":"pred_update","tainted":false}"#,
+            r#"{"cycle":18,"seq":1,"pc":4,"event":"obl_touch","level":3}"#,
+            r#"{"cycle":19,"seq":1,"pc":4,"event":"obl_safe"}"#,
+        ];
+        let mut t = EventTrace::with_capacity(64);
+        for ev in sample_events() {
+            t.record(ev);
+        }
+        assert_eq!(t.to_jsonl(), expected.map(|line| line.to_string() + "\n").concat());
+    }
+
+    #[test]
+    fn out_of_range_level_is_an_error_not_truncated() {
+        for kind in ["obl_probe", "obl_touch"] {
+            let line = format!(r#"{{"cycle":1,"seq":0,"pc":0,"event":"{kind}","level":260}}"#);
+            let err = Event::parse(&line).unwrap_err();
+            assert!(err.contains("level 260 out of range"), "{kind}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_text_around_the_object_with_its_line_number() {
+        let err = EventTrace::parse_jsonl(r#"oops "cycle":1,"seq":0,"pc":0,"event":"commit"}"#)
+            .unwrap_err();
+        assert!(err.starts_with("line 1:"), "{err}");
+        let err = EventTrace::parse_jsonl(
+            "{\"cycle\":1,\"seq\":0,\"pc\":0,\"event\":\"commit\"}\n{\"cycle\":2} trailing\n",
+        )
+        .unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]

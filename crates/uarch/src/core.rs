@@ -37,7 +37,6 @@ use crate::regfile::{PhysReg, RegClass, RegFile};
 use crate::rob::{BitSet, RobSlab, SlotList};
 use crate::sched::{Event, EventWheel};
 use crate::stats::CoreStats;
-use crate::trace::PipelineTrace;
 use sdo_core::oblld::{OblAction, OblEvent, OblLdFsm};
 use sdo_core::predictor::{
     GreedyPredictor, HybridPredictor, LocationPredictor, LoopPredictor, PatternPredictor,
@@ -266,7 +265,6 @@ pub struct Core {
     stats: CoreStats,
     halted: bool,
     commit_pcs: Option<Vec<u64>>,
-    trace: Option<PipelineTrace>,
     /// Structured observability probe (occupancy histograms + event
     /// trace). `None` unless enabled — the disabled hot path is a single
     /// `Option` check per cycle, with no allocation.
@@ -364,7 +362,6 @@ impl Core {
             stats: CoreStats::default(),
             halted: false,
             commit_pcs: None,
-            trace: None,
             obs: None,
             fetch_stall_until: 0,
             last_fetch_line: None,
@@ -400,18 +397,6 @@ impl Core {
     /// Enables recording of committed PCs (for differential testing).
     pub fn record_commits(&mut self) {
         self.commit_pcs = Some(Vec::new());
-    }
-
-    /// Enables pipeline tracing for the first `capacity` dispatched
-    /// instructions (see [`PipelineTrace`]).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(PipelineTrace::new(capacity));
-    }
-
-    /// The recorded pipeline trace, if tracing was enabled.
-    #[must_use]
-    pub fn trace(&self) -> Option<&PipelineTrace> {
-        self.trace.as_ref()
     }
 
     /// Enables structured observability per `cfg`: per-cycle occupancy
@@ -849,9 +834,6 @@ impl Core {
         } else {
             self.done_bits.set(slot);
         }
-        if let Some(t) = self.trace.as_mut() {
-            t.complete(self.rob.seq_of(slot), self.now);
-        }
     }
 
     fn load_value_for_width(word: u64, width: u64) -> u64 {
@@ -872,9 +854,6 @@ impl Core {
         self.rob.body_mut(slot).status = Status::Done;
         self.done_bits.set(slot);
         self.load_unperformed.clear(slot);
-        if let Some(t) = self.trace.as_mut() {
-            t.complete(self.rob.seq_of(slot), self.now);
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1016,9 +995,6 @@ impl Core {
                 OblAction::Complete => {
                     self.rob.body_mut(slot).status = Status::Done;
                     self.done_bits.set(slot);
-                    if let Some(t) = self.trace.as_mut() {
-                        t.complete(seq, self.now);
-                    }
                 }
             }
         }
@@ -1293,9 +1269,6 @@ impl Core {
             }
             self.iq_unready[slot as usize] = 0;
             self.stats.squashed_insts += 1;
-            if let Some(t) = self.trace.as_mut() {
-                t.squash(seq, self.now);
-            }
             // Walk-based RAT recovery: the RAT only ever changes at
             // rename and the killed entries are the youngest suffix, so
             // undoing each rename youngest-first lands on exactly the
@@ -1375,9 +1348,6 @@ impl Core {
             self.stats.committed += 1;
             if let Some(log) = self.commit_pcs.as_mut() {
                 log.push(pc);
-            }
-            if let Some(t) = self.trace.as_mut() {
-                t.commit(seq, self.now);
             }
             if let Some(o) = self.obs.as_deref_mut() {
                 o.emit(self.now, seq, pc, ObsEvent::Commit);
@@ -1510,9 +1480,6 @@ impl Core {
                 self.iq_ready_count -= 1;
                 self.iq.remove(slot);
                 self.progressed = true;
-                if let Some(t) = self.trace.as_mut() {
-                    t.issue(seq, self.now);
-                }
                 if self.obs.is_some() {
                     let pc = self.rob.body(slot).pc;
                     if let Some(o) = self.obs.as_deref_mut() {
@@ -2038,9 +2005,6 @@ impl Core {
                 obl_first_hit_at: None,
                 sq_forwarded: false,
             };
-            if let Some(t) = self.trace.as_mut() {
-                t.dispatch(seq, entry.pc, entry.inst, self.now);
-            }
             if let Some(o) = self.obs.as_deref_mut() {
                 o.emit(self.now, seq, entry.pc, ObsEvent::Dispatch);
             }
@@ -2898,7 +2862,7 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_trace_records_ordered_lifecycles() {
+    fn event_trace_records_ordered_lifecycles() {
         let prog = spec_window_program();
         let mut mem = MemorySystem::new(MemConfig::table_i(), 1);
         mem.load_image(prog.data());
@@ -2909,31 +2873,47 @@ mod tests {
                 protection: Protection::Stt { fp_transmitters: false },
                 attack: AttackModel::Spectre,
             },
-            prog,
+            prog.clone(),
         );
-        core.enable_trace(400);
+        core.enable_obs(ObsConfig { occupancy: false, trace_capacity: 4000 }, 0);
         core.run(&mut mem, 2_000_000).unwrap();
-        let trace = core.trace().unwrap();
-        assert_eq!(trace.len(), 400);
-        let mut saw_committed = 0;
-        for e in trace.entries() {
-            assert!(e.issued.is_none() || e.issued.unwrap() >= e.dispatched);
-            if let (Some(i), Some(c)) = (e.issued, e.completed) {
-                assert!(c >= i, "complete before issue: {e:?}");
-            }
-            if let Some(commit) = e.committed {
-                saw_committed += 1;
-                assert!(e.squashed.is_none(), "committed and squashed: {e:?}");
-                assert!(commit >= e.completed.unwrap_or(e.dispatched));
+        let trace = core.obs().and_then(PipelineObs::trace).expect("tracing enabled");
+        // First dispatch, issue and commit cycle of each traced seq.
+        let mut lifecycles = std::collections::BTreeMap::<u64, [Option<Cycle>; 3]>::new();
+        for e in trace.events() {
+            let stage = match e.kind {
+                ObsEvent::Dispatch => 0,
+                ObsEvent::Issue => 1,
+                ObsEvent::Commit => 2,
+                _ => continue,
+            };
+            lifecycles.entry(e.seq).or_default()[stage].get_or_insert(e.cycle);
+        }
+        let mut committed = 0;
+        for (seq, [dispatch, issue, commit]) in &lifecycles {
+            let dispatch = dispatch.unwrap_or_else(|| panic!("seq {seq} traced before dispatch"));
+            assert!(issue.is_none_or(|i| i >= dispatch), "seq {seq} issued before dispatch");
+            if let Some(c) = *commit {
+                committed += 1;
+                assert!(c >= issue.unwrap_or(dispatch), "seq {seq} committed before issue");
             }
         }
-        assert!(saw_committed > 100, "most traced instructions commit");
-        // STT shows up in the trace: some load has a big dispatch→issue gap.
-        let delayed = trace.entries().any(|e| {
-            e.inst.is_load() && e.issued.is_some_and(|i| i > e.dispatched + 20)
-        });
-        assert!(delayed, "STT delay must be visible in the trace");
-        assert!(!trace.to_string().is_empty());
+        assert!(committed > 100, "most traced instructions commit, got {committed}");
+        // STT shows up in the trace: the window's loads wait for the
+        // bounds check they are speculative under, so the median load
+        // spends over 20 cycles between dispatch and issue. (Some load
+        // does under Unsafe too, when a squash refills the window, but
+        // there the median is a few cycles.)
+        let mut load_gaps: Vec<Cycle> = trace
+            .events()
+            .iter()
+            .filter(|e| {
+                e.kind == ObsEvent::Dispatch && prog.instructions()[e.pc as usize].is_load()
+            })
+            .filter_map(|e| Some(lifecycles[&e.seq][1]? - e.cycle))
+            .collect();
+        load_gaps.sort_unstable();
+        assert!(load_gaps[load_gaps.len() / 2] > 20, "STT delay must be visible: {load_gaps:?}");
     }
 
     #[test]

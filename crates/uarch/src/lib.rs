@@ -25,7 +25,6 @@ pub mod regfile;
 mod rob;
 mod sched;
 pub mod stats;
-pub mod trace;
 
 pub use crate::core::{Core, RunError, ITEXT_BASE};
 pub use config::{
@@ -33,10 +32,10 @@ pub use config::{
     SecurityConfig,
 };
 pub use stats::{CoreStats, OblStats, SquashCounts};
-pub use trace::{PipelineTrace, TraceEntry};
 // Re-exported so downstream code can configure and consume the
-// observability probe without naming sdo-obs directly.
+// observability probe, and use the shared JSON codec, without naming
+// sdo-obs directly.
 pub use sdo_obs::{
-    Divergence, Event as ObsEvent, EventKind as ObsEventKind, EventTrace, Histogram, MemOp, Metric,
-    MetricsSnapshot, ObsConfig, ObservableTrace, PipelineObs, QueueCaps, SquashCause,
+    json, Divergence, Event as ObsEvent, EventKind as ObsEventKind, EventTrace, Histogram, MemOp,
+    Metric, MetricsSnapshot, ObsConfig, ObservableTrace, PipelineObs, QueueCaps, SquashCause,
 };

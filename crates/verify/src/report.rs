@@ -4,17 +4,18 @@
 //! leak the protections exist to stop — the campaign materializes a
 //! [`Counterexample`]: what was checked, what went wrong, how to
 //! reproduce it (seed + gadget recipe), and a window of pipeline events
-//! around the point of interest. The wire format is JSONL in the same
-//! hand-rolled dialect as [`sdo_obs`]'s event traces (the workspace has
-//! no serde): one header object on the first line, then one
-//! [`Event`] object per window event. Serialization is
-//! deterministic and [`Counterexample::parse_jsonl`] round-trips
-//! byte-identically, so reports can be diffed across reruns.
+//! around the point of interest. The wire format is JSONL through the
+//! shared `sdo_obs::json` codec: one header object on the first line,
+//! then one [`Event`] object per window event, exactly as
+//! [`EventTrace`] writes them. Serialization is deterministic and
+//! [`Counterexample::parse_jsonl`] round-trips byte-identically, so
+//! reports can be diffed across reruns.
 
 use crate::checker::SwapOutcome;
 use crate::oracle::Invariant;
-use sdo_harness::cli::{parse_attack, parse_variant};
+use sdo_harness::proto::{attack_from_slug, attack_slug, variant_from_slug};
 use sdo_harness::Variant;
+use sdo_obs::json::{obj, parse_json, Json};
 use sdo_obs::{Event, EventTrace};
 use sdo_uarch::AttackModel;
 
@@ -122,10 +123,7 @@ impl Counterexample {
     /// A stable file name for this counterexample.
     #[must_use]
     pub fn file_name(&self) -> String {
-        format!("{}_{}_{}.jsonl", self.case, self.variant.slug(), match self.attack {
-            AttackModel::Spectre => "spectre",
-            AttackModel::Futuristic => "futuristic",
-        })
+        format!("{}_{}_{}.jsonl", self.case, self.variant.slug(), attack_slug(self.attack))
     }
 
     /// Serializes as JSONL: one header line, then one line per window
@@ -133,21 +131,18 @@ impl Counterexample {
     /// byte-identically.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"type\":\"counterexample\",\"case\":\"{}\",\"variant\":\"{}\",\
-             \"attack\":\"{}\",\"kind\":\"{}\",\"seed\":{},\"gadgets\":\"{}\",\
-             \"detail\":\"{}\"}}\n",
-            self.case,
-            self.variant.slug(),
-            match self.attack {
-                AttackModel::Spectre => "spectre",
-                AttackModel::Futuristic => "futuristic",
-            },
-            self.kind.name(),
-            self.seed,
-            self.gadgets.join("+"),
-            json_escape(&self.detail),
-        );
+        let mut out = obj(vec![
+            ("type", Json::Str("counterexample".to_string())),
+            ("case", Json::Str(self.case.clone())),
+            ("variant", Json::Str(self.variant.slug().to_string())),
+            ("attack", Json::Str(attack_slug(self.attack).to_string())),
+            ("kind", Json::Str(self.kind.name())),
+            ("seed", Json::UInt(self.seed)),
+            ("gadgets", Json::Str(self.gadgets.join("+"))),
+            ("detail", Json::Str(self.detail.clone())),
+        ])
+        .render();
+        out.push('\n');
         for ev in &self.window {
             out.push_str(&ev.to_json());
             out.push('\n');
@@ -162,69 +157,24 @@ impl Counterexample {
     /// Returns a description of the first malformed field or event
     /// line.
     pub fn parse_jsonl(text: &str) -> Result<Counterexample, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or_else(|| "empty report".to_string())?;
-        let case = simple_str_field(header, "case")?.to_string();
-        let variant = parse_variant(simple_str_field(header, "variant")?)?;
-        let attack = parse_attack(simple_str_field(header, "attack")?)?;
-        let kind_s = simple_str_field(header, "kind")?;
-        let kind =
-            CexKind::parse(kind_s).ok_or_else(|| format!("unknown kind {kind_s:?}"))?;
-        let seed = simple_str_like_int(header, "seed")?;
-        let gadgets_s = simple_str_field(header, "gadgets")?;
-        let gadgets = if gadgets_s.is_empty() {
-            Vec::new()
-        } else {
-            gadgets_s.split('+').map(str::to_string).collect()
+        let (header, window) = text.split_once('\n').unwrap_or((text, ""));
+        let v = parse_json(header)?;
+        let kind_s = v.str_field("kind")?;
+        let gadgets = match v.str_field("gadgets")? {
+            "" => Vec::new(),
+            recipe => recipe.split('+').map(str::to_string).collect(),
         };
-        // `detail` is the final field and the only one that may contain
-        // escapes: take everything between its opening quote and the
-        // header's closing `"}`.
-        let detail_raw = header
-            .split_once("\"detail\":\"")
-            .and_then(|(_, rest)| rest.strip_suffix("\"}"))
-            .ok_or_else(|| "missing or malformed detail field".to_string())?;
-        let detail = json_unescape(detail_raw);
-        let window_text: String = lines.map(|l| format!("{l}\n")).collect();
-        let window = EventTrace::parse_jsonl(&window_text)?.events().to_vec();
-        Ok(Counterexample { case, variant, attack, kind, seed, gadgets, detail, window })
+        Ok(Counterexample {
+            case: v.str_field("case")?.to_string(),
+            variant: variant_from_slug(v.str_field("variant")?)?,
+            attack: attack_from_slug(v.str_field("attack")?)?,
+            kind: CexKind::parse(kind_s).ok_or_else(|| format!("unknown kind {kind_s:?}"))?,
+            seed: v.u64_field("seed")?,
+            gadgets,
+            detail: v.str_field("detail")?.to_string(),
+            window: EventTrace::parse_jsonl(window)?.events().to_vec(),
+        })
     }
-}
-
-/// Escapes backslashes and double quotes for embedding in a JSON
-/// string (the only characters our detail strings can contain that
-/// need escaping — they are built from event JSON and plain prose).
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn json_unescape(s: &str) -> String {
-    s.replace("\\\"", "\"").replace("\\\\", "\\")
-}
-
-/// Extracts an escape-free `"key":"value"` string field from a header
-/// line (usable for every field except `detail`).
-fn simple_str_field<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-    let pat = format!("\"{key}\":\"");
-    let start =
-        line.find(&pat).ok_or_else(|| format!("missing field {key:?}"))? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find('"').ok_or_else(|| format!("unterminated field {key:?}"))?;
-    Ok(&rest[..end])
-}
-
-fn simple_str_like_int(line: &str, key: &str) -> Result<u64, String> {
-    let pat = format!("\"{key}\":");
-    let start =
-        line.find(&pat).ok_or_else(|| format!("missing field {key:?}"))? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find([',', '}'])
-        .ok_or_else(|| format!("unterminated field {key:?}"))?;
-    rest[..end]
-        .trim()
-        .parse()
-        .map_err(|e| format!("bad integer for {key:?}: {e}"))
 }
 
 #[cfg(test)]
