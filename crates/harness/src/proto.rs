@@ -18,7 +18,7 @@
 
 use crate::config::{SimConfig, Variant};
 use crate::sim::{RunRequest, RunResult};
-use sdo_uarch::json::obj;
+use sdo_uarch::json::{obj, write_json_string, write_u64, Reader};
 // The JSON value and parser are the workspace's one codec,
 // `sdo_obs::json`, reached through `sdo-uarch`'s re-exports.
 pub use sdo_uarch::json::{parse_json, Json};
@@ -337,76 +337,26 @@ pub fn level_from_slug(slug: &str) -> Result<CacheLevel, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Program + RunRequest codec
+// RunRequest codec
 // ---------------------------------------------------------------------------
+//
+// The request is the one message that carries program images (up to a
+// few MB of `[addr, byte]` pairs), so it is written and read in one
+// pass, never as a `Json` tree: `write_request` streams each image
+// straight from its `Program`, and `read_request` decodes each `data`
+// array pair by pair. Every other field is written and read as a small
+// `Json` value, decoded by the typed decoders above.
 
-/// Encodes a program as its name, disassembly text and sparse data
-/// image. The round trip through [`sdo_isa::parse_asm`] is
-/// instruction-identical (pinned by `crates/workloads/tests/roundtrip.rs`),
-/// so this *is* the program's canonical byte representation.
-#[must_use]
-pub fn program_to_json(program: &Program) -> Json {
-    let data: Vec<Json> = program
-        .data()
-        .iter()
-        .map(|(addr, byte)| Json::Arr(vec![Json::UInt(addr), Json::UInt(u64::from(byte))]))
-        .collect();
-    obj(vec![
-        ("name", Json::Str(program.name().to_string())),
-        ("asm", Json::Str(program.disassemble())),
-        ("data", Json::Arr(data)),
-    ])
-}
-
-/// Decodes a program from [`program_to_json`]'s representation.
-///
-/// # Errors
-///
-/// Returns a message on a missing field or an assembly parse failure.
-pub fn program_from_json(v: &Json) -> Result<Program, String> {
-    let name = v.str_field("name")?;
-    let asm = v.str_field("asm")?;
-    let mut program =
-        sdo_isa::parse_asm(asm).map_err(|e| format!("program '{name}': {e}"))?;
-    program.set_name(name);
-    let pairs = v.arr_field("data")?;
-    // The assembly's own bytes, then the listed writes in order: built
-    // into one image in one pass, the image `set_byte` would leave.
-    let mut writes = Vec::with_capacity(program.data().len() + pairs.len());
-    writes.extend(program.data().iter());
-    for pair in pairs {
-        match pair {
-            Json::Arr(items) if items.len() == 2 => {
-                match (&items[0], &items[1]) {
-                    (Json::UInt(addr), Json::UInt(byte)) if *byte <= 0xff => {
-                        writes.push((*addr, *byte as u8));
-                    }
-                    _ => return Err("data pair is not [addr, byte]".to_string()),
-                }
-            }
-            _ => return Err("data entry is not a two-element array".to_string()),
-        }
-    }
-    *program.data_mut() = writes.into_iter().collect();
-    Ok(program)
-}
-
-/// Encodes a [`RunRequest`] canonically (transport *and*
-/// [`RunKey`](crate::store::RunKey) representation).
-#[must_use]
-pub fn request_to_json(req: &RunRequest) -> Json {
-    request_to_json_with_config(req, req.config.as_ref())
-}
-
-/// [`request_to_json`] with `config` encoded in place of the request's
-/// own `config` field: the [`RunKey`](crate::store::RunKey) hashes the
-/// effective configuration this way without cloning the request.
-pub(crate) fn request_to_json_with_config(req: &RunRequest, config: Option<&SimConfig>) -> Json {
+/// Appends the canonical encoding of `req`, with `config` encoded in
+/// place of the request's own `config` field. These bytes are both the
+/// wire form and what the [`RunKey`](crate::store::RunKey) hashes (with
+/// the effective configuration, substituted here without cloning the
+/// request).
+pub(crate) fn write_request(req: &RunRequest, config: Option<&SimConfig>, out: &mut String) {
     // Exhaustive: a new RunRequest field must be added here (and thus to
     // the RunKey) before this compiles again.
     let RunRequest { programs, prewarm, variant, attack, config: _, seed, record } = req;
-    let programs_json: Vec<Json> = programs.iter().map(program_to_json).collect();
-    let prewarm_json: Vec<Json> = prewarm
+    let prewarm: Vec<Json> = prewarm
         .iter()
         .map(|&(start, bytes, level)| {
             Json::Arr(vec![
@@ -416,31 +366,145 @@ pub(crate) fn request_to_json_with_config(req: &RunRequest, config: Option<&SimC
             ])
         })
         .collect();
-    obj(vec![
-        ("programs", Json::Arr(programs_json)),
-        ("prewarm", Json::Arr(prewarm_json)),
-        ("variant", Json::Str(variant.slug().to_string())),
-        ("attack", Json::Str(attack_slug(*attack).to_string())),
-        (
-            "config",
-            match config {
-                Some(cfg) => config_to_json(cfg),
-                None => Json::Null,
-            },
-        ),
-        ("seed", Json::UInt(*seed)),
-        ("record", Json::Bool(*record)),
-    ])
+    let write_programs = |out: &mut String| {
+        out.push('[');
+        for (i, program) in programs.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_program(program, out);
+        }
+        out.push(']');
+    };
+    write_object(
+        out,
+        Vec::new(),
+        ("programs", write_programs),
+        vec![
+            ("prewarm", Json::Arr(prewarm)),
+            ("variant", Json::Str(variant.slug().to_string())),
+            ("attack", Json::Str(attack_slug(*attack).to_string())),
+            ("config", config.map_or(Json::Null, config_to_json)),
+            ("seed", Json::UInt(*seed)),
+            ("record", Json::Bool(*record)),
+        ],
+    );
 }
 
-/// Decodes a [`RunRequest`] from [`request_to_json`]'s representation.
-///
-/// # Errors
-///
-/// Returns a message on the first malformed field.
-pub fn request_from_json(v: &Json) -> Result<RunRequest, String> {
-    let programs: Vec<Program> =
-        v.arr_field("programs")?.iter().map(program_from_json).collect::<Result<_, _>>()?;
+/// Appends a program as its name, disassembly text and sparse data
+/// image. The round trip through [`sdo_isa::parse_asm`] is
+/// instruction-identical (pinned by `crates/workloads/tests/roundtrip.rs`),
+/// so this *is* the program's canonical byte representation.
+fn write_program(program: &Program, out: &mut String) {
+    let write_data = |out: &mut String| {
+        out.push('[');
+        for (i, (addr, byte)) in program.data().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push('[');
+            write_u64(addr, out);
+            out.push(',');
+            write_u64(u64::from(byte), out);
+            out.push(']');
+        }
+        out.push(']');
+    };
+    write_object(
+        out,
+        vec![
+            ("name", Json::Str(program.name().to_string())),
+            ("asm", Json::Str(program.disassemble())),
+        ],
+        ("data", write_data),
+        Vec::new(),
+    );
+}
+
+/// Appends an object: the `head` fields, then `key` with its value
+/// appended by `write`, then the `tail` fields — in that (rendered)
+/// order.
+fn write_object(
+    out: &mut String,
+    head: Vec<(&str, Json)>,
+    (key, write): (&str, impl FnOnce(&mut String)),
+    tail: Vec<(&str, Json)>,
+) {
+    out.push('{');
+    for (k, v) in head {
+        write_json_string(k, out);
+        out.push(':');
+        v.write(out);
+        out.push(',');
+    }
+    write_json_string(key, out);
+    out.push(':');
+    write(out);
+    for (k, v) in tail {
+        out.push(',');
+        write_json_string(k, out);
+        out.push(':');
+        v.write(out);
+    }
+    out.push('}');
+}
+
+/// Appends a `run` or `grid` message: its `op` and `id`, the
+/// [`write_request`] encoding of `request`, then the `tail` fields.
+fn write_message_with_request(
+    out: &mut String,
+    op: &str,
+    id: u64,
+    request: &RunRequest,
+    tail: Vec<(&str, Json)>,
+) {
+    write_object(
+        out,
+        vec![("op", Json::Str(op.to_string())), ("id", Json::UInt(id))],
+        ("request", |out: &mut String| write_request(request, request.config.as_ref(), out)),
+        tail,
+    );
+}
+
+/// A value read in one pass: the outer `Result` fails on malformed
+/// JSON, the inner one on well-formed JSON that does not decode.
+/// Keeping them apart lets a decoder go on validating a line after a
+/// field fails to decode (or is never used): malformed JSON anywhere in
+/// the line is the error, as it is for `parse_json`.
+type Decoded<T> = Result<Result<T, String>, String>;
+
+/// Reads the `request` field of a message as a [`RunRequest`]. Its
+/// programs stream through [`read_program`]; every other field is read
+/// as a [`Json`] value. Unknown keys are validated and skipped, and a
+/// repeated key keeps its first value, as [`Json::get`] does.
+fn read_request(r: &mut Reader) -> Decoded<RunRequest> {
+    let mut programs = None;
+    let mut fields = Vec::new();
+    let is_object = r.object(|r, key| {
+        match key.as_str() {
+            "programs" if programs.is_none() => {
+                programs = Some(read_list(r, "programs", read_program)?);
+            }
+            "prewarm" | "variant" | "attack" | "config" | "seed" | "record" => {
+                fields.push((key, r.value()?));
+            }
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    if !is_object {
+        return Ok(Err("field 'request' is not an object".to_string()));
+    }
+    Ok(request_from_parts(programs, &Json::Obj(fields)))
+}
+
+/// Checks a request's streamed programs and its other fields, in the
+/// order they are encoded, and builds the [`RunRequest`].
+fn request_from_parts(
+    programs: Option<Result<Vec<Program>, String>>,
+    v: &Json,
+) -> Result<RunRequest, String> {
+    let programs = programs.unwrap_or_else(|| Err("missing field 'programs'".to_string()))?;
     if programs.is_empty() {
         return Err("request has no programs".to_string());
     }
@@ -468,6 +532,81 @@ pub fn request_from_json(v: &Json) -> Result<RunRequest, String> {
         config,
         seed: v.u64_field("seed")?,
         record: v.bool_field("record")?,
+    })
+}
+
+/// Reads the array under `field` item by item with `item`; the first
+/// item that does not decode is the error, and the rest are only
+/// validated.
+fn read_list<T>(
+    r: &mut Reader,
+    field: &str,
+    mut item: impl FnMut(&mut Reader) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    let mut list = Ok(Vec::new());
+    let is_array = r.array(|r| {
+        let next = item(r)?;
+        if let Ok(items) = &mut list {
+            match next {
+                Ok(next) => items.push(next),
+                Err(e) => list = Err(e),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(if is_array { list } else { Err(format!("field '{field}' is not an array")) })
+}
+
+/// Reads one program object: `name` and `asm` as values, `data` pair
+/// by pair into the write list `DataImage::from_iter` takes.
+fn read_program(r: &mut Reader) -> Decoded<Program> {
+    let mut data = None;
+    let mut fields = Vec::new();
+    r.object(|r, key| {
+        match key.as_str() {
+            "data" if data.is_none() => data = Some(read_list(r, "data", read_pair)?),
+            "name" | "asm" => fields.push((key, r.value()?)),
+            _ => r.skip()?,
+        }
+        Ok(())
+    })?;
+    Ok(program_from_parts(&Json::Obj(fields), data))
+}
+
+/// Assembles a program from its `name` and `asm` fields and applies its
+/// streamed data writes.
+fn program_from_parts(
+    v: &Json,
+    data: Option<Result<Vec<(u64, u8)>, String>>,
+) -> Result<Program, String> {
+    let name = v.str_field("name")?;
+    let asm = v.str_field("asm")?;
+    let mut program = sdo_isa::parse_asm(asm).map_err(|e| format!("program '{name}': {e}"))?;
+    program.set_name(name);
+    let writes = data.unwrap_or_else(|| Err("missing field 'data'".to_string()))?;
+    // The assembly's own bytes, then the listed writes in order: built
+    // into one image in one pass, the image `set_byte` would leave.
+    let image = program.data().iter().chain(writes).collect();
+    *program.data_mut() = image;
+    Ok(program)
+}
+
+/// Reads one `[addr, byte]` data pair.
+fn read_pair(r: &mut Reader) -> Decoded<(u64, u8)> {
+    let mut items = [None; 2];
+    let mut len = 0usize;
+    let is_array = r.array(|r| {
+        let item = r.u64()?;
+        if let Some(slot) = items.get_mut(len) {
+            *slot = item;
+        }
+        len += 1;
+        Ok(())
+    })?;
+    Ok(match items {
+        _ if !is_array || len != 2 => Err("data entry is not a two-element array".to_string()),
+        [Some(addr), Some(byte)] if byte <= 0xff => Ok((addr, byte as u8)),
+        _ => Err("data pair is not [addr, byte]".to_string()),
     })
 }
 
@@ -787,54 +926,88 @@ impl Request {
     /// Renders the message as one JSON line (no trailing newline).
     #[must_use]
     pub fn render(&self) -> String {
+        let mut out = String::new();
         match self {
-            Request::Run { id, request, no_cache } => obj(vec![
-                ("op", Json::Str("run".to_string())),
-                ("id", Json::UInt(*id)),
-                ("request", request_to_json(request)),
-                ("no_cache", Json::Bool(*no_cache)),
-            ]),
-            Request::Grid { id, request, configs, variants, no_cache } => obj(vec![
-                ("op", Json::Str("grid".to_string())),
-                ("id", Json::UInt(*id)),
-                ("request", request_to_json(request)),
-                ("configs", Json::Arr(configs.iter().map(config_to_json).collect())),
-                (
-                    "variants",
-                    Json::Arr(
-                        variants.iter().map(|v| Json::Str(v.slug().to_string())).collect(),
-                    ),
-                ),
-                ("no_cache", Json::Bool(*no_cache)),
-            ]),
-            Request::Stats { id } => obj(vec![
-                ("op", Json::Str("stats".to_string())),
-                ("id", Json::UInt(*id)),
-            ]),
+            Request::Run { id, request, no_cache } => write_message_with_request(
+                &mut out,
+                "run",
+                *id,
+                request,
+                vec![("no_cache", Json::Bool(*no_cache))],
+            ),
+            Request::Grid { id, request, configs, variants, no_cache } => {
+                write_message_with_request(
+                    &mut out,
+                    "grid",
+                    *id,
+                    request,
+                    vec![
+                        ("configs", Json::Arr(configs.iter().map(config_to_json).collect())),
+                        (
+                            "variants",
+                            Json::Arr(
+                                variants.iter().map(|v| Json::Str(v.slug().to_string())).collect(),
+                            ),
+                        ),
+                        ("no_cache", Json::Bool(*no_cache)),
+                    ],
+                );
+            }
+            Request::Stats { id } => {
+                obj(vec![("op", Json::Str("stats".to_string())), ("id", Json::UInt(*id))])
+                    .write(&mut out);
+            }
             Request::Campaign { id, seed, quick, fuzz } => obj(vec![
                 ("op", Json::Str("campaign".to_string())),
                 ("id", Json::UInt(*id)),
                 ("seed", Json::UInt(*seed)),
                 ("quick", Json::Bool(*quick)),
                 ("fuzz", Json::UInt(*fuzz)),
-            ]),
-            Request::Shutdown => obj(vec![("op", Json::Str("shutdown".to_string()))]),
+            ])
+            .write(&mut out),
+            Request::Shutdown => {
+                obj(vec![("op", Json::Str("shutdown".to_string()))]).write(&mut out);
+            }
         }
-        .render()
+        out
     }
 
     /// Parses one request line.
+    ///
+    /// The line is read in one pass: the `request`'s program images
+    /// stream into their typed value, every other field is read as a
+    /// small [`Json`] value for the typed decoders, and unknown keys are
+    /// validated and skipped. A repeated key keeps its first value, as
+    /// [`Json::get`] does. `request` may precede `op`, so it is decoded
+    /// wherever it appears; an op without one ignores the outcome, its
+    /// decoding errors included.
     ///
     /// # Errors
     ///
     /// Returns a message for malformed JSON or an unknown `op` — the
     /// daemon turns this into a typed `error` reply rather than dying.
     pub fn parse(text: &str) -> Result<Request, String> {
-        let v = parse_json(text)?;
+        let mut r = Reader::new(text);
+        let mut request = None;
+        let mut fields = Vec::new();
+        r.object(|r, key| {
+            match key.as_str() {
+                "request" if request.is_none() => request = Some(read_request(r)?),
+                "op" | "id" | "no_cache" | "configs" | "variants" | "seed" | "quick" | "fuzz" => {
+                    fields.push((key, r.value()?));
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        r.finish()?;
+        // A line that is not an object leaves no fields: "missing field 'op'".
+        let v = Json::Obj(fields);
+        let request = || request.unwrap_or_else(|| Err("missing field 'request'".to_string()));
         match v.str_field("op")? {
             "run" => Ok(Request::Run {
                 id: v.u64_field("id")?,
-                request: request_from_json(v.obj_field("request")?)?,
+                request: request()?,
                 no_cache: match v.get("no_cache") {
                     Some(Json::Bool(b)) => *b,
                     None => false,
@@ -856,7 +1029,7 @@ impl Request {
                 }
                 Ok(Request::Grid {
                     id: v.u64_field("id")?,
-                    request: request_from_json(v.obj_field("request")?)?,
+                    request: request()?,
                     configs,
                     variants,
                     no_cache: match v.get("no_cache") {
@@ -1062,8 +1235,193 @@ impl Reply {
 mod tests {
     use super::*;
     use crate::sim::Simulator;
-    use sdo_workloads::kernels::l1_resident;
+    use crate::store::{sha256, RunKey, KEY_SCHEMA};
+    use sdo_isa::DataImage;
+    use sdo_mem::CacheLevel;
+    use sdo_rng::SdoRng;
+    use sdo_workloads::kernels::{self, l1_resident};
     use sdo_workloads::suite;
+
+    // -----------------------------------------------------------------
+    // The tree codec: the reference the one-pass codec is checked
+    // against. Each message is a whole `Json` tree, built and rendered
+    // (or parsed and decoded) with the workspace's `Json` value.
+    // -----------------------------------------------------------------
+
+    fn program_to_json(program: &Program) -> Json {
+        let data: Vec<Json> = program
+            .data()
+            .iter()
+            .map(|(addr, byte)| Json::Arr(vec![Json::UInt(addr), Json::UInt(u64::from(byte))]))
+            .collect();
+        obj(vec![
+            ("name", Json::Str(program.name().to_string())),
+            ("asm", Json::Str(program.disassemble())),
+            ("data", Json::Arr(data)),
+        ])
+    }
+
+    fn program_from_json(v: &Json) -> Result<Program, String> {
+        let name = v.str_field("name")?;
+        let asm = v.str_field("asm")?;
+        let mut program = sdo_isa::parse_asm(asm).map_err(|e| format!("program '{name}': {e}"))?;
+        program.set_name(name);
+        let pairs = v.arr_field("data")?;
+        let mut writes = Vec::with_capacity(program.data().len() + pairs.len());
+        writes.extend(program.data().iter());
+        for pair in pairs {
+            match pair {
+                Json::Arr(items) if items.len() == 2 => match (&items[0], &items[1]) {
+                    (Json::UInt(addr), Json::UInt(byte)) if *byte <= 0xff => {
+                        writes.push((*addr, *byte as u8));
+                    }
+                    _ => return Err("data pair is not [addr, byte]".to_string()),
+                },
+                _ => return Err("data entry is not a two-element array".to_string()),
+            }
+        }
+        *program.data_mut() = writes.into_iter().collect();
+        Ok(program)
+    }
+
+    fn request_to_json(req: &RunRequest) -> Json {
+        request_to_json_with_config(req, req.config.as_ref())
+    }
+
+    fn request_to_json_with_config(req: &RunRequest, config: Option<&SimConfig>) -> Json {
+        let RunRequest { programs, prewarm, variant, attack, config: _, seed, record } = req;
+        let programs_json: Vec<Json> = programs.iter().map(program_to_json).collect();
+        let prewarm_json: Vec<Json> = prewarm
+            .iter()
+            .map(|&(start, bytes, level)| {
+                Json::Arr(vec![
+                    Json::UInt(start),
+                    Json::UInt(bytes),
+                    Json::Str(level_slug(level).to_string()),
+                ])
+            })
+            .collect();
+        obj(vec![
+            ("programs", Json::Arr(programs_json)),
+            ("prewarm", Json::Arr(prewarm_json)),
+            ("variant", Json::Str(variant.slug().to_string())),
+            ("attack", Json::Str(attack_slug(*attack).to_string())),
+            ("config", config.map_or(Json::Null, config_to_json)),
+            ("seed", Json::UInt(*seed)),
+            ("record", Json::Bool(*record)),
+        ])
+    }
+
+    fn request_from_json(v: &Json) -> Result<RunRequest, String> {
+        let programs: Vec<Program> =
+            v.arr_field("programs")?.iter().map(program_from_json).collect::<Result<_, _>>()?;
+        if programs.is_empty() {
+            return Err("request has no programs".to_string());
+        }
+        let mut prewarm = Vec::new();
+        for entry in v.arr_field("prewarm")? {
+            match entry {
+                Json::Arr(items) if items.len() == 3 => match (&items[0], &items[1], &items[2]) {
+                    (Json::UInt(start), Json::UInt(bytes), Json::Str(level)) => {
+                        prewarm.push((*start, *bytes, level_from_slug(level)?));
+                    }
+                    _ => return Err("prewarm entry is not [start, bytes, level]".to_string()),
+                },
+                _ => return Err("prewarm entry is not a three-element array".to_string()),
+            }
+        }
+        let config = match v.get("config") {
+            Some(Json::Null) | None => None,
+            Some(cfg) => Some(config_from_json(cfg)?),
+        };
+        Ok(RunRequest {
+            programs,
+            prewarm,
+            variant: variant_from_slug(v.str_field("variant")?)?,
+            attack: attack_from_slug(v.str_field("attack")?)?,
+            config,
+            seed: v.u64_field("seed")?,
+            record: v.bool_field("record")?,
+        })
+    }
+
+    /// The reference rendering of a `run` or `grid` message.
+    fn render_tree(msg: &Request) -> String {
+        match msg {
+            Request::Run { id, request, no_cache } => obj(vec![
+                ("op", Json::Str("run".to_string())),
+                ("id", Json::UInt(*id)),
+                ("request", request_to_json(request)),
+                ("no_cache", Json::Bool(*no_cache)),
+            ]),
+            Request::Grid { id, request, configs, variants, no_cache } => obj(vec![
+                ("op", Json::Str("grid".to_string())),
+                ("id", Json::UInt(*id)),
+                ("request", request_to_json(request)),
+                ("configs", Json::Arr(configs.iter().map(config_to_json).collect())),
+                (
+                    "variants",
+                    Json::Arr(variants.iter().map(|v| Json::Str(v.slug().to_string())).collect()),
+                ),
+                ("no_cache", Json::Bool(*no_cache)),
+            ]),
+            other => panic!("the reference renders only run and grid messages, not {other:?}"),
+        }
+        .render()
+    }
+
+    /// The reference decoder: the whole line as a tree, then the fields.
+    fn parse_tree(text: &str) -> Result<Request, String> {
+        let v = parse_json(text)?;
+        let no_cache = |v: &Json| match v.get("no_cache") {
+            Some(Json::Bool(b)) => Ok(*b),
+            None => Ok(false),
+            Some(_) => Err("field 'no_cache' is not a bool".to_string()),
+        };
+        match v.str_field("op")? {
+            "run" => Ok(Request::Run {
+                id: v.u64_field("id")?,
+                request: request_from_json(v.obj_field("request")?)?,
+                no_cache: no_cache(&v)?,
+            }),
+            "grid" => {
+                let configs = v
+                    .arr_field("configs")?
+                    .iter()
+                    .map(config_from_json)
+                    .collect::<Result<Vec<_>, _>>()?;
+                let mut variants = Vec::new();
+                for item in v.arr_field("variants")? {
+                    match item {
+                        Json::Str(slug) => variants.push(variant_from_slug(slug)?),
+                        _ => return Err("variants entry is not a string".to_string()),
+                    }
+                }
+                Ok(Request::Grid {
+                    id: v.u64_field("id")?,
+                    request: request_from_json(v.obj_field("request")?)?,
+                    configs,
+                    variants,
+                    no_cache: no_cache(&v)?,
+                })
+            }
+            "stats" => Ok(Request::Stats { id: v.u64_field("id")? }),
+            "campaign" => Ok(Request::Campaign {
+                id: v.u64_field("id")?,
+                seed: v.u64_field("seed")?,
+                quick: v.bool_field("quick")?,
+                fuzz: v.u64_field("fuzz")?,
+            }),
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(format!("unknown op '{other}'")),
+        }
+    }
+
+    fn written(write: impl FnOnce(&mut String)) -> String {
+        let mut out = String::new();
+        write(&mut out);
+        out
+    }
 
     #[test]
     fn data_images_decode_exactly_as_byte_writes_in_order() {
@@ -1075,13 +1433,308 @@ mod tests {
         for asm in ["halt", ".byte 0x10 5 6\n.byte 0x20 4\nhalt"] {
             let asm_json = Json::Str(asm.to_string()).render();
             let json = format!("{{\"name\":\"t\",\"asm\":{asm_json},\"data\":[{data}]}}");
-            let decoded = program_from_json(&parse_json(&json).unwrap()).unwrap();
+            let decoded = read_program(&mut Reader::new(&json)).unwrap().unwrap();
             let mut expected = sdo_isa::parse_asm(asm).unwrap().data().clone();
             for &(addr, byte) in &writes {
                 expected.set_byte(addr, byte);
             }
             assert_eq!(decoded.data(), &expected, "asm {asm:?}");
         }
+    }
+
+    /// Characters a program name may carry: plain ASCII, everything the
+    /// writer escapes, and multi-byte UTF-8 up to four bytes.
+    const NAME_CHARS: &str =
+        "aZ7 _/\"\\\n\r\t\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}éß€\u{2028}\u{fffd}\u{1f642}";
+
+    fn random_program(rng: &mut SdoRng) -> Program {
+        let insts = sdo_workloads::random::random_program(rng.next_u64(), rng.gen_range(1..4));
+        let chars: Vec<char> = NAME_CHARS.chars().collect();
+        let name: String =
+            (0..rng.gen_range(0..12)).map(|_| chars[rng.gen_range(0..chars.len())]).collect();
+        let mut data = DataImage::new();
+        // One program in four has an empty image.
+        for _ in 0..rng.gen_range(0..6) * usize::from(rng.gen_range(0..4) != 0) {
+            match rng.gen_range(0..4) {
+                0 => {
+                    for addr in [0, 1, u64::MAX] {
+                        if rng.gen_bool(0.7) {
+                            data.set_byte(addr, rng.gen_range(1..=255));
+                        }
+                    }
+                }
+                1 => {
+                    // A dense run, zero bytes (which leave holes) included.
+                    let start: u64 = rng.gen();
+                    for i in 0..rng.gen_range(1..300) {
+                        data.set_byte(start.wrapping_add(i), rng.gen());
+                    }
+                }
+                2 => {
+                    for _ in 0..rng.gen_range(1..8) {
+                        data.set_byte(rng.gen(), rng.gen_range(1..=255));
+                    }
+                }
+                _ => data.set_word(rng.gen_range(0..1 << 20), rng.gen()),
+            }
+        }
+        Program::new(name, insts.instructions().to_vec(), data)
+    }
+
+    fn random_config(rng: &mut SdoRng) -> SimConfig {
+        let mut cfg = if rng.gen_bool(0.5) { SimConfig::tiny() } else { SimConfig::table_i() };
+        if rng.gen_bool(0.5) {
+            cfg.max_cycles = rng.gen();
+            cfg.mem.l2.ways = rng.gen_range(1..64);
+            cfg.obs.occupancy = rng.gen();
+        }
+        cfg
+    }
+
+    fn random_request(rng: &mut SdoRng) -> RunRequest {
+        const LEVELS: [CacheLevel; 4] =
+            [CacheLevel::L1, CacheLevel::L2, CacheLevel::L3, CacheLevel::Dram];
+        RunRequest {
+            programs: (0..rng.gen_range(1..=3)).map(|_| random_program(rng)).collect(),
+            prewarm: (0..rng.gen_range(0..4))
+                .map(|_| (rng.gen(), rng.gen(), LEVELS[rng.gen_range(0..LEVELS.len())]))
+                .collect(),
+            variant: Variant::ALL[rng.gen_range(0..Variant::ALL.len())],
+            attack: if rng.gen() { AttackModel::Spectre } else { AttackModel::Futuristic },
+            config: rng.gen_bool(0.5).then(|| random_config(rng)),
+            seed: [0, u64::MAX, rng.gen()][rng.gen_range(0..3)],
+            record: rng.gen(),
+        }
+    }
+
+    #[test]
+    fn one_pass_codec_matches_the_tree_codec_on_random_requests() {
+        let mut rng = SdoRng::seed_from_u64(0x5d0_c0dec);
+        for case in 0..1200 {
+            let request = random_request(&mut rng);
+            let msg = if case % 8 == 0 {
+                let configs = (0..rng.gen_range(0..3)).map(|_| random_config(&mut rng)).collect();
+                let variants = Variant::ALL[..rng.gen_range(0..Variant::ALL.len())].to_vec();
+                Request::Grid {
+                    id: rng.gen(),
+                    request: request.clone(),
+                    configs,
+                    variants,
+                    no_cache: rng.gen(),
+                }
+            } else {
+                Request::Run { id: rng.gen(), request: request.clone(), no_cache: rng.gen() }
+            };
+            let line = msg.render();
+            assert_eq!(line, render_tree(&msg), "case {case}: rendering differs from the tree's");
+            assert_eq!(Request::parse(&line), Ok(msg), "case {case}: no round trip");
+            let base = random_config(&mut rng);
+            let mut payload = format!("{KEY_SCHEMA}\n");
+            request_to_json_with_config(&request, Some(&request.effective_config(base)))
+                .write(&mut payload);
+            let digest: String =
+                sha256(payload.as_bytes()).iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(RunKey::of(&request, base).hex(), digest, "case {case}: RunKey differs");
+        }
+    }
+
+    /// Request lines as clients send them: the 344,429-byte large-image
+    /// request of `runkey_golden.rs`, small runs (one warmed, one
+    /// multi-core), a grid, a campaign, and a `stats` line whose junk
+    /// `request` arrives before its `op`.
+    fn recorded_lines() -> Vec<String> {
+        let large = Request::Run {
+            id: 0,
+            request: RunRequest::program(&kernels::hash_lookup(8192, 100, 1))
+                .warmed(0x80_0000, 64 << 10, CacheLevel::L3)
+                .variant(Variant::Hybrid)
+                .config(SimConfig::table_i()),
+            no_cache: false,
+        }
+        .render();
+        assert_eq!(large.len(), 344_429);
+        let prog = l1_resident(50, 1);
+        let small = [
+            Request::Run {
+                id: 3,
+                request: RunRequest::program(&prog).variant(Variant::SttLd),
+                no_cache: true,
+            },
+            Request::Run {
+                id: 4,
+                request: RunRequest::program(&kernels::stream(64, 1, 3))
+                    .warmed(0x1000, 4096, CacheLevel::L2)
+                    .config(SimConfig::tiny())
+                    .seed(9),
+                no_cache: false,
+            },
+            Request::Run {
+                id: 5,
+                request: RunRequest::multi(&[prog.clone(), l1_resident(20, 2)]),
+                no_cache: false,
+            },
+            Request::Grid {
+                id: 8,
+                request: RunRequest::program(&prog),
+                configs: vec![SimConfig::tiny(), SimConfig::table_i()],
+                variants: vec![Variant::Unsafe, Variant::SttLd],
+                no_cache: true,
+            },
+            Request::Campaign { id: 1, seed: 0, quick: true, fuzz: 4 },
+        ];
+        let mut lines = vec![large];
+        lines.extend(small.iter().map(Request::render));
+        lines.push(
+            r#"{"request":{"programs":[{"name":7,"data":[[1,256],[2]]}],"x":[{},[]]},"op":"stats","id":2}"#
+                .to_string(),
+        );
+        lines
+    }
+
+    /// The first index at or after `from` (wrapping once) where `hit` holds.
+    fn find_from(len: usize, from: usize, hit: impl Fn(usize) -> bool) -> Option<usize> {
+        (from..len).chain(0..from).find(|&i| hit(i))
+    }
+
+    /// Reorders, duplicates or adds keys of one object (or reorders one
+    /// array) on a random path down the message's tree.
+    fn restructure(rng: &mut SdoRng, line: &str) -> Vec<u8> {
+        let mut root = parse_json(line).expect("recorded lines parse");
+        let depth = rng.gen_range(0..5);
+        restructure_at(rng, &mut root, depth);
+        root.render().into_bytes()
+    }
+
+    fn restructure_at(rng: &mut SdoRng, node: &mut Json, depth: usize) {
+        if depth > 0 {
+            let mut children: Vec<&mut Json> = match node {
+                Json::Obj(pairs) => pairs.iter_mut().map(|(_, v)| v).collect(),
+                Json::Arr(items) => items.iter_mut().collect(),
+                _ => Vec::new(),
+            };
+            children.retain(|c| matches!(c, Json::Obj(_) | Json::Arr(_)));
+            if !children.is_empty() {
+                let k = rng.gen_range(0..children.len());
+                return restructure_at(rng, children.swap_remove(k), depth - 1);
+            }
+        }
+        match node {
+            Json::Obj(pairs) if !pairs.is_empty() => match rng.gen_range(0..3) {
+                0 => rng.shuffle(pairs),
+                1 => {
+                    let (key, value) = pairs[rng.gen_range(0..pairs.len())].clone();
+                    let value = match rng.gen_range(0..3) {
+                        0 => value,
+                        1 => Json::Str("dup".to_string()),
+                        _ => Json::Arr(vec![Json::UInt(1), Json::Null]),
+                    };
+                    pairs.insert(rng.gen_range(0..=pairs.len()), (key, value));
+                }
+                _ => {
+                    let junk = obj(vec![("data", Json::Arr(vec![Json::Bool(true)]))]);
+                    pairs.insert(rng.gen_range(0..=pairs.len()), ("zz".to_string(), junk));
+                }
+            },
+            Json::Arr(items) if items.len() > 1 => {
+                let (i, j) = (rng.gen_range(0..items.len()), rng.gen_range(0..items.len()));
+                items.swap(i, j);
+            }
+            _ => {}
+        }
+    }
+
+    /// One mutation of `line`, with its name for failure messages.
+    fn mutate(rng: &mut SdoRng, line: &str) -> (&'static str, Vec<u8>) {
+        let mut b = line.as_bytes().to_vec();
+        let at = rng.gen_range(0..b.len());
+        let digit = |b: &[u8], i: usize| b[i].is_ascii_digit();
+        match rng.gen_range(0..9) {
+            0 => {
+                b.truncate(at);
+                ("truncation", b)
+            }
+            1 => {
+                b[at] ^= 1 << rng.gen_range(0..8);
+                ("bit flip", b)
+            }
+            2 => {
+                const BYTES: &[u8] = b"{}[],:\"\\/0123456789-.eEtrufalsn xu\x00\x7f\xc3\xff";
+                b.insert(at, BYTES[rng.gen_range(0..BYTES.len())]);
+                ("byte insertion", b)
+            }
+            3 => {
+                b.remove(at);
+                ("byte deletion", b)
+            }
+            4 => {
+                // 20 more digits overflow any u64.
+                if let Some(i) = find_from(b.len(), at, |i| digit(&b, i)) {
+                    b.splice(i..i, b"99999999999999999999".iter().copied());
+                }
+                ("u64 overflow", b)
+            }
+            5 => {
+                // The byte of a data pair (a digit run closed by `],[`).
+                let end = find_from(b.len() - 2, at.min(b.len() - 3), |i| {
+                    i > 0 && &b[i..i + 3] == b"],[" && digit(&b, i - 1)
+                });
+                if let Some(end) = end {
+                    let start = (0..end).rev().find(|&i| !digit(&b, i)).map_or(0, |i| i + 1);
+                    let byte: &[u8] = if rng.gen() { b"255" } else { b"256" };
+                    b.splice(start..end, byte.iter().copied());
+                }
+                ("data byte 255/256", b)
+            }
+            6 => {
+                // Bracket runs around and far past the depth bound.
+                let data = b.windows(8).position(|w| w == b"\"data\":[");
+                let n = if rng.gen_range(0..10) == 0 { 100_000 } else { rng.gen_range(100..300) };
+                let i = data.map_or(at, |i| i + 8);
+                b.splice(i..i, std::iter::repeat_n(b'[', n));
+                ("[ run inside data", b)
+            }
+            7 => {
+                for _ in 0..rng.gen_range(1..4) {
+                    b.insert(at, b" \t\n\r"[rng.gen_range(0..4)]);
+                }
+                ("whitespace insertion", b)
+            }
+            _ => ("reordered or duplicated keys", restructure(rng, line)),
+        }
+    }
+
+    #[test]
+    fn mutated_lines_decode_exactly_as_the_tree_decoder_does() {
+        let lines = recorded_lines();
+        let mut rng = SdoRng::seed_from_u64(0xf022_11e5);
+        let (mut accepted, mut rejected) = (0, 0);
+        for case in 0..10_240 {
+            // One case in 128 mutates the large line: it is 99% of the
+            // bytes, and most of the test's time.
+            let line =
+                if case % 128 == 0 { &lines[0] } else { &lines[1 + case % (lines.len() - 1)] };
+            let (mutation, bytes) = mutate(&mut rng, line);
+            // The daemon answers a non-UTF-8 line before parsing it.
+            let text = String::from_utf8_lossy(&bytes);
+            match (Request::parse(&text), parse_tree(&text)) {
+                (Ok(got), Ok(want)) => {
+                    assert!(got == want, "case {case} ({mutation}): decoded values differ");
+                    accepted += 1;
+                }
+                // The contract allows another error first only on a line
+                // with two defects; these lines get the tree's own error.
+                (Err(got), Err(want)) => {
+                    assert_eq!(got, want, "case {case} ({mutation})");
+                    rejected += 1;
+                }
+                (got, want) => panic!(
+                    "case {case} ({mutation}): one pass {:?}, tree {:?}",
+                    got.err(),
+                    want.err()
+                ),
+            }
+        }
+        assert!(accepted > 1000 && rejected > 1000, "{accepted} accepted, {rejected} rejected");
     }
 
     #[test]
@@ -1096,8 +1749,9 @@ mod tests {
     #[test]
     fn program_codec_round_trips_the_suite() {
         for w in suite() {
-            let encoded = program_to_json(w.program()).render();
-            let decoded = program_from_json(&parse_json(&encoded).unwrap()).unwrap();
+            let encoded = written(|out| write_program(w.program(), out));
+            assert_eq!(encoded, program_to_json(w.program()).render());
+            let decoded = read_program(&mut Reader::new(&encoded)).unwrap().unwrap();
             assert_eq!(decoded.name(), w.program().name());
             assert_eq!(decoded.instructions(), w.program().instructions());
             let orig: Vec<(u64, u8)> = w.program().data().iter().collect();
@@ -1114,15 +1768,9 @@ mod tests {
             .attack(AttackModel::Futuristic)
             .config(SimConfig::tiny())
             .seed(7);
-        let encoded = request_to_json(&req).render();
-        let decoded = request_from_json(&parse_json(&encoded).unwrap()).unwrap();
-        assert_eq!(decoded.variant, req.variant);
-        assert_eq!(decoded.attack, req.attack);
-        assert_eq!(decoded.config, req.config);
-        assert_eq!(decoded.seed, req.seed);
-        assert_eq!(decoded.record, req.record);
-        assert_eq!(decoded.prewarm, req.prewarm);
-        assert_eq!(decoded.programs[0].instructions(), req.programs[0].instructions());
+        let encoded = written(|out| write_request(&req, req.config.as_ref(), out));
+        assert_eq!(encoded, request_to_json(&req).render());
+        assert_eq!(read_request(&mut Reader::new(&encoded)).unwrap(), Ok(req));
     }
 
     #[test]

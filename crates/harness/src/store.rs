@@ -25,7 +25,7 @@ use std::path::{Path, PathBuf};
 
 /// Version tag mixed into every key; bump it to invalidate all existing
 /// stores when the encoding itself changes meaning.
-const KEY_SCHEMA: &str = "sdo-runkey-v1";
+pub(crate) const KEY_SCHEMA: &str = "sdo-runkey-v1";
 
 // ---------------------------------------------------------------------------
 // SHA-256 (FIPS 180-4), in-tree: the workspace is offline-clean.
@@ -147,7 +147,7 @@ impl RunKey {
         let config = req.effective_config(base);
         let mut payload = String::from(KEY_SCHEMA);
         payload.push('\n');
-        proto::request_to_json_with_config(req, Some(&config)).write(&mut payload);
+        proto::write_request(req, Some(&config), &mut payload);
         RunKey(sha256(payload.as_bytes()))
     }
 

@@ -5,8 +5,11 @@
 //!
 //! * **no-unwrap** — `.unwrap()` / `.expect(` outside `#[cfg(test)]`
 //!   in the hot-path modules (`uarch::core`, `mem::cache`,
-//!   `mem::mshr`). A panic in the cycle loop takes down a whole
-//!   campaign; recoverable paths must return errors.
+//!   `mem::mshr`) and the outside-input ones (`obs::json`,
+//!   `harness::proto`, `harness::store`, `serve`, `rv32::loader`). A
+//!   panic in the cycle loop takes down a whole campaign, and one on a
+//!   client's line takes down the daemon; recoverable paths must return
+//!   errors.
 //! * **exhaustive-match** — no `_ =>` arm in a `match` over
 //!   [`sdo_isa`]'s `OpClass` / `Instruction` in security-relevant
 //!   files: a new instruction class silently falling into a wildcard
@@ -36,9 +39,20 @@
 
 use std::path::{Path, PathBuf};
 
-/// Hot-path files where panicking helpers are forbidden outside tests.
-const NO_UNWRAP: &[&str] =
-    &["crates/uarch/src/core.rs", "crates/mem/src/cache.rs", "crates/mem/src/mshr.rs"];
+/// Files where panicking helpers are forbidden outside tests: the hot
+/// path, where a panic takes down a whole campaign, and the code that
+/// reads outside input (wire lines, store files, ELF images), which must
+/// turn bad input into a typed error rather than a dead daemon.
+const NO_UNWRAP: &[&str] = &[
+    "crates/uarch/src/core.rs",
+    "crates/mem/src/cache.rs",
+    "crates/mem/src/mshr.rs",
+    "crates/obs/src/json.rs",
+    "crates/harness/src/proto.rs",
+    "crates/harness/src/store.rs",
+    "crates/serve/src/lib.rs",
+    "crates/rv32/src/loader.rs",
+];
 
 /// Security-relevant files where `OpClass`/`Instruction` matches must
 /// be exhaustive (no `_ =>`).

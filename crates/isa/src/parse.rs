@@ -28,7 +28,7 @@ use crate::asm::Assembler;
 use crate::inst::MemWidth;
 use crate::program::Program;
 use crate::reg::{FReg, Reg};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::error::Error;
 use std::fmt;
 
@@ -171,6 +171,7 @@ pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
 fn parse_inner(source: &str) -> Result<Program, ParseError> {
     let mut asm = Assembler::new();
     let mut labels: HashMap<String, crate::asm::Label> = HashMap::new();
+    let mut bound: HashSet<&str> = HashSet::new();
 
     // Absolute targets are written `@N` (as in disassembly listings);
     // they bind a dedicated label per address at the end.
@@ -264,6 +265,9 @@ fn parse_inner(source: &str) -> Result<Program, ParseError> {
             let name = name.trim();
             if name.is_empty() || !name.chars().all(|c| c.is_alphanumeric() || c == '_') {
                 return err_tok(line, name, format!("bad label '{name}'"));
+            }
+            if !bound.insert(name) {
+                return err_tok(line, name, format!("label '{name}' defined more than once"));
             }
             let label = label_of(&mut asm, &mut absolute, line, name)?;
             asm.bind(label);
@@ -622,6 +626,14 @@ mod tests {
         assert!(e.message.contains("overflows"), "{e}");
         let e = parse_asm(".byte 0xffffffffffffffff 1 2\nhalt").unwrap_err();
         assert!(e.message.contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn duplicate_label_is_an_error_not_a_panic() {
+        // The assembler asserts a label is bound once; text from outside
+        // the program must be refused before it gets there.
+        let e = parse_asm("top: nop\nnop\n  top: halt").unwrap_err();
+        assert_eq!(e.to_string(), "line 3:3: label 'top' defined more than once");
     }
 
     #[test]

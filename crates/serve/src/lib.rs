@@ -24,11 +24,12 @@
 //!
 //! ## Fault containment
 //!
-//! Malformed lines, hangs, store failures and in-flight worker panics
-//! all become typed `Error` replies — the daemon keeps serving. Panics
-//! are caught per simulation with [`std::panic::catch_unwind`] and
-//! rendered through [`sdo_harness::engine::panic_message`], the same
-//! plumbing the in-process pool uses.
+//! Malformed lines (not UTF-8, or not a request), hangs, store failures
+//! and in-flight worker panics all become typed `Error` replies — the
+//! daemon keeps serving. Panics are caught per simulation with
+//! [`std::panic::catch_unwind`] and rendered through
+//! [`sdo_harness::engine::panic_message`], the same plumbing the
+//! in-process pool uses.
 
 #![warn(missing_docs)]
 
@@ -134,12 +135,14 @@ impl Server {
             let mut lines = Vec::new();
             let mut eof = false;
             loop {
-                let mut line = String::new();
-                if reader.read_line(&mut line)? == 0 {
+                // Bytes, not a `String`: a line that is not UTF-8 is one
+                // bad request, answered in its slot, not a dead stream.
+                let mut line = Vec::new();
+                if reader.read_until(b'\n', &mut line)? == 0 {
                     eof = true;
                     break;
                 }
-                let len = line.trim_end_matches(['\n', '\r']).len();
+                let len = line.iter().rposition(|&b| b != b'\n' && b != b'\r').map_or(0, |i| i + 1);
                 if len == 0 {
                     break;
                 }
@@ -185,12 +188,20 @@ impl Server {
 
     /// Answers one batch: exactly one reply per line, in line order
     /// (`shutdown` lines excepted — they carry no id and get no reply).
+    /// A line that is not UTF-8 is answered like any other malformed
+    /// line.
     #[must_use]
-    pub fn handle_batch(&self, lines: &[String]) -> Vec<Reply> {
+    pub fn handle_batch<L: AsRef<[u8]>>(&self, lines: &[L]) -> Vec<Reply> {
         // Parse every line first so the queue bound counts actual run
         // requests, not malformed lines.
-        let parsed: Vec<Result<Request, String>> =
-            lines.iter().map(|l| Request::parse(l)).collect();
+        let parsed: Vec<Result<Request, String>> = lines
+            .iter()
+            .map(|line| {
+                std::str::from_utf8(line.as_ref())
+                    .map_err(|e| format!("invalid UTF-8 at byte {}", e.valid_up_to()))
+                    .and_then(Request::parse)
+            })
+            .collect();
 
         // Queue bound: the first `queue` run requests are accepted, the
         // rest bounced with Busy (the client resubmits them).

@@ -402,6 +402,53 @@ fn stats_and_campaign_requests_are_answered_inline() {
     assert!(render.contains("PASS"));
 }
 
+/// A batch with a line that is not UTF-8 between two `stats` lines.
+const NON_UTF8_BATCH: &[u8] =
+    b"{\"op\":\"stats\",\"id\":1}\n\xff\xfe\n{\"op\":\"stats\",\"id\":2}\n\n";
+
+/// The replies to [`NON_UTF8_BATCH`]: both stats answered, and a
+/// batch-level error in the middle slot.
+fn assert_non_utf8_replies(out: &[u8]) {
+    let replies: Vec<Reply> = std::str::from_utf8(out)
+        .expect("replies are UTF-8")
+        .lines()
+        .map(|l| Reply::parse(l).expect("every reply line parses"))
+        .collect();
+    assert_eq!(replies.len(), 3, "one reply per line: {replies:?}");
+    assert!(matches!(replies[0], Reply::Stats { id: 1, .. }), "{:?}", replies[0]);
+    let Reply::Error { id: BATCH_ERROR_ID, message } = &replies[1] else {
+        panic!("a non-UTF-8 line must be a batch-level error, got {:?}", replies[1]);
+    };
+    assert_eq!(message, "invalid UTF-8 at byte 0");
+    assert!(matches!(replies[2], Reply::Stats { id: 2, .. }), "{:?}", replies[2]);
+}
+
+#[test]
+fn a_line_that_is_not_utf8_is_answered_in_its_slot() {
+    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let mut out = Vec::new();
+    server.serve(Cursor::new(NON_UTF8_BATCH), &mut out).expect("the stream survives");
+    assert_non_utf8_replies(&out);
+}
+
+#[test]
+fn serve_binary_survives_a_line_that_is_not_utf8() {
+    use std::io::Write;
+    use std::process::{Command, Stdio};
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--jobs", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("serve binary starts");
+    child.stdin.take().unwrap().write_all(NON_UTF8_BATCH).unwrap();
+    let out = child.wait_with_output().unwrap();
+    assert!(out.status.success(), "serve exited with {}", out.status);
+    assert_non_utf8_replies(&out.stdout);
+}
+
 #[test]
 fn shutdown_ends_the_stream_without_a_reply() {
     let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
