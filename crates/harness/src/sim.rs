@@ -442,6 +442,20 @@ mod tests {
     }
 
     #[test]
+    fn workload_requests_share_the_image_pages() {
+        let pages = |p: &Program| -> Vec<*const [u8; sdo_isa::PAGE_BYTES]> {
+            p.data().pages().map(|(_, page)| page as *const _).collect()
+        };
+        let program = sdo_workloads::kernels::ptr_chase(64 * 1024, 100, 1);
+        let w = sdo_workloads::Workload::new("ptr_chase", program);
+        let requests: Vec<RunRequest> = (0..4).map(|_| RunRequest::workload(&w)).collect();
+        assert!(w.program().data().pages().count() >= 16);
+        for req in &requests {
+            assert_eq!(pages(&req.programs[0]), pages(w.program()));
+        }
+    }
+
+    #[test]
     fn hang_is_reported() {
         let mut asm = sdo_isa::Assembler::named("spin");
         let top = asm.here();

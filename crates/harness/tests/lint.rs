@@ -5,8 +5,10 @@
 //!
 //! * **no-unwrap** — `.unwrap()` / `.expect(` outside `#[cfg(test)]`
 //!   in the hot-path modules (`uarch::core`, `mem::cache`,
-//!   `mem::mshr`) and the outside-input ones (`obs::json`,
-//!   `harness::proto`, `harness::store`, `serve`, `rv32::loader`). A
+//!   `mem::mshr`, `mem::backing`, `mem::tlb`) and the outside-input
+//!   ones (`isa::program`, which builds images from wire data,
+//!   `obs::json`, `harness::proto`, `harness::store`, `serve`,
+//!   `rv32::loader`). A
 //!   panic in the cycle loop takes down a whole campaign, and one on a
 //!   client's line takes down the daemon; recoverable paths must return
 //!   errors.
@@ -47,6 +49,9 @@ const NO_UNWRAP: &[&str] = &[
     "crates/uarch/src/core.rs",
     "crates/mem/src/cache.rs",
     "crates/mem/src/mshr.rs",
+    "crates/mem/src/backing.rs",
+    "crates/mem/src/tlb.rs",
+    "crates/isa/src/program.rs",
     "crates/obs/src/json.rs",
     "crates/harness/src/proto.rs",
     "crates/harness/src/store.rs",
