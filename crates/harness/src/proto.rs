@@ -29,13 +29,19 @@ pub use sdo_uarch::json::{parse_json, Json};
 /// a legal request id (the daemon refuses `run` requests that claim it)
 /// and clients treat an `error` reply carrying it as batch-level.
 pub const BATCH_ERROR_ID: u64 = u64::MAX;
-use sdo_isa::Program;
+use sdo_isa::{Program, MAX_PARSED_PAGES, PAGE_SHIFT};
 use sdo_mem::{
     CacheLevel, CacheParams, DramParams, MemConfig, MemStats, TlbParams,
 };
 use sdo_uarch::{
     AttackModel, CoreConfig, CoreStats, FuPool, Latencies, OblStats, ObsConfig, SquashCounts,
 };
+
+/// The most data-image pages (64 MiB) the run requests a daemon admits
+/// from one batch may hold between them; it answers the runs past it
+/// with `busy`. One request holds at most [`MAX_PARSED_PAGES`], so the
+/// first run of a batch always fits.
+pub const BATCH_PAGES: usize = 4 * MAX_PARSED_PAGES;
 
 // ---------------------------------------------------------------------------
 // SimConfig codec
@@ -479,11 +485,12 @@ type Decoded<T> = Result<Result<T, String>, String>;
 /// repeated key keeps its first value, as [`Json::get`] does.
 fn read_request(r: &mut Reader) -> Decoded<RunRequest> {
     let mut programs = None;
+    let mut pages = MAX_PARSED_PAGES;
     let mut fields = Vec::new();
     let is_object = r.object(|r, key| {
         match key.as_str() {
             "programs" if programs.is_none() => {
-                programs = Some(read_list(r, "programs", read_program)?);
+                programs = Some(read_list(r, "programs", |r| read_program(r, &mut pages))?);
             }
             "prewarm" | "variant" | "attack" | "config" | "seed" | "record" => {
                 fields.push((key, r.value()?));
@@ -558,8 +565,9 @@ fn read_list<T>(
 }
 
 /// Reads one program object: `name` and `asm` as values, `data` pair
-/// by pair into the write list `DataImage::from_iter` takes.
-fn read_program(r: &mut Reader) -> Decoded<Program> {
+/// by pair into the write list `DataImage::from_iter` takes. `pages` is
+/// what is left of the request's page budget.
+fn read_program(r: &mut Reader, pages: &mut usize) -> Decoded<Program> {
     let mut data = None;
     let mut fields = Vec::new();
     r.object(|r, key| {
@@ -570,14 +578,16 @@ fn read_program(r: &mut Reader) -> Decoded<Program> {
         }
         Ok(())
     })?;
-    Ok(program_from_parts(&Json::Obj(fields), data))
+    Ok(program_from_parts(&Json::Obj(fields), data, pages))
 }
 
 /// Assembles a program from its `name` and `asm` fields and applies its
-/// streamed data writes.
+/// streamed data writes. The pages the writes touch are counted, and
+/// taken from `pages`, before the image allocates any of them.
 fn program_from_parts(
     v: &Json,
     data: Option<Result<Vec<(u64, u8)>, String>>,
+    pages: &mut usize,
 ) -> Result<Program, String> {
     let name = v.str_field("name")?;
     let asm = v.str_field("asm")?;
@@ -585,9 +595,17 @@ fn program_from_parts(
     program.set_name(name);
     let writes = data.unwrap_or_else(|| Err("missing field 'data'".to_string()))?;
     // The assembly's own bytes, then the listed writes in order: built
-    // into one image in one pass, the image `set_byte` would leave.
-    let image = program.data().iter().chain(writes).collect();
-    *program.data_mut() = image;
+    // into one image in one pass, the image `set_byte` would leave. The
+    // sort is stable, so the build keeps each address's writes in order.
+    let mut writes: Vec<(u64, u8)> = program.data().iter().chain(writes).collect();
+    writes.sort_by_key(|&(addr, _)| addr);
+    let touched = writes.chunk_by(|a, b| a.0 >> PAGE_SHIFT == b.0 >> PAGE_SHIFT).count();
+    *pages = pages.checked_sub(touched).ok_or_else(|| {
+        format!(
+            "program '{name}': data on {touched} pages, over the {MAX_PARSED_PAGES} a request may hold"
+        )
+    })?;
+    *program.data_mut() = writes.into_iter().collect();
     Ok(program)
 }
 
@@ -984,8 +1002,10 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns a message for malformed JSON or an unknown `op` — the
-    /// daemon turns this into a typed `error` reply rather than dying.
+    /// Returns a message for malformed JSON, an unknown `op` or a
+    /// request whose data touches more than [`MAX_PARSED_PAGES`] pages —
+    /// the daemon turns this into a typed `error` reply rather than
+    /// dying.
     pub fn parse(text: &str) -> Result<Request, String> {
         let mut r = Reader::new(text);
         let mut request = None;
@@ -1433,12 +1453,49 @@ mod tests {
         for asm in ["halt", ".byte 0x10 5 6\n.byte 0x20 4\nhalt"] {
             let asm_json = Json::Str(asm.to_string()).render();
             let json = format!("{{\"name\":\"t\",\"asm\":{asm_json},\"data\":[{data}]}}");
-            let decoded = read_program(&mut Reader::new(&json)).unwrap().unwrap();
+            let decoded =
+                read_program(&mut Reader::new(&json), &mut { MAX_PARSED_PAGES }).unwrap().unwrap();
             let mut expected = sdo_isa::parse_asm(asm).unwrap().data().clone();
             for &(addr, byte) in &writes {
                 expected.set_byte(addr, byte);
             }
             assert_eq!(decoded.data(), &expected, "asm {asm:?}");
+        }
+    }
+
+    /// A `run` line for one program per entry of `pages`, each writing
+    /// one byte on each of its pages (zero bytes on every other page).
+    fn sparse_run_line(pages: &[usize]) -> String {
+        let programs: Vec<Program> =
+            pages.iter().map(|_| sdo_isa::parse_asm("halt").unwrap()).collect();
+        let line =
+            Request::Run { id: 1, request: RunRequest::multi(&programs), no_cache: false }.render();
+        let mut next = 0;
+        pages.iter().fold(line, |line, &n| {
+            let data: Vec<String> = (0..n)
+                .map(|k| format!("[{},{}]", (next + k) * sdo_isa::PAGE_BYTES, k % 2))
+                .collect();
+            next += n;
+            line.replacen("\"data\":[]", &format!("\"data\":[{}]", data.join(",")), 1)
+        })
+    }
+
+    #[test]
+    fn requests_over_the_page_budget_are_refused_while_decoding() {
+        let pages = |request: Request| match request {
+            Request::Run { request, .. } => {
+                request.programs.iter().map(|p| p.data().pages().len()).sum::<usize>()
+            }
+            other => panic!("not a run: {other:?}"),
+        };
+        // Pages touched only by zero writes count too: the budget is
+        // checked before the image is built.
+        assert_eq!(pages(Request::parse(&sparse_run_line(&[MAX_PARSED_PAGES])).unwrap()), 2048);
+        let half = MAX_PARSED_PAGES / 2;
+        assert_eq!(pages(Request::parse(&sparse_run_line(&[half, half])).unwrap()), 2048);
+        for split in [vec![MAX_PARSED_PAGES + 1], vec![half, half + 1], vec![1, MAX_PARSED_PAGES]] {
+            let e = Request::parse(&sparse_run_line(&split)).unwrap_err();
+            assert!(e.contains("over the 4096 a request may hold"), "{split:?}: {e}");
         }
     }
 
@@ -1751,7 +1808,9 @@ mod tests {
         for w in suite() {
             let encoded = written(|out| write_program(w.program(), out));
             assert_eq!(encoded, program_to_json(w.program()).render());
-            let decoded = read_program(&mut Reader::new(&encoded)).unwrap().unwrap();
+            let decoded = read_program(&mut Reader::new(&encoded), &mut { MAX_PARSED_PAGES })
+                .unwrap()
+                .unwrap();
             assert_eq!(decoded.name(), w.program().name());
             assert_eq!(decoded.instructions(), w.program().instructions());
             let orig: Vec<(u64, u8)> = w.program().data().iter().collect();

@@ -26,7 +26,7 @@
 
 use crate::asm::Assembler;
 use crate::inst::MemWidth;
-use crate::program::Program;
+use crate::program::{Program, MAX_PARSED_PAGES};
 use crate::reg::{FReg, Reg};
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -241,6 +241,13 @@ fn parse_inner(source: &str) -> Result<Program, ParseError> {
                                 8
                             }
                         };
+                        if asm.data_mut().pages().len() > MAX_PARSED_PAGES {
+                            return err_tok(
+                                line,
+                                v,
+                                format!("data on more than {MAX_PARSED_PAGES} pages"),
+                            );
+                        }
                         addr = match addr.checked_add(step) {
                             Some(next) => next,
                             None => {
@@ -626,6 +633,22 @@ mod tests {
         assert!(e.message.contains("overflows"), "{e}");
         let e = parse_asm(".byte 0xffffffffffffffff 1 2\nhalt").unwrap_err();
         assert!(e.message.contains("overflows"), "{e}");
+    }
+
+    #[test]
+    fn data_on_too_many_pages_is_an_error() {
+        // One short line per page: the text stays small, the image would not.
+        let pages = |n: usize| -> String {
+            (0..n).map(|k| format!(".byte {} 1\n", k * crate::PAGE_BYTES)).collect()
+        };
+        let at_cap = parse_asm(&(pages(MAX_PARSED_PAGES) + "halt")).unwrap();
+        assert_eq!(at_cap.data().pages().len(), MAX_PARSED_PAGES);
+        // Zero bytes hold no page, so they do not count.
+        let zeros = format!(".word {} 0 0", MAX_PARSED_PAGES * crate::PAGE_BYTES);
+        parse_asm(&(pages(MAX_PARSED_PAGES) + &zeros + "\nhalt")).unwrap();
+        let e = parse_asm(&(pages(MAX_PARSED_PAGES + 1) + "halt")).unwrap_err();
+        assert_eq!(e.line, MAX_PARSED_PAGES + 1);
+        assert!(e.message.contains("more than 4096 pages"), "{e}");
     }
 
     #[test]

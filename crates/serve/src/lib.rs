@@ -13,9 +13,12 @@
 //! A batch is a sequence of request lines terminated by a blank line.
 //! The daemon writes exactly one reply line per request line, in request
 //! order, then flushes. Back-pressure is explicit: run requests beyond
-//! the configured queue bound are answered with `Busy` and must be
-//! resubmitted in a later batch (the [`Runner`](sdo_harness::Runner)
-//! client does this automatically).
+//! the configured queue bound, or whose program images would take the
+//! batch's admitted runs past [`BATCH_PAGES`] pages, are answered with
+//! `Busy` and must be resubmitted in a later batch (the
+//! [`Runner`](sdo_harness::Runner) client does this automatically).
+//! Lines are parsed one at a time as they are answered, so only admitted
+//! runs hold their images until they execute.
 //!
 //! A batch costs work in proportion to its requests, whatever the size
 //! of the store. The store's `manifest.tsv` index is derived from the
@@ -34,7 +37,7 @@
 #![warn(missing_docs)]
 
 use sdo_harness::engine::{panic_message, JobPool};
-use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID};
+use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID, BATCH_PAGES};
 use sdo_harness::store::{ResultStore, RunKey};
 use sdo_harness::{RunRequest, RunResult, SimConfig, SimError, Simulator};
 use sdo_verify::{CampaignConfig, Checker};
@@ -192,33 +195,35 @@ impl Server {
     /// line.
     #[must_use]
     pub fn handle_batch<L: AsRef<[u8]>>(&self, lines: &[L]) -> Vec<Reply> {
-        // Parse every line first so the queue bound counts actual run
-        // requests, not malformed lines.
-        let parsed: Vec<Result<Request, String>> = lines
-            .iter()
-            .map(|line| {
-                std::str::from_utf8(line.as_ref())
-                    .map_err(|e| format!("invalid UTF-8 at byte {}", e.valid_up_to()))
-                    .and_then(Request::parse)
-            })
-            .collect();
+        // Each line is parsed when its turn comes, so a line answered
+        // here (an error, Busy) drops its program images at once; only
+        // admitted runs keep theirs.
+        let parsed = lines.iter().map(|line| {
+            std::str::from_utf8(line.as_ref())
+                .map_err(|e| format!("invalid UTF-8 at byte {}", e.valid_up_to()))
+                .and_then(Request::parse)
+        });
 
         // Queue bound: the first `queue` run requests are accepted, the
-        // rest bounced with Busy (the client resubmits them).
+        // rest bounced with Busy (the client resubmits them), and so is
+        // a run whose images would take the admitted ones past
+        // BATCH_PAGES pages.
         //
         // `replies` gets exactly one entry per line — Shutdown lines
         // (which get no reply) hold a None that the final flatten drops —
         // so `AcceptedRun.slot` can index by line number.
         let mut accepted = 0usize;
+        let mut held_pages = 0usize;
         let mut replies: Vec<Option<Reply>> = Vec::with_capacity(lines.len());
         let mut runs: Vec<AcceptedRun> = Vec::new();
         let mut grids: Vec<AcceptedGrid> = Vec::new();
-        for (i, req) in parsed.into_iter().enumerate() {
+        for (i, req) in parsed.enumerate() {
             match req {
                 Err(message) => {
                     replies.push(Some(Reply::Error { id: BATCH_ERROR_ID, message }));
                 }
                 Ok(Request::Run { id, request, no_cache }) => {
+                    let pages = image_pages(&request);
                     if id == BATCH_ERROR_ID {
                         replies.push(Some(Reply::Error {
                             id: BATCH_ERROR_ID,
@@ -228,16 +233,18 @@ impl Server {
                         }));
                     } else if let Err(message) = servable(&request) {
                         replies.push(Some(Reply::Error { id, message }));
-                    } else if accepted >= self.queue {
+                    } else if accepted >= self.queue || held_pages + pages > BATCH_PAGES {
                         replies.push(Some(Reply::Busy { id }));
                     } else {
                         accepted += 1;
+                        held_pages += pages;
                         runs.push(AcceptedRun { slot: i, id, request, no_cache, grid: None });
                         replies.push(None); // filled after execution
                     }
                 }
                 Ok(Request::Grid { id, request, configs, variants, no_cache }) => {
                     let points = configs.len() * variants.len();
+                    let pages = image_pages(&request);
                     if id == BATCH_ERROR_ID {
                         replies.push(Some(Reply::Error {
                             id: BATCH_ERROR_ID,
@@ -252,13 +259,15 @@ impl Server {
                             id,
                             message: "grid has no points (empty configs or variants)".to_string(),
                         }));
-                    } else if accepted + points > self.queue {
+                    } else if accepted + points > self.queue || held_pages + pages > BATCH_PAGES {
                         // The whole grid counts against the queue bound;
                         // it is accepted or bounced atomically so a Busy
-                        // grid never half-executes.
+                        // grid never half-executes. Its points share the
+                        // request's images, so they count once.
                         replies.push(Some(Reply::Busy { id }));
                     } else {
                         accepted += points;
+                        held_pages += pages;
                         // Expand config-major, variant-minor. Each point
                         // is the same RunRequest a client would send
                         // individually (config resolved into the
@@ -480,6 +489,11 @@ fn servable(req: &RunRequest) -> Result<(), String> {
         return Err("recording runs are not servable; run them in-process".to_string());
     }
     Ok(())
+}
+
+/// Data-image pages a request's programs hold.
+fn image_pages(req: &RunRequest) -> usize {
+    req.programs.iter().map(|p| p.data().pages().len()).sum()
 }
 
 /// Whether a request's results may be stored: obs-carrying results

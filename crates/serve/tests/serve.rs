@@ -4,7 +4,7 @@
 //! requests with the daemon surviving all of them, and the socket
 //! transport driven by the `Runner` client.
 
-use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID};
+use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID, BATCH_PAGES};
 use sdo_harness::{JobPool, Runner, RunRequest, SimConfig, Variant};
 use sdo_serve::{ServeOptions, Server};
 use sdo_workloads::kernels::l1_resident;
@@ -292,6 +292,54 @@ fn queue_bound_bounces_the_overflow_with_busy() {
     assert!(matches!(replies[1], Reply::Result { id: 1, .. }));
     assert!(matches!(replies[2], Reply::Busy { id: 2 }));
     assert!(matches!(replies[3], Reply::Busy { id: 3 }));
+}
+
+/// A `run` line for a small kernel whose data image also holds one byte
+/// on each of `pages` pages above the kernel's own data: a few bytes of
+/// text per 4 KiB page.
+fn run_line_with_pages(id: u64, pages: usize) -> String {
+    let request = RunRequest::program(&l1_resident(60, 1));
+    let line = Request::Run { id, request, no_cache: false }.render();
+    let pairs: Vec<String> =
+        (0..pages).map(|k| format!("[{},1]", (1u64 << 40) + 4096 * k as u64)).collect();
+    let at = line.find("\"data\":[").expect("a run line carries data") + "\"data\":[".len();
+    let sep = if line[at..].starts_with(']') { "" } else { "," };
+    format!("{}{}{sep}{}\n", &line[..at], pairs.join(","), &line[at..])
+}
+
+#[test]
+fn a_line_over_the_page_budget_is_an_error_and_the_batch_goes_on() {
+    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    // Data on as many pages as a whole batch may hold is past what one
+    // request may hold: refused while decoding, before its pages exist.
+    let input = run_line_with_pages(1, BATCH_PAGES) + &run_line_with_pages(2, 3) + "\n";
+    let replies = drive(&server, &input);
+    assert_eq!(replies.len(), 2);
+    match &replies[0] {
+        Reply::Error { id, message } => {
+            assert_eq!(*id, BATCH_ERROR_ID);
+            assert!(message.contains("a request may hold"), "{message}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    assert!(matches!(replies[1], Reply::Result { id: 2, .. }), "got {:?}", replies[1]);
+}
+
+#[test]
+fn runs_past_the_batch_page_budget_are_bounced_with_busy() {
+    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    // Four of these fit in one batch's page budget; the fifth does not.
+    let pages = BATCH_PAGES / 4 - 16;
+    let input: String = (0..5).map(|id| run_line_with_pages(id, pages)).collect::<String>() + "\n";
+    let replies = drive(&server, &input);
+    assert_eq!(replies.len(), 5);
+    for (id, reply) in replies.iter().enumerate().take(4) {
+        assert!(matches!(reply, Reply::Result { id: i, .. } if *i == id as u64), "got {reply:?}");
+    }
+    assert!(matches!(replies[4], Reply::Busy { id: 4 }), "got {:?}", replies[4]);
+    // Resubmitted alone, it runs.
+    let replies = drive(&server, &(run_line_with_pages(4, pages) + "\n"));
+    assert!(matches!(replies[0], Reply::Result { id: 4, .. }), "got {:?}", replies[0]);
 }
 
 #[test]
