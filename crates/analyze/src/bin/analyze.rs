@@ -19,8 +19,7 @@
 //! replayed under the dynamic secret-swap checker: each reported
 //! gadget is classified CONFIRMED or OVER-APPROX, and a statically
 //! clean (entry, variant) that diverges dynamically is an *unsound*
-//! disagreement. `--bench-out <path>` updates the `scan` section of a
-//! `BENCH_suite.json` with the measured insts/s.
+//! disagreement.
 //!
 //! Exit status is 1 when the static view contradicts itself or the
 //! dynamic ground truth: a pinned corpus expectation mismatch, a gating
@@ -34,7 +33,6 @@ use sdo_analyze::findings::{closed_channel_findings, findings_csv};
 use sdo_analyze::scan::{gadgets_csv, scan_program, Gadget, ScanResult};
 use sdo_analyze::Finding;
 use sdo_harness::cli::{parse_variant, BinSpec, CommonArgs, CsvSupport};
-use sdo_harness::export::{with_scan_section, ScanBench};
 use sdo_harness::table::TextTable;
 use sdo_harness::{SimConfig, Variant};
 use sdo_isa::Program;
@@ -68,7 +66,6 @@ const SPEC: BinSpec = BinSpec {
              default: the in-tree corpus); reports gadget chains with RV32 addresses \
              and replays annotated gadgets dynamically",
         ),
-        ("--bench-out <path>", "(scan mode) update the scan section of a BENCH_suite.json"),
     ],
 };
 
@@ -79,7 +76,6 @@ fn main() {
     let mut differential_count: Option<usize> = None;
     let mut files: Vec<String> = Vec::new();
     let mut scan_mode = false;
-    let mut bench_out: Option<String> = None;
 
     let mut it = args.rest.iter();
     while let Some(arg) = it.next() {
@@ -94,7 +90,6 @@ fn main() {
             }
             "--report" => report_dir = Some(value("--report")),
             "--scan" => scan_mode = true,
-            "--bench-out" => bench_out = Some(value("--bench-out")),
             "--differential" => {
                 let v = value("--differential");
                 differential_count =
@@ -107,8 +102,6 @@ fn main() {
                     variants.push(parse_variant(v).unwrap_or_else(|e| SPEC.usage_error(&e)));
                 } else if let Some(v) = other.strip_prefix("--report=") {
                     report_dir = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--bench-out=") {
-                    bench_out = Some(v.to_string());
                 } else if let Some(v) = other.strip_prefix("--differential=") {
                     differential_count = Some(v.parse().unwrap_or_else(|_| {
                         SPEC.usage_error(&format!("--differential expects a count, got '{v}'"))
@@ -126,11 +119,8 @@ fn main() {
     }
 
     if scan_mode {
-        run_scan(&args, &variants, &files, report_dir.as_deref(), bench_out.as_deref());
+        run_scan(&args, &variants, &files, report_dir.as_deref());
         return;
-    }
-    if bench_out.is_some() {
-        SPEC.usage_error("--bench-out requires --scan");
     }
 
     let targets = if files.is_empty() { default_targets() } else { load_files(&files) };
@@ -250,7 +240,6 @@ fn run_scan(
     variants: &[Variant],
     files: &[String],
     report_dir: Option<&str>,
-    bench_out: Option<&str>,
 ) {
     let targets = load_scan_targets(files);
     let start = std::time::Instant::now();
@@ -345,24 +334,6 @@ fn run_scan(
         if let Err(e) = write_scan_report(dir, &gadgets) {
             SPEC.runtime_error(&format!("cannot write report under {dir}: {e}"));
         }
-    }
-    if let Some(path) = bench_out {
-        let bench = ScanBench {
-            programs: scans.len() as u64,
-            insts: total_insts as u64,
-            chains: total_chains as u64,
-            wall: elapsed,
-        };
-        let existing = std::fs::read_to_string(path).unwrap_or_else(|_| "{\n}\n".to_string());
-        if let Err(e) = std::fs::write(path, with_scan_section(&existing, &bench)) {
-            SPEC.runtime_error(&format!("cannot write {path}: {e}"));
-        }
-        eprintln!(
-            "scan bench: {} insts in {:.1} ms = {:.0} insts/s -> {path}",
-            bench.insts,
-            bench.wall.as_secs_f64() * 1e3,
-            bench.insts_per_sec(),
-        );
     }
 
     args.write_metrics(&SPEC, &scan_metrics(&scans, &gadgets, confirmed, overapprox, &unsound));

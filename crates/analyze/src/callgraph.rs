@@ -124,7 +124,17 @@ pub fn build(program: &Program, prov: &Provenance) -> CallGraph {
             Instruction::Branch { target, .. } => vec![pc + 1, target],
             Instruction::Jal { target, .. } => vec![target],
             Instruction::Jalr { .. } => computed_fallback.clone(),
-            _ => vec![pc + 1],
+            Instruction::Alu { .. }
+            | Instruction::AluImm { .. }
+            | Instruction::Li { .. }
+            | Instruction::Load { .. }
+            | Instruction::Store { .. }
+            | Instruction::FLoad { .. }
+            | Instruction::FStore { .. }
+            | Instruction::Fpu { .. }
+            | Instruction::FMvToInt { .. }
+            | Instruction::FMvFromInt { .. }
+            | Instruction::Nop => vec![pc + 1],
         };
         succs.into_iter().filter(|&t| t < n).collect()
     };

@@ -18,15 +18,15 @@
 //! `halt`, and an out-of-range branch target all edge to a single
 //! virtual **exit node** with id [`Cfg::exit`].
 //!
-//! On top of the graph the module computes **post-dominators** (the
-//! iterative dataflow formulation, rooted at the virtual exit). The
-//! immediate post-dominator of a branch's block is the static
-//! stand-in for the branch's dynamic *visibility point* (STT's
-//! untaint point): once control reaches it on every path, the analysis
-//! treats the branch as resolved. Blocks that cannot reach the exit
-//! (statically infinite loops) get no immediate post-dominator and
-//! their branches simply never untaint — conservative in the safe
-//! direction.
+//! On top of the graph the module computes **immediate
+//! post-dominators** (Cooper–Harvey–Kennedy on the reverse graph,
+//! rooted at the virtual exit). The immediate post-dominator of a
+//! branch's block is the static stand-in for the branch's dynamic
+//! *visibility point* (STT's untaint point): once control reaches it
+//! on every path, the analysis treats the branch as resolved. Blocks
+//! that cannot reach the exit (statically infinite loops) get no
+//! immediate post-dominator and their branches simply never untaint —
+//! conservative in the safe direction.
 
 use sdo_isa::{Instruction, Program};
 use std::collections::{BTreeMap, BTreeSet};
@@ -248,85 +248,75 @@ impl Cfg {
     }
 }
 
-/// Iterative post-dominator computation over the block graph, rooted
-/// at the virtual `exit` node. Returns each block's immediate
-/// post-dominator. Standard maximal-fixpoint dataflow: correct for
-/// every block that reaches the exit; blocks that don't are detected
-/// by reverse reachability and get `None`.
+/// Immediate post-dominators by Cooper, Harvey and Kennedy's "A Simple,
+/// Fast Dominance Algorithm", run on the reverse CFG rooted at the
+/// virtual `exit`. Blocks that cannot reach the exit are not reached
+/// from the root and get `None`; the immediate post-dominator is unique,
+/// so the result does not depend on traversal order.
 fn post_dominators(blocks: &[Block], exit: BlockId) -> Vec<Option<BlockId>> {
+    const UNDEF: usize = usize::MAX;
     let n = blocks.len() + 1; // + virtual exit
+    let exit_preds: Vec<BlockId> =
+        (0..blocks.len()).filter(|&b| blocks[b].succs.contains(&exit)).collect();
+    // Reverse-graph successors of a node: its CFG predecessors.
+    let rev_succs = |b: BlockId| if b == exit { &exit_preds[..] } else { &blocks[b].preds[..] };
 
-    // Reverse reachability from the exit.
-    let mut reaches_exit = vec![false; n];
-    reaches_exit[exit] = true;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for (b, blk) in blocks.iter().enumerate() {
-            if !reaches_exit[b] && blk.succs.iter().any(|&s| reaches_exit[s]) {
-                reaches_exit[b] = true;
-                changed = true;
+    // Postorder of the reverse graph from the exit (iterative DFS).
+    let mut po_num = vec![UNDEF; n];
+    let mut order: Vec<BlockId> = Vec::with_capacity(n);
+    let mut seen = vec![false; n];
+    let mut stack: Vec<(BlockId, usize)> = vec![(exit, 0)];
+    seen[exit] = true;
+    while let Some((b, next)) = stack.last_mut() {
+        if let Some(&s) = rev_succs(*b).get(*next) {
+            *next += 1;
+            if !seen[s] {
+                seen[s] = true;
+                stack.push((s, 0));
             }
+        } else {
+            po_num[*b] = order.len();
+            order.push(*b);
+            stack.pop();
         }
     }
 
-    // pdom sets as dense bool rows; init: exit = {exit}, rest = all.
-    let mut pdom: Vec<Vec<bool>> = vec![vec![true; n]; n];
-    pdom[exit] = vec![false; n];
-    pdom[exit][exit] = true;
-
+    let mut idom = vec![UNDEF; n];
+    idom[exit] = exit;
     let mut changed = true;
     while changed {
         changed = false;
-        // Reverse order approximates reverse post-order on the
-        // reverse graph; convergence does not depend on it.
-        for b in (0..blocks.len()).rev() {
-            if !reaches_exit[b] {
-                continue;
-            }
-            let mut new: Vec<bool> = vec![true; n];
-            let mut any = false;
+        // Reverse postorder, skipping the root (last in postorder).
+        for &b in order.iter().rev().skip(1) {
+            let mut new_idom = UNDEF;
+            // Reverse-graph predecessors of `b`: its CFG successors.
             for &s in &blocks[b].succs {
-                if !reaches_exit[s] {
+                if idom[s] == UNDEF {
                     continue;
                 }
-                any = true;
-                for (x, cell) in new.iter_mut().enumerate() {
-                    *cell = *cell && pdom[s][x];
-                }
+                new_idom = if new_idom == UNDEF {
+                    s
+                } else {
+                    let (mut x, mut y) = (s, new_idom);
+                    while x != y {
+                        while po_num[x] < po_num[y] {
+                            x = idom[x];
+                        }
+                        while po_num[y] < po_num[x] {
+                            y = idom[y];
+                        }
+                    }
+                    x
+                };
             }
-            if !any {
-                new = vec![false; n];
-            }
-            new[b] = true;
-            if new != pdom[b] {
-                pdom[b] = new;
+            if idom[b] != new_idom {
+                idom[b] = new_idom;
                 changed = true;
             }
         }
     }
 
-    // ipdom(b): the strict post-dominator closest to b. Strict pdoms
-    // form a chain; the closest one is post-dominated by all the
-    // others, i.e. has the largest pdom set.
-    (0..blocks.len())
-        .map(|b| {
-            if !reaches_exit[b] {
-                return None;
-            }
-            let mut best: Option<(usize, BlockId)> = None;
-            for (p, &is_pdom) in pdom[b].iter().enumerate() {
-                if p == b || !is_pdom {
-                    continue;
-                }
-                let size = pdom[p].iter().filter(|&&x| x).count();
-                if best.is_none_or(|(bs, _)| size > bs) {
-                    best = Some((size, p));
-                }
-            }
-            best.map(|(_, p)| p)
-        })
-        .collect()
+    idom[..blocks.len()].iter().map(|&d| (d != UNDEF).then_some(d)).collect()
 }
 
 #[cfg(test)]
@@ -336,6 +326,90 @@ mod tests {
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
+    }
+
+    /// The previous maximal-fixpoint implementation, O(n³), kept as the
+    /// reference the differential below checks against.
+    ///
+    /// Iterative post-dominator computation over the block graph, rooted
+    /// at the virtual `exit` node. Returns each block's immediate
+    /// post-dominator. Standard maximal-fixpoint dataflow: correct for
+    /// every block that reaches the exit; blocks that don't are detected
+    /// by reverse reachability and get `None`.
+    fn post_dominators_reference(blocks: &[Block], exit: BlockId) -> Vec<Option<BlockId>> {
+        let n = blocks.len() + 1; // + virtual exit
+
+        // Reverse reachability from the exit.
+        let mut reaches_exit = vec![false; n];
+        reaches_exit[exit] = true;
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (b, blk) in blocks.iter().enumerate() {
+                if !reaches_exit[b] && blk.succs.iter().any(|&s| reaches_exit[s]) {
+                    reaches_exit[b] = true;
+                    changed = true;
+                }
+            }
+        }
+
+        // pdom sets as dense bool rows; init: exit = {exit}, rest = all.
+        let mut pdom: Vec<Vec<bool>> = vec![vec![true; n]; n];
+        pdom[exit] = vec![false; n];
+        pdom[exit][exit] = true;
+
+        let mut changed = true;
+        while changed {
+            changed = false;
+            // Reverse order approximates reverse post-order on the
+            // reverse graph; convergence does not depend on it.
+            for b in (0..blocks.len()).rev() {
+                if !reaches_exit[b] {
+                    continue;
+                }
+                let mut new: Vec<bool> = vec![true; n];
+                let mut any = false;
+                for &s in &blocks[b].succs {
+                    if !reaches_exit[s] {
+                        continue;
+                    }
+                    any = true;
+                    for (x, cell) in new.iter_mut().enumerate() {
+                        *cell = *cell && pdom[s][x];
+                    }
+                }
+                if !any {
+                    new = vec![false; n];
+                }
+                new[b] = true;
+                if new != pdom[b] {
+                    pdom[b] = new;
+                    changed = true;
+                }
+            }
+        }
+
+        // ipdom(b): the strict post-dominator closest to b. Strict pdoms
+        // form a chain; the closest one is post-dominated by all the
+        // others, i.e. has the largest pdom set.
+        (0..blocks.len())
+            .map(|b| {
+                if !reaches_exit[b] {
+                    return None;
+                }
+                let mut best: Option<(usize, BlockId)> = None;
+                for (p, &is_pdom) in pdom[b].iter().enumerate() {
+                    if p == b || !is_pdom {
+                        continue;
+                    }
+                    let size = pdom[p].iter().filter(|&&x| x).count();
+                    if best.is_none_or(|(bs, _)| size > bs) {
+                        best = Some((size, p));
+                    }
+                }
+                best.map(|(_, p)| p)
+            })
+            .collect()
     }
 
     /// li; blt -> (then | join); then: nop; join: halt
@@ -431,6 +505,73 @@ mod tests {
         asm.nop();
         let cfg = Cfg::build(&asm.finish().unwrap());
         assert_eq!(cfg.blocks()[0].succs, vec![cfg.exit()]);
+    }
+
+    fn assert_same_ipdoms(what: &str, cfg: &Cfg) -> usize {
+        let reference = post_dominators_reference(cfg.blocks(), cfg.exit());
+        for (b, want) in reference.iter().enumerate() {
+            assert_eq!(cfg.ipdom(b), *want, "{what}: ipdom of block {b}");
+        }
+        1
+    }
+
+    /// A random block graph: up to four successors per block, drawn from
+    /// every block and the exit, so self-loops, infinite loops, blocks
+    /// that cannot reach the exit and `jalr`-style fan-out to every
+    /// block all occur.
+    fn random_blocks(rng: &mut sdo_rng::SdoRng) -> Vec<Block> {
+        let nb = 1 + rng.bounded(60) as usize;
+        let exit = nb;
+        let mut blocks: Vec<Block> = (0..nb)
+            .map(|b| {
+                let start = b as u64;
+                Block { start, end: start + 1, succs: Vec::new(), preds: Vec::new() }
+            })
+            .collect();
+        for block in &mut blocks {
+            let succs: BTreeSet<BlockId> = match rng.bounded(12) {
+                0 => (0..nb).collect(),
+                1 => BTreeSet::from([exit]),
+                _ => (0..1 + rng.bounded(4)).map(|_| rng.bounded(nb as u64 + 1) as usize).collect(),
+            };
+            block.succs = succs.into_iter().collect();
+        }
+        for b in 0..nb {
+            for s in blocks[b].succs.clone() {
+                if s < nb {
+                    blocks[s].preds.push(b);
+                }
+            }
+        }
+        blocks
+    }
+
+    #[test]
+    fn ipdoms_match_the_fixpoint_reference() {
+        let mut cfgs = 0;
+        for seed in 0..1000 {
+            let program = sdo_verify::fuzz::LitmusSpec::generate(seed).build(0);
+            cfgs += assert_same_ipdoms(&format!("spec {seed}"), &Cfg::build(&program));
+        }
+        for t in crate::corpus::default_targets() {
+            cfgs += assert_same_ipdoms(&t.name, &Cfg::build(&t.program));
+        }
+        for entry in sdo_rv32::corpus::CORPUS {
+            let (program, prov) = sdo_rv32::translate_with_provenance(&entry.image(), entry.name)
+                .expect("translates");
+            let cg = crate::callgraph::build(&program, &prov);
+            let cfg = Cfg::build_with_jalr_targets(&program, &cg.jalr_succs);
+            cfgs += assert_same_ipdoms(entry.name, &cfg);
+        }
+        let mut rng = sdo_rng::SdoRng::seed_from_u64(0x1d0d);
+        for i in 0..1000 {
+            let blocks = random_blocks(&mut rng);
+            let exit = blocks.len();
+            let want = post_dominators_reference(&blocks, exit);
+            assert_eq!(post_dominators(&blocks, exit), want, "random graph {i}: {blocks:?}");
+            cfgs += 1;
+        }
+        assert!(cfgs >= 2000, "differential covered only {cfgs} graphs");
     }
 
     #[test]

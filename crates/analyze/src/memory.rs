@@ -43,7 +43,7 @@
 //! arithmetic is folded through `add`/`sub` only, and 32-bit `addw`
 //! wrap-around of stack addresses is assumed not to occur.
 
-use crate::taint::Taint;
+use crate::taint::{BitSet, Taint};
 use sdo_isa::AluOp;
 use std::collections::BTreeMap;
 
@@ -170,38 +170,45 @@ impl AbsMem {
         }
     }
 
-    /// Pointwise join (both states must share a model).
-    pub fn join(&mut self, other: &AbsMem) {
+    /// Pointwise join (both states must share a model); returns
+    /// whether `self` changed. When the union of the named cells
+    /// overflows [`CELL_CAP`] the overflow folds into the summary, and
+    /// the flag compares the folded result, saturation included, with
+    /// the old value.
+    pub fn join(&mut self, other: &AbsMem) -> bool {
         debug_assert_eq!(self.model, other.model);
-        self.one.join(&other.one);
-        for (k, t) in &other.stack {
-            if t.is_tainted() {
-                self.stack.entry(*k).or_default().join(t);
-            }
-        }
-        for (a, t) in &other.cells {
-            if t.is_tainted() {
-                self.cells.entry(*a).or_default().join(t);
-            }
-        }
-        self.unknown.join(&other.unknown);
+        let saturated_before = self.saturated;
+        let mut changed = self.one.join(&other.one);
+        changed |= join_cells(&mut self.stack, &other.stack);
+        changed |= self.unknown.join(&other.unknown);
         self.saturated |= other.saturated;
-        self.enforce_cap();
+        let new_cells = other.cells.keys().filter(|a| !self.cells.contains_key(a)).count();
+        if self.cells.len() + new_cells > CELL_CAP {
+            let (cells_before, unknown_before) = (self.cells.clone(), self.unknown.clone());
+            join_cells(&mut self.cells, &other.cells);
+            self.enforce_cap();
+            changed |= self.cells != cells_before || self.unknown != unknown_before;
+        } else {
+            changed |= join_cells(&mut self.cells, &other.cells);
+        }
+        changed | (self.saturated != saturated_before)
     }
 
-    /// Removes a resolved branch from every region, dropping entries
-    /// that become clean (canonical form).
-    pub fn resolve(&mut self, b: crate::cfg::BlockId) {
-        self.one.resolve(b);
-        self.unknown.resolve(b);
+    /// Removes the resolved branches from every region, dropping
+    /// entries that become clean (canonical form). Returns whether
+    /// anything changed.
+    pub(crate) fn resolve(&mut self, resolved: &BitSet) -> bool {
+        let mut changed = self.one.resolve(resolved);
+        changed |= self.unknown.resolve(resolved);
         for t in self.stack.values_mut() {
-            t.resolve(b);
+            changed |= t.resolve(resolved);
         }
         for t in self.cells.values_mut() {
-            t.resolve(b);
+            changed |= t.resolve(resolved);
         }
         self.stack.retain(|_, t| t.is_tainted());
         self.cells.retain(|_, t| t.is_tainted());
+        changed
     }
 
     /// Abstract store of `data` at `addr`.
@@ -210,10 +217,14 @@ impl AbsMem {
             return; // weak updates: joining clean is a no-op.
         }
         match self.model {
-            MemModel::OneCell => self.one.join(data),
+            MemModel::OneCell => {
+                self.one.join(data);
+            }
             MemModel::Regions => {
                 match addr {
-                    Val::SpRel(k) => self.stack.entry(k).or_default().join(data),
+                    Val::SpRel(k) => {
+                        self.stack.entry(k).or_default().join(data);
+                    }
                     Val::Cst(c) => {
                         let a = c as u64;
                         if self.cells.contains_key(&a)
@@ -225,7 +236,9 @@ impl AbsMem {
                             self.unknown.join(data);
                         }
                     }
-                    Val::Bot | Val::Top => self.unknown.join(data),
+                    Val::Bot | Val::Top => {
+                        self.unknown.join(data);
+                    }
                 }
                 self.enforce_cap();
             }
@@ -276,16 +289,28 @@ impl AbsMem {
     }
 }
 
+/// Joins every (tainted) entry of `theirs` into `ours`; returns
+/// whether `ours` changed.
+fn join_cells<K: Ord + Copy>(ours: &mut BTreeMap<K, Taint>, theirs: &BTreeMap<K, Taint>) -> bool {
+    let mut changed = false;
+    for (k, t) in theirs {
+        if t.is_tainted() {
+            changed |= ours.entry(*k).or_default().join(t);
+        }
+    }
+    changed
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::taint::tests::{random_set, taint_of, RefTaint};
     use crate::taint::Taint;
+    use sdo_rng::SdoRng;
+    use std::collections::BTreeSet;
 
     fn tainted(src: u64, branch: usize) -> Taint {
-        let mut t = Taint::default();
-        t.branches.insert(branch);
-        t.sources.insert(src);
-        t
+        taint_of([branch], [src])
     }
 
     #[test]
@@ -349,7 +374,46 @@ mod tests {
         // The cap is hit: this store merges into the summary...
         m.store(Val::Cst(0x77_7777), &tainted(999, 0));
         // ...and a load of that very address must still see it.
-        assert!(m.load(Val::Cst(0x77_7777)).sources.contains(&999));
+        assert!(m.load(Val::Cst(0x77_7777)).sources().any(|s| s == 999));
+    }
+
+    #[test]
+    fn a_join_folded_back_by_the_cap_reports_no_change() {
+        let mut m = AbsMem::bottom(MemModel::Regions);
+        for i in 0..=CELL_CAP {
+            m.store(Val::Cst(8 * i as i64), &tainted(1, 0));
+        }
+        assert!(m.saturated);
+        // The other memory's one cell lies past every named cell: the
+        // union overflows the cap and folds it into a summary that
+        // already holds its taint.
+        let mut other = AbsMem::bottom(MemModel::Regions);
+        other.store(Val::Cst(0x10_0000), &tainted(1, 0));
+        let before = m.clone();
+        assert!(!m.join(&other));
+        assert_eq!(m, before);
+        assert!(other.join(&m), "the other direction does change");
+    }
+
+    #[test]
+    fn a_join_that_only_saturates_reports_a_change() {
+        // Exactly CELL_CAP named cells, so the memory is not saturated,
+        // and the summary already holds the taint they carry.
+        let mut m = AbsMem::bottom(MemModel::Regions);
+        for i in 0..CELL_CAP {
+            m.store(Val::Cst(8 * i as i64), &tainted(1, 0));
+        }
+        m.store(Val::Top, &tainted(1, 0));
+        assert!(!m.saturated);
+        // The other memory's one cell lies past every named cell: the
+        // fold leaves the cells and the summary as they were, but the
+        // memory is now saturated.
+        let mut other = AbsMem::bottom(MemModel::Regions);
+        other.store(Val::Cst(0x10_0000), &tainted(1, 0));
+        let before = m.clone();
+        assert!(m.join(&other));
+        assert_ne!(m, before);
+        assert!(m.saturated);
     }
 
     #[test]
@@ -357,7 +421,256 @@ mod tests {
         let mut a = AbsMem::bottom(MemModel::Regions);
         a.store(Val::SpRel(-8), &tainted(1, 3));
         let mut b = a.clone();
-        b.resolve(3);
+        b.resolve(&BitSet::from_iter([3]));
         assert_eq!(b, AbsMem::bottom(MemModel::Regions));
+    }
+
+    /// The `BTreeSet` abstract memory `AbsMem` replaced, over the
+    /// reference taint: the model the property test below checks
+    /// against.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct RefMem {
+        model: MemModel,
+        one: RefTaint,
+        stack: BTreeMap<i64, RefTaint>,
+        cells: BTreeMap<u64, RefTaint>,
+        unknown: RefTaint,
+        saturated: bool,
+    }
+
+    impl RefMem {
+        fn bottom(model: MemModel) -> RefMem {
+            RefMem {
+                model,
+                one: RefTaint::default(),
+                stack: BTreeMap::new(),
+                cells: BTreeMap::new(),
+                unknown: RefTaint::default(),
+                saturated: false,
+            }
+        }
+
+        fn to_mem(&self) -> AbsMem {
+            AbsMem {
+                model: self.model,
+                one: self.one.to_taint(),
+                stack: self.stack.iter().map(|(&k, t)| (k, t.to_taint())).collect(),
+                cells: self.cells.iter().map(|(&a, t)| (a, t.to_taint())).collect(),
+                unknown: self.unknown.to_taint(),
+                saturated: self.saturated,
+            }
+        }
+
+        fn join(&mut self, other: &RefMem) {
+            self.one.join(&other.one);
+            for (k, t) in &other.stack {
+                if t.is_tainted() {
+                    self.stack.entry(*k).or_default().join(t);
+                }
+            }
+            for (a, t) in &other.cells {
+                if t.is_tainted() {
+                    self.cells.entry(*a).or_default().join(t);
+                }
+            }
+            self.unknown.join(&other.unknown);
+            self.saturated |= other.saturated;
+            self.enforce_cap();
+        }
+
+        fn resolve(&mut self, resolved: &BTreeSet<usize>) {
+            self.one.resolve(resolved);
+            self.unknown.resolve(resolved);
+            for t in self.stack.values_mut().chain(self.cells.values_mut()) {
+                t.resolve(resolved);
+            }
+            self.stack.retain(|_, t| t.is_tainted());
+            self.cells.retain(|_, t| t.is_tainted());
+        }
+
+        fn store(&mut self, addr: Val, data: &RefTaint) {
+            if !data.is_tainted() {
+                return;
+            }
+            match self.model {
+                MemModel::OneCell => self.one.join(data),
+                MemModel::Regions => {
+                    match addr {
+                        Val::SpRel(k) => self.stack.entry(k).or_default().join(data),
+                        Val::Cst(c) => {
+                            let a = c as u64;
+                            if self.cells.contains_key(&a)
+                                || (!self.saturated && self.cells.len() < CELL_CAP)
+                            {
+                                self.cells.entry(a).or_default().join(data);
+                            } else {
+                                self.saturated = true;
+                                self.unknown.join(data);
+                            }
+                        }
+                        Val::Bot | Val::Top => self.unknown.join(data),
+                    }
+                    self.enforce_cap();
+                }
+            }
+        }
+
+        fn load(&self, addr: Val) -> RefTaint {
+            match self.model {
+                MemModel::OneCell => self.one.clone(),
+                MemModel::Regions => match addr {
+                    Val::SpRel(k) => self.stack.get(&k).cloned().unwrap_or_default(),
+                    Val::Cst(c) => {
+                        let mut t = self.cells.get(&(c as u64)).cloned().unwrap_or_default();
+                        if self.saturated {
+                            t.join(&self.unknown);
+                        }
+                        t
+                    }
+                    Val::Bot | Val::Top => {
+                        let mut t = self.unknown.clone();
+                        for cell in self.stack.values().chain(self.cells.values()) {
+                            t.join(cell);
+                        }
+                        t
+                    }
+                },
+            }
+        }
+
+        fn enforce_cap(&mut self) {
+            while self.cells.len() > CELL_CAP {
+                if let Some((_, t)) = self.cells.pop_last() {
+                    self.unknown.join(&t);
+                    self.saturated = true;
+                }
+            }
+        }
+    }
+
+    /// A random address: a few stack slots, constant cells on two
+    /// overlapping 300-word ranges (enough to overflow [`CELL_CAP`]),
+    /// or unpinned.
+    fn random_addr(rng: &mut SdoRng) -> Val {
+        match rng.bounded(6) {
+            0 => Val::SpRel(-8 * rng.bounded(6) as i64),
+            1 => Val::Top,
+            2 => Val::Bot,
+            _ => Val::Cst(0x8000 + 8 * rng.bounded(450) as i64),
+        }
+    }
+
+    /// Random sequences of stores (single and bulk, to push the named
+    /// cells up to and past [`CELL_CAP`]), loads, joins, resolutions and copies
+    /// over a pool of memories under both models, checked against the
+    /// reference: every region's value, every load's result, and every
+    /// changed flag true exactly when the value changed.
+    #[test]
+    fn abstract_memory_matches_the_btreemap_reference() {
+        let mut rng = SdoRng::seed_from_u64(0xce11);
+        let (mut saturated_joins, mut saturate_only_joins) = (0, 0);
+        for seq in 0..1000 {
+            let model = if seq % 2 == 0 { MemModel::Regions } else { MemModel::OneCell };
+            let mut refs = vec![RefMem::bottom(model); 3];
+            let mut pool: Vec<AbsMem> = refs.iter().map(RefMem::to_mem).collect();
+            for step in 0..24 {
+                let i = rng.bounded(3) as usize;
+                let j = rng.bounded(3) as usize;
+                let before = refs[i].clone();
+                let (what, changed) = match rng.bounded(8) {
+                    0 | 1 => {
+                        let (addr, data) = (random_addr(&mut rng), RefTaint::random(&mut rng));
+                        refs[i].store(addr, &data);
+                        pool[i].store(addr, &data.to_taint());
+                        ("store", None)
+                    }
+                    2 if seq % 8 == 0 => {
+                        let base = 0x8000 + 8 * rng.bounded(150) as i64;
+                        let data = RefTaint {
+                            branches: BTreeSet::from([rng.bounded(300) as usize]),
+                            sources: BTreeSet::from([rng.bounded(300)]),
+                        };
+                        let taint = data.to_taint();
+                        // Half the time, fill the named cells exactly to
+                        // the cap after storing the same taint to the
+                        // summary: a later join that brings a cell past
+                        // every named one then only saturates.
+                        let fill = rng.bounded(2) == 0;
+                        if fill {
+                            refs[i].store(Val::Top, &data);
+                            pool[i].store(Val::Top, &taint);
+                        }
+                        let count = 1 + rng.bounded(300) as i64;
+                        for k in 0.. {
+                            let full = refs[i].saturated || refs[i].cells.len() == CELL_CAP;
+                            if (fill && full) || (!fill && k == count) {
+                                break;
+                            }
+                            refs[i].store(Val::Cst(base + 8 * k), &data);
+                            pool[i].store(Val::Cst(base + 8 * k), &taint);
+                        }
+                        ("bulk store", None)
+                    }
+                    3 => {
+                        let addr = random_addr(&mut rng);
+                        let got = RefTaint::of(&pool[i].load(addr));
+                        assert_eq!(got, refs[i].load(addr), "sequence {seq} step {step}: load");
+                        ("load", None)
+                    }
+                    4 => {
+                        let (other, theirs) = (pool[j].clone(), refs[j].clone());
+                        let keys: BTreeSet<u64> =
+                            refs[i].cells.keys().chain(theirs.cells.keys()).copied().collect();
+                        saturated_joins += usize::from(keys.len() > CELL_CAP);
+                        refs[i].join(&theirs);
+                        ("join", Some(pool[i].join(&other)))
+                    }
+                    6 => {
+                        // A join with one constant cell carrying the
+                        // summary's taint: past the named cells of a
+                        // memory filled to the cap, it only saturates.
+                        let data = if refs[i].unknown.is_tainted() {
+                            refs[i].unknown.clone()
+                        } else {
+                            RefTaint::random(&mut rng)
+                        };
+                        let mut theirs = RefMem::bottom(model);
+                        theirs.store(random_addr(&mut rng), &data);
+                        let other = theirs.to_mem();
+                        refs[i].join(&theirs);
+                        ("join one cell", Some(pool[i].join(&other)))
+                    }
+                    5 => {
+                        let resolved = random_set(&mut rng);
+                        refs[i].resolve(&resolved);
+                        let bits: BitSet = resolved.iter().copied().collect();
+                        ("resolve", Some(pool[i].resolve(&bits)))
+                    }
+                    _ => {
+                        refs[i] = refs[j].clone();
+                        pool[i] = pool[j].clone();
+                        ("copy", None)
+                    }
+                };
+                let what = format!("sequence {seq} step {step}: {what}");
+                if let Some(changed) = changed {
+                    assert_eq!(changed, refs[i] != before, "{what}: changed flag");
+                    saturate_only_joins += usize::from(
+                        !before.saturated
+                            && refs[i].saturated
+                            && refs[i].cells == before.cells
+                            && refs[i].unknown == before.unknown,
+                    );
+                }
+                assert_eq!(pool[i], refs[i].to_mem(), "{what}");
+            }
+            // Copies share taint values: no step may have changed a
+            // memory it did not target.
+            for (m, r) in pool.iter().zip(&refs) {
+                assert_eq!(*m, r.to_mem(), "sequence {seq}: untargeted memory changed");
+            }
+        }
+        assert!(saturated_joins > 0, "no join overflowed CELL_CAP");
+        assert!(saturate_only_joins > 0, "no join changed only the saturation");
     }
 }

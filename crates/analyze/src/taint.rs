@@ -29,47 +29,231 @@
 //! indirect jumps are not treated as speculation sources; memory is
 //! one cell, so aliasing is maximally coarse (an over-taint, but
 //! store-to-load paths through *disjoint* addresses are still merged).
+//!
+//! Representation: a tainted value is a pointer to a shared, immutable
+//! pair of dense bit sets, so copying a state copies pointers, and
+//! every join and resolution returns an exact changed flag, allocating
+//! only when a value actually grows or shrinks.
 
 use crate::cfg::{BlockId, Cfg};
 use crate::memory::{fold_alu, AbsMem, MemModel, Val};
 use sdo_isa::{Instruction, Program, Reg, NUM_FREGS, NUM_REGS};
 use sdo_workloads::Channel;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Load offsets at or above this are reads of the `jalr` translation
 /// table the RV32 frontend materializes ([`sdo_rv32::TABLE_BASE`]):
 /// a lowering artifact, not a program memory access.
 const TABLE_OFFSET: i64 = sdo_rv32::TABLE_BASE as i64;
 
-/// Abstract taint of one value: which pending branches its root
-/// accesses are speculative under, and which access pcs produced it.
-/// Empty `branches` means untainted (and `sources` is kept empty too).
+/// A set of small indices (block ids or instruction pcs) as dense
+/// 64-bit words. No trailing word is zero, so derived equality is set
+/// equality; iteration is ascending.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Taint {
+pub(crate) struct BitSet(Vec<u64>);
+
+impl BitSet {
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+    }
+
+    /// Adds `i`; returns whether it was absent.
+    fn insert(&mut self, i: usize) -> bool {
+        let w = i / 64;
+        if w >= self.0.len() {
+            self.0.resize(w + 1, 0);
+        }
+        let bit = 1 << (i % 64);
+        let fresh = self.0[w] & bit == 0;
+        self.0[w] |= bit;
+        fresh
+    }
+
+    /// Removes and returns the smallest element.
+    fn pop_first(&mut self) -> Option<usize> {
+        let (w, word) = self.0.iter_mut().enumerate().find(|(_, word)| **word != 0)?;
+        let i = w * 64 + word.trailing_zeros() as usize;
+        *word &= *word - 1;
+        self.trim();
+        Some(i)
+    }
+
+    fn is_superset(&self, other: &BitSet) -> bool {
+        other.0.len() <= self.0.len() && self.0.iter().zip(&other.0).all(|(a, b)| b & !a == 0)
+    }
+
+    fn intersects(&self, other: &BitSet) -> bool {
+        self.0.iter().zip(&other.0).any(|(a, b)| a & b != 0)
+    }
+
+    /// `self ∪= other`; returns whether `self` grew.
+    fn union_with(&mut self, other: &BitSet) -> bool {
+        if self.is_superset(other) {
+            return false;
+        }
+        if other.0.len() > self.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a |= b;
+        }
+        true
+    }
+
+    /// `self −= other`; returns whether `self` shrank.
+    fn difference_with(&mut self, other: &BitSet) -> bool {
+        if !self.intersects(other) {
+            return false;
+        }
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a &= !b;
+        }
+        self.trim();
+        true
+    }
+
+    /// The elements, ascending.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.0.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
+    fn trim(&mut self) {
+        while self.0.last() == Some(&0) {
+            self.0.pop();
+        }
+    }
+}
+
+impl FromIterator<usize> for BitSet {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> BitSet {
+        let mut set = BitSet::default();
+        for i in iter {
+            set.insert(i);
+        }
+        set
+    }
+}
+
+/// Abstract taint of one value: clean, or which pending branches its
+/// root accesses are speculative under and which access pcs produced
+/// it. A tainted value always has at least one branch; the pair of sets
+/// is shared and immutable, so cloning a `Taint` copies a pointer.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Taint(Option<Rc<TaintSets>>);
+
+/// The two sets behind a tainted value.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct TaintSets {
     /// Blocks whose terminating conditional branch the value is
-    /// speculative under.
-    pub branches: BTreeSet<BlockId>,
+    /// speculative under; never empty.
+    branches: BitSet,
     /// Root access-instruction pcs the taint flows from.
-    pub sources: BTreeSet<u64>,
+    sources: BitSet,
+}
+
+impl TaintSets {
+    fn is_superset(&self, other: &TaintSets) -> bool {
+        self.branches.is_superset(&other.branches) && self.sources.is_superset(&other.sources)
+    }
 }
 
 impl Taint {
     /// Whether the value is tainted at all.
     #[must_use]
     pub fn is_tainted(&self) -> bool {
-        !self.branches.is_empty()
+        self.0.is_some()
     }
 
-    pub(crate) fn join(&mut self, other: &Taint) {
-        self.branches.extend(other.branches.iter().copied());
-        self.sources.extend(other.sources.iter().copied());
+    /// Blocks whose terminating conditional branch the value is
+    /// speculative under, ascending.
+    pub fn branches(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.0.iter().flat_map(|s| s.branches.iter())
     }
 
-    /// Removes a resolved branch; an emptied value is fully untainted.
-    pub(crate) fn resolve(&mut self, b: BlockId) {
-        self.branches.remove(&b);
-        if self.branches.is_empty() {
-            self.sources.clear();
+    /// Root access-instruction pcs the taint flows from, ascending.
+    pub fn sources(&self) -> impl Iterator<Item = u64> + '_ {
+        self.0.iter().flat_map(|s| s.sources.iter()).map(|pc| pc as u64)
+    }
+
+    /// Joins `other` in; returns whether the value grew.
+    pub(crate) fn join(&mut self, other: &Taint) -> bool {
+        let Some(theirs) = &other.0 else { return false };
+        let Some(ours) = &mut self.0 else {
+            self.0 = Some(Rc::clone(theirs));
+            return true;
+        };
+        if Rc::ptr_eq(ours, theirs) || ours.is_superset(theirs) {
+            return false;
+        }
+        if theirs.is_superset(ours) {
+            *ours = Rc::clone(theirs);
+            return true;
+        }
+        let sets = Rc::make_mut(ours);
+        sets.branches.union_with(&theirs.branches);
+        sets.sources.union_with(&theirs.sources);
+        true
+    }
+
+    /// Removes the `resolved` branches; a value left with no branch is
+    /// clean. Returns whether the value shrank.
+    pub(crate) fn resolve(&mut self, resolved: &BitSet) -> bool {
+        let Some(sets) = &mut self.0 else { return false };
+        if !sets.branches.intersects(resolved) {
+            return false;
+        }
+        if resolved.is_superset(&sets.branches) {
+            self.0 = None;
+        } else {
+            Rc::make_mut(sets).branches.difference_with(resolved);
+        }
+        true
+    }
+
+    /// Adds the access at `pc` as a root speculative under `pending`
+    /// (a root under no pending branch is not speculative and adds
+    /// nothing). Returns whether the value grew.
+    fn add_root(&mut self, pending: &BitSet, pc: u64) -> bool {
+        if pending.is_empty() {
+            return false;
+        }
+        let pc = pc as usize;
+        match &mut self.0 {
+            None => {
+                let sources = BitSet::from_iter([pc]);
+                self.0 = Some(Rc::new(TaintSets { branches: pending.clone(), sources }));
+                true
+            }
+            Some(sets) => {
+                if sets.branches.is_superset(pending) && sets.sources.contains(pc) {
+                    return false;
+                }
+                let sets = Rc::make_mut(sets);
+                sets.branches.union_with(pending);
+                sets.sources.insert(pc);
+                true
+            }
+        }
+    }
+
+    /// Adds the value's sources to `used`.
+    fn mark_sources(&self, used: &mut BitSet) {
+        if let Some(sets) = &self.0 {
+            used.union_with(&sets.sources);
         }
     }
 }
@@ -78,19 +262,19 @@ impl Taint {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbsState {
     /// Conditional-branch blocks not yet resolved on some path here.
-    pub pending: BTreeSet<BlockId>,
-    regs: Vec<Taint>,
-    fregs: Vec<Taint>,
+    pending: BitSet,
+    regs: [Taint; NUM_REGS],
+    fregs: [Taint; NUM_FREGS],
     mem: AbsMem,
     /// Abstract register values, for address classification. Tracked
     /// only under [`MemModel::Regions`]; stays all-bottom under
     /// `OneCell` so the old lattice's fixpoint is bit-identical.
-    vals: Vec<Val>,
+    vals: [Val; NUM_REGS],
 }
 
 impl AbsState {
     fn bottom(model: MemModel) -> AbsState {
-        let mut vals = vec![if model == MemModel::Regions { Val::Top } else { Val::Bot }; NUM_REGS];
+        let mut vals = [if model == MemModel::Regions { Val::Top } else { Val::Bot }; NUM_REGS];
         if model == MemModel::Regions {
             // x0 is hardwired zero; x2 is the RV32 stack pointer — its
             // entry value anchors the sp-relative region.
@@ -98,42 +282,42 @@ impl AbsState {
             vals[2] = Val::SpRel(0);
         }
         AbsState {
-            pending: BTreeSet::new(),
-            regs: vec![Taint::default(); NUM_REGS],
-            fregs: vec![Taint::default(); NUM_FREGS],
+            pending: BitSet::default(),
+            regs: std::array::from_fn(|_| Taint::default()),
+            fregs: std::array::from_fn(|_| Taint::default()),
             mem: AbsMem::bottom(model),
             vals,
         }
     }
 
+    /// Joins `other` in; returns whether the state changed.
     fn join(&mut self, other: &AbsState) -> bool {
-        let before = self.clone();
-        self.pending.extend(other.pending.iter().copied());
-        for (a, b) in self.regs.iter_mut().zip(&other.regs) {
-            a.join(b);
+        let mut changed = self.pending.union_with(&other.pending);
+        let regs = self.regs.iter_mut().zip(&other.regs);
+        for (a, b) in regs.chain(self.fregs.iter_mut().zip(&other.fregs)) {
+            changed |= a.join(b);
         }
-        for (a, b) in self.fregs.iter_mut().zip(&other.fregs) {
-            a.join(b);
-        }
-        self.mem.join(&other.mem);
+        changed |= self.mem.join(&other.mem);
         for (a, &b) in self.vals.iter_mut().zip(&other.vals) {
-            *a = a.join(b);
+            let joined = a.join(b);
+            changed |= joined != *a;
+            *a = joined;
         }
-        *self != before
+        changed
     }
 
     /// Resolves every pending branch whose immediate post-dominator is
     /// `block` — the static visibility point.
     fn resolve_at(&mut self, block: BlockId, cfg: &Cfg) {
-        let resolved: Vec<BlockId> =
-            self.pending.iter().copied().filter(|&p| cfg.ipdom(p) == Some(block)).collect();
-        for p in resolved {
-            self.pending.remove(&p);
-            for t in self.regs.iter_mut().chain(self.fregs.iter_mut()) {
-                t.resolve(p);
-            }
-            self.mem.resolve(p);
+        let resolved: BitSet =
+            self.pending.iter().filter(|&p| cfg.ipdom(p) == Some(block)).collect();
+        if !self.pending.difference_with(&resolved) {
+            return;
         }
+        for t in self.regs.iter_mut().chain(&mut self.fregs) {
+            t.resolve(&resolved);
+        }
+        self.mem.resolve(&resolved);
     }
 
     fn reg(&self, r: Reg) -> &Taint {
@@ -246,25 +430,25 @@ struct Sink {
     transmits: BTreeMap<u64, (Channel, Taint)>,
     trainings: BTreeMap<u64, Taint>,
     /// Speculative access roots: pc -> pending set seen there.
-    roots: BTreeMap<u64, BTreeSet<BlockId>>,
+    roots: BTreeMap<u64, BitSet>,
     /// Access pcs whose taint reached a transmitter/branch/store.
-    used: BTreeSet<u64>,
+    used: BitSet,
 }
 
 impl Sink {
     fn transmit(&mut self, pc: u64, channel: Channel, t: &Taint) {
-        self.used.extend(t.sources.iter().copied());
+        t.mark_sources(&mut self.used);
         let entry = self.transmits.entry(pc).or_insert_with(|| (channel, Taint::default()));
         entry.1.join(t);
     }
 
     fn training(&mut self, pc: u64, t: &Taint) {
-        self.used.extend(t.sources.iter().copied());
+        t.mark_sources(&mut self.used);
         self.trainings.entry(pc).or_default().join(t);
     }
 
     fn escape(&mut self, t: &Taint) {
-        self.used.extend(t.sources.iter().copied());
+        t.mark_sources(&mut self.used);
     }
 }
 
@@ -290,10 +474,9 @@ pub fn analyze_with(program: &Program, cfg: &Cfg, model: MemModel) -> Analysis {
 
     if nb > 0 {
         inputs[cfg.block_of(0)] = Some(AbsState::bottom(model));
-        let mut worklist: BTreeSet<BlockId> = BTreeSet::new();
+        let mut worklist = BitSet::default();
         worklist.insert(cfg.block_of(0));
-        while let Some(&b) = worklist.iter().next() {
-            worklist.remove(&b);
+        while let Some(b) = worklist.pop_first() {
             visits += 1;
             let Some(input) = inputs[b].clone() else { continue };
             let out = transfer_block(cfg, insts, b, input, None);
@@ -318,15 +501,12 @@ pub fn analyze_with(program: &Program, cfg: &Cfg, model: MemModel) -> Analysis {
     // Reporting pass over the stable per-block input states, in block
     // order: deterministic by construction.
     let mut sink = Sink::default();
-    for (b, input) in inputs.iter().enumerate() {
-        if let Some(input) = input.clone() {
+    for (b, input) in inputs.into_iter().enumerate() {
+        if let Some(input) = input {
             transfer_block(cfg, insts, b, input, Some(&mut sink));
         }
     }
 
-    let branch_pcs = |blocks: &BTreeSet<BlockId>| -> Vec<u64> {
-        blocks.iter().map(|&bb| cfg.blocks()[bb].terminator_pc()).collect()
-    };
     let transmits = sink
         .transmits
         .iter()
@@ -334,8 +514,8 @@ pub fn analyze_with(program: &Program, cfg: &Cfg, model: MemModel) -> Analysis {
             pc,
             channel: *channel,
             inst: insts[pc as usize].to_string(),
-            sources: t.sources.iter().copied().collect(),
-            branches: branch_pcs(&t.branches),
+            sources: t.sources().collect(),
+            branches: branch_pcs(cfg, t.branches()),
         })
         .collect();
     let trainings = sink
@@ -344,18 +524,18 @@ pub fn analyze_with(program: &Program, cfg: &Cfg, model: MemModel) -> Analysis {
         .map(|(&pc, t)| TrainingSite {
             pc,
             inst: insts[pc as usize].to_string(),
-            sources: t.sources.iter().copied().collect(),
-            branches: branch_pcs(&t.branches),
+            sources: t.sources().collect(),
+            branches: branch_pcs(cfg, t.branches()),
         })
         .collect();
     let dead = sink
         .roots
         .iter()
-        .filter(|(pc, _)| !sink.used.contains(pc))
+        .filter(|(&pc, _)| !sink.used.contains(pc as usize))
         .map(|(&pc, pending)| DeadAccess {
             pc,
             inst: insts[pc as usize].to_string(),
-            branches: branch_pcs(pending),
+            branches: branch_pcs(cfg, pending.iter()),
         })
         .collect();
 
@@ -371,6 +551,11 @@ pub fn analyze_with(program: &Program, cfg: &Cfg, model: MemModel) -> Analysis {
         trainings,
         dead,
     }
+}
+
+/// Terminator pcs of the given branch blocks.
+fn branch_pcs(cfg: &Cfg, blocks: impl Iterator<Item = BlockId>) -> Vec<u64> {
+    blocks.map(|b| cfg.blocks()[b].terminator_pc()).collect()
 }
 
 /// Applies block `b`'s instructions to `state` (after resolving
@@ -484,7 +669,7 @@ fn transfer_inst(
         Instruction::Fpu { op, dst, lhs, rhs } => {
             let mut t = s.fregs[lhs.index()].clone();
             if !matches!(op, sdo_isa::FpuOp::Sqrt) {
-                t.join(&s.fregs[rhs.index()].clone());
+                t.join(&s.fregs[rhs.index()]);
             }
             if let Some(sink) = sink {
                 if op.is_transmit() && t.is_tainted() {
@@ -536,8 +721,7 @@ fn load_result(
     }
     let speculative = !table && !s.pending.is_empty();
     if speculative {
-        t.branches.extend(s.pending.iter().copied());
-        t.sources.insert(pc);
+        t.add_root(&s.pending, pc);
     }
     if let Some(sink) = sink {
         if base_t.is_tainted() {
@@ -546,7 +730,7 @@ fn load_result(
             sink.transmit(pc, channel, &base_t);
             // The access itself reached an observable: whatever happens
             // to its *result*, it is not dead protection work.
-            sink.used.insert(pc);
+            sink.used.insert(pc as usize);
         }
         if speculative {
             sink.roots.insert(pc, s.pending.clone());
@@ -580,9 +764,21 @@ fn store_effect(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sdo_isa::{Assembler, FReg, Reg};
+    use sdo_rng::SdoRng;
+    use std::collections::BTreeSet;
+
+    /// A value with the given sets (clean when `branches` is empty).
+    pub(crate) fn taint_of(
+        branches: impl IntoIterator<Item = BlockId>,
+        sources: impl IntoIterator<Item = u64>,
+    ) -> Taint {
+        let branches: BitSet = branches.into_iter().collect();
+        let sources = sources.into_iter().map(|pc| pc as usize).collect();
+        Taint((!branches.is_empty()).then(|| Rc::new(TaintSets { branches, sources })))
+    }
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
@@ -731,5 +927,172 @@ mod tests {
     fn analysis_is_deterministic() {
         let p = spectre_shape(true);
         assert_eq!(analyze(&p), analyze(&p));
+    }
+
+    /// The `BTreeSet` taint lattice the shared bit sets replaced: the
+    /// reference model of the property tests here and in `memory.rs`.
+    #[derive(Debug, Clone, PartialEq, Eq, Default)]
+    pub(crate) struct RefTaint {
+        pub(crate) branches: BTreeSet<BlockId>,
+        pub(crate) sources: BTreeSet<u64>,
+    }
+
+    impl RefTaint {
+        pub(crate) fn of(t: &Taint) -> RefTaint {
+            RefTaint { branches: t.branches().collect(), sources: t.sources().collect() }
+        }
+
+        pub(crate) fn to_taint(&self) -> Taint {
+            taint_of(self.branches.iter().copied(), self.sources.iter().copied())
+        }
+
+        pub(crate) fn is_tainted(&self) -> bool {
+            !self.branches.is_empty()
+        }
+
+        pub(crate) fn join(&mut self, other: &RefTaint) {
+            self.branches.extend(other.branches.iter().copied());
+            self.sources.extend(other.sources.iter().copied());
+        }
+
+        pub(crate) fn resolve(&mut self, resolved: &BTreeSet<BlockId>) {
+            for b in resolved {
+                self.branches.remove(b);
+                if self.branches.is_empty() {
+                    self.sources.clear();
+                }
+            }
+        }
+
+        fn add_root(&mut self, pending: &BTreeSet<BlockId>, pc: u64) {
+            if !pending.is_empty() {
+                self.branches.extend(pending.iter().copied());
+                self.sources.insert(pc);
+            }
+        }
+
+        /// A random value whose sets reach past 64 and 128 elements.
+        pub(crate) fn random(rng: &mut SdoRng) -> RefTaint {
+            let branches = random_set(rng);
+            if branches.is_empty() {
+                return RefTaint::default();
+            }
+            let sources = random_set(rng).into_iter().map(|pc| pc as u64).collect();
+            RefTaint { branches, sources }
+        }
+    }
+
+    /// A random index set: small or sparse sets in a few words, or up
+    /// to 200 elements below 300, so sets cross 64 and 128 elements.
+    pub(crate) fn random_set(rng: &mut SdoRng) -> BTreeSet<usize> {
+        let (universe, max_len) = match rng.bounded(4) {
+            0 => (8, 4),
+            1 => (70, 20),
+            2 => (300, 12),
+            _ => (300, 200),
+        };
+        let len = rng.bounded(max_len + 1);
+        (0..len).map(|_| rng.bounded(universe) as usize).collect()
+    }
+
+    fn bits(set: &BTreeSet<usize>) -> BitSet {
+        set.iter().copied().collect()
+    }
+
+    #[test]
+    fn bit_set_matches_btreeset() {
+        let mut rng = SdoRng::seed_from_u64(0xb175);
+        for _ in 0..1000 {
+            let mut set = random_set(&mut rng);
+            let mut b = bits(&set);
+            for _ in 0..8 {
+                let other = random_set(&mut rng);
+                let ob = bits(&other);
+                assert_eq!(b.is_superset(&ob), set.is_superset(&other));
+                match rng.bounded(4) {
+                    0 => {
+                        let grew = !set.is_superset(&other);
+                        set.extend(other.iter().copied());
+                        assert_eq!(b.union_with(&ob), grew);
+                    }
+                    1 => {
+                        let shrank = !set.is_disjoint(&other);
+                        set.retain(|x| !other.contains(x));
+                        assert_eq!(b.difference_with(&ob), shrank);
+                    }
+                    2 => assert_eq!(b.pop_first(), set.pop_first()),
+                    _ => {
+                        let i = rng.bounded(300) as usize;
+                        assert_eq!(b.insert(i), set.insert(i));
+                    }
+                }
+                assert_eq!(b.iter().collect::<Vec<_>>(), set.iter().copied().collect::<Vec<_>>());
+                assert_eq!(b, bits(&set), "canonical form: no trailing zero words");
+                assert_eq!(b.is_empty(), set.is_empty());
+                let probe = rng.bounded(320) as usize;
+                assert_eq!(b.contains(probe), set.contains(&probe));
+            }
+        }
+    }
+
+    fn assert_matches(t: &Taint, r: &RefTaint, what: &str) {
+        assert_eq!(t.branches().collect::<Vec<_>>(), r.branches.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.sources().collect::<Vec<_>>(), r.sources.iter().copied().collect::<Vec<_>>());
+        assert_eq!(t.is_tainted(), r.is_tainted(), "{what}");
+        assert_eq!(*t, r.to_taint(), "{what}: canonical form");
+    }
+
+    /// Random sequences of joins, resolutions, root additions and
+    /// shared copies over a pool of values, each step checked against
+    /// the reference: values, ascending iteration, canonical equality,
+    /// and every changed flag true exactly when the value changed.
+    #[test]
+    fn taint_lattice_matches_the_btreeset_reference() {
+        let mut rng = SdoRng::seed_from_u64(0x7a17);
+        for seq in 0..1000 {
+            let mut refs: Vec<RefTaint> = (0..4).map(|_| RefTaint::random(&mut rng)).collect();
+            let mut pool: Vec<Taint> = refs.iter().map(RefTaint::to_taint).collect();
+            for step in 0..16 {
+                let i = rng.bounded(4) as usize;
+                let j = rng.bounded(4) as usize;
+                let before = refs[i].clone();
+                let (what, changed) = match rng.bounded(5) {
+                    0 => {
+                        let other = pool[j].clone();
+                        let theirs = refs[j].clone();
+                        refs[i].join(&theirs);
+                        ("join", Some(pool[i].join(&other)))
+                    }
+                    1 => {
+                        let resolved = random_set(&mut rng);
+                        refs[i].resolve(&resolved);
+                        ("resolve", Some(pool[i].resolve(&bits(&resolved))))
+                    }
+                    2 => {
+                        let pending = random_set(&mut rng);
+                        let pc = rng.bounded(300);
+                        refs[i].add_root(&pending, pc);
+                        ("add_root", Some(pool[i].add_root(&bits(&pending), pc)))
+                    }
+                    3 => {
+                        refs[i] = refs[j].clone();
+                        pool[i] = pool[j].clone();
+                        ("share", None)
+                    }
+                    _ => {
+                        refs[i] = RefTaint::random(&mut rng);
+                        pool[i] = refs[i].to_taint();
+                        ("fresh", None)
+                    }
+                };
+                let what = format!("sequence {seq} step {step}: {what}");
+                if let Some(changed) = changed {
+                    assert_eq!(changed, refs[i] != before, "{what}: changed flag");
+                }
+                for (t, r) in pool.iter().zip(&refs) {
+                    assert_matches(t, r, &what);
+                }
+            }
+        }
     }
 }

@@ -6,7 +6,6 @@ use crate::config::Variant;
 use crate::engine::Throughput;
 use crate::experiments::{PentestOutcome, SuiteResults};
 use crate::sim::RunResult;
-use std::time::Duration;
 
 /// One column of the per-run CSV: a stable name paired with the
 /// extractor that renders its cell, so the header and the rows are
@@ -257,60 +256,6 @@ pub struct ServeBench {
     pub warm_hits: u64,
     /// Store misses during the warm pass (should be zero).
     pub warm_misses: u64,
-}
-
-/// Static-scan throughput over the RV32 corpus, written by
-/// `analyze --scan --bench-out` as the `scan` section of
-/// `BENCH_suite.json` (the only section not produced by the `all`
-/// bin, so it is appended/replaced in place by
-/// [`with_scan_section`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanBench {
-    /// Programs scanned.
-    pub programs: u64,
-    /// Source instructions scanned (µops, post-lowering).
-    pub insts: u64,
-    /// Variant-independent gadget chains found.
-    pub chains: u64,
-    /// Wall time of the scan pass.
-    pub wall: Duration,
-}
-
-impl ScanBench {
-    /// Scanned instructions per wall second.
-    #[must_use]
-    pub fn insts_per_sec(&self) -> f64 {
-        self.insts as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Inserts (or replaces) the `scan` section in a
-/// [`bench_suite_json`]-formatted document. The section is always kept
-/// last, immediately before the closing brace, so re-running the
-/// scanner updates it idempotently without disturbing the `all`-bin
-/// sections.
-#[must_use]
-pub fn with_scan_section(suite_json: &str, s: &ScanBench) -> String {
-    // Cut a previous scan section (it is always last), else strip
-    // exactly the outermost closing brace.
-    let base = match suite_json.find(",\n  \"scan\": {") {
-        Some(i) => &suite_json[..i],
-        None => {
-            let t = suite_json.trim_end();
-            t.strip_suffix('}').map_or(t, str::trim_end)
-        }
-    };
-    // No comma when the document had no prior section (bare `{`).
-    let sep = if base.trim_end().ends_with('{') { "" } else { "," };
-    format!(
-        "{base}{sep}\n  \"scan\": {{\n    \"programs\": {},\n    \"insts\": {},\n    \
-         \"chains\": {},\n    \"wall_secs\": {:.6},\n    \"insts_per_sec\": {:.3}\n  }}\n}}\n",
-        s.programs,
-        s.insts,
-        s.chains,
-        s.wall.as_secs_f64(),
-        s.insts_per_sec(),
-    )
 }
 
 /// Serializes a benchmark session — named per-phase [`Throughput`]s, an
@@ -564,36 +509,6 @@ mod tests {
         assert!(!j.contains("\"fast_forward\""));
         // Balanced braces: crude but effective well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn scan_section_appends_and_replaces_idempotently() {
-        let t1 = Throughput { jobs: 1, sims: 10, cycles: 100, wall: Duration::from_secs(4) };
-        let t4 = Throughput { jobs: 4, sims: 10, cycles: 100, wall: Duration::from_secs(1) };
-        let base = bench_suite_json(&[("suite", t4)], Some((t1, t4)), None, None, None, None);
-        let s = ScanBench { programs: 5, insts: 300, chains: 1, wall: Duration::from_millis(10) };
-
-        let once = with_scan_section(&base, &s);
-        assert!(once.contains("\"scan\": {"));
-        assert!(once.contains("\"programs\": 5"));
-        assert!(once.contains("\"insts_per_sec\": 30000.000"));
-        assert!(once.ends_with("  }\n}\n"));
-        assert_eq!(once.matches('{').count(), once.matches('}').count());
-        // The sections produced by the `all` bin are untouched.
-        assert!(once.contains("\"suite_speedup\""));
-        assert!(once.contains("\"phases\""));
-
-        let twice = with_scan_section(&once, &ScanBench { programs: 6, ..s });
-        assert_eq!(twice.matches("\"scan\"").count(), 1, "replaced, not duplicated");
-        assert!(twice.contains("\"programs\": 6"));
-        assert!(twice.contains("\"suite_speedup\""));
-        assert_eq!(twice.matches('{').count(), twice.matches('}').count());
-
-        // A missing suite file degrades to a bare skeleton: still
-        // valid JSON, no leading comma.
-        let fresh = with_scan_section("{\n}\n", &s);
-        assert!(fresh.starts_with("{\n  \"scan\": {"));
-        assert_eq!(fresh.matches('{').count(), fresh.matches('}').count());
     }
 
     #[test]

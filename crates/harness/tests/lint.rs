@@ -8,7 +8,8 @@
 //!   `mem::mshr`, `mem::backing`, `mem::tlb`) and the outside-input
 //!   ones (`isa::program`, which builds images from wire data,
 //!   `obs::json`, `harness::proto`, `harness::store`, `serve`,
-//!   `rv32::loader`). A
+//!   `rv32::loader`, and the analyzer modules `analyze --scan` runs
+//!   over an outside image). A
 //!   panic in the cycle loop takes down a whole campaign, and one on a
 //!   client's line takes down the daemon; recoverable paths must return
 //!   errors.
@@ -57,6 +58,11 @@ const NO_UNWRAP: &[&str] = &[
     "crates/harness/src/store.rs",
     "crates/serve/src/lib.rs",
     "crates/rv32/src/loader.rs",
+    "crates/analyze/src/callgraph.rs",
+    "crates/analyze/src/cfg.rs",
+    "crates/analyze/src/taint.rs",
+    "crates/analyze/src/memory.rs",
+    "crates/analyze/src/scan.rs",
 ];
 
 /// Security-relevant files where `OpClass`/`Instruction` matches must
@@ -65,6 +71,7 @@ const EXHAUSTIVE_MATCH: &[&str] = &[
     "crates/uarch/src/core.rs",
     "crates/analyze/src/taint.rs",
     "crates/analyze/src/cfg.rs",
+    "crates/analyze/src/callgraph.rs",
     "crates/verify/src/oracle.rs",
     "crates/obs/src/trace.rs",
 ];
