@@ -1,21 +1,21 @@
 //! Runs every experiment and prints the full evaluation report.
 //!
 //! `--jobs N` (or `SDO_JOBS`) fans the independent simulations out across
-//! worker threads. The binary also runs the suite once serially, checks
-//! the parallel results are byte-identical, and writes `BENCH_suite.json`
-//! (per-phase wall-clock, sims/sec and the serial→parallel speedup) so
-//! every PR leaves a performance trajectory baseline behind. Use
-//! `--bench-out <path>` to redirect the JSON (empty path disables it),
-//! and `--metrics <path>` to dump the merged metric snapshot of the
-//! suite plus the penetration test.
+//! worker threads, and `--metrics <path>` dumps the merged metric
+//! snapshot of the suite plus the penetration test. The binary also
+//! re-checks three byte-identities on every run, exiting nonzero if one
+//! breaks: the suite run serially renders the same Figure 6 as the
+//! pooled one, the DRAM-bound kernels give the same per-run CSV with
+//! quiescence fast-forward on and off, and a warm result store replays
+//! the cold store's CSV without simulating anything. Host-time
+//! throughput is the repository benchmark's job (`benchmark/`).
 use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
-use sdo_harness::engine::{timed, JobPool, Throughput};
+use sdo_harness::engine::JobPool;
 use sdo_harness::experiments::{
-    busy_cycle_throughput, fig6_report, fig7_report, fig8_report, pentest_metrics, pentest_report,
-    pentest_with, run_suite_on, run_suite_with, rv32_busy_cycle_throughput, table3_report,
-    SuiteResults,
+    fig6_report, fig7_report, fig8_report, pentest_metrics, pentest_report, pentest_with,
+    run_suite_on, table3_report, SuiteResults,
 };
-use sdo_harness::export::{bench_suite_json, runs_csv, FastForwardBench, ServeBench};
+use sdo_harness::export::runs_csv;
 use sdo_harness::{Runner, SimConfig, Variant};
 use sdo_workloads::{suite, workload_class, Workload};
 
@@ -29,203 +29,83 @@ const SPEC: BinSpec = BinSpec {
     seed: false,
     no_skip: true,
     client: true,
-    extra_options: &[(
-        "--bench-out <path>",
-        "write BENCH_suite.json here (empty path disables; default: BENCH_suite.json)",
-    )],
+    extra_options: &[],
 };
 
 fn main() {
-    let mut args = CommonArgs::parse(&SPEC);
-    let mut bench_out = String::from("BENCH_suite.json");
-    if let Some(i) = args.rest.iter().position(|a| a == "--bench-out") {
-        if i + 1 >= args.rest.len() {
-            SPEC.usage_error("--bench-out requires a path");
-        }
-        bench_out = args.rest[i + 1].clone();
-        args.rest.drain(i..i + 2);
-    }
+    let args = CommonArgs::parse(&SPEC);
     args.reject_rest(&SPEC);
     let pool = args.pool;
 
     let cfg = args.sim_config(SimConfig::table_i());
     let runner = args.runner(&SPEC, SimConfig::table_i());
+    let kernels = suite();
+    let run = |runner: &Runner, kernels: &[Workload], pool: &JobPool| -> SuiteResults {
+        run_suite_on(runner, kernels, pool).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
+    };
 
-    // The suite, serially — the wall-clock baseline for the speedup.
-    let (serial_results, serial_tp) = timed(&JobPool::serial(), SuiteResults::counts, |p| {
-        run_suite_with(&runner, p).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-    });
-    // The suite again, through the pool. Byte-identical by construction;
-    // check it every run rather than asserting it in a comment. The
-    // *measured* pool is clamped to the host's parallelism: more workers
-    // than cores only measures scheduler noise (a 4-job run on a 1-CPU
-    // host once recorded a misleading 0.93x "speedup"), and host_cpus is
-    // recorded alongside so the number stays interpretable.
-    let host_cpus = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let bench_pool = JobPool::new(pool.jobs().min(host_cpus));
-    let (results, parallel_tp) = timed(&bench_pool, SuiteResults::counts, |p| {
-        run_suite_with(&runner, p).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-    });
+    // The suite, serially and through the pool. Byte-identical by
+    // construction; check it every run rather than asserting it in a
+    // comment.
+    let serial_results = run(&runner, &kernels, &JobPool::serial());
+    let results = run(&runner, &kernels, &pool);
     assert_eq!(
         fig6_report(&serial_results),
         fig6_report(&results),
         "parallel suite diverged from the serial baseline"
     );
 
-    let (outcomes, pentest_tp) = timed(
-        &pool,
-        |o: &Vec<_>| (o.len() as u64, 0),
-        |p| {
-            pentest_with(runner.simulator(), p)
-                .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-        },
-    );
+    let outcomes = pentest_with(runner.simulator(), &pool)
+        .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
 
-    let (report, render_tp) = timed(
-        &JobPool::serial(),
-        |_| (0, 0),
-        |_| {
-            let mut out = String::new();
-            out.push_str(&cfg.render_table_i());
-            out.push_str("\n\n");
-            out.push_str(&Variant::render_table_ii());
-            out.push('\n');
-            out.push_str(&fig6_report(&results));
-            out.push_str(&fig7_report(&results));
-            out.push_str(&fig8_report(&results));
-            out.push_str(&table3_report(&results));
-            out.push('\n');
-            out.push_str(&pentest_report(&outcomes));
-            out
-        },
-    );
+    let mut report = String::new();
+    report.push_str(&cfg.render_table_i());
+    report.push_str("\n\n");
+    report.push_str(&Variant::render_table_ii());
+    report.push('\n');
+    report.push_str(&fig6_report(&results));
+    report.push_str(&fig7_report(&results));
+    report.push_str(&fig8_report(&results));
+    report.push_str(&table3_report(&results));
+    report.push('\n');
+    report.push_str(&pentest_report(&outcomes));
     println!("{report}");
 
     let mut metrics = results.metrics();
     metrics.merge(&pentest_metrics(&outcomes));
     args.write_metrics(&SPEC, &metrics);
 
-    // Fast-forward effectiveness: time the DRAM-bound class serially
-    // with skipping on and off. The two runs must agree byte-for-byte
-    // (the cycle-exactness invariant), so only the wall-clock differs.
+    // Fast-forward is cycle-exact: the DRAM-bound kernels, where most
+    // cycles are skipped, must give the same runs with skipping on and
+    // off.
     let dram: Vec<Workload> =
-        suite().into_iter().filter(|w| workload_class(w.name()) == "dram_bound").collect();
-    let (skip_results, dram_skip_tp) = timed(&JobPool::serial(), SuiteResults::counts, |p| {
-        run_suite_on(&Runner::local(SimConfig::table_i().with_fast_forward(true)), &dram, p)
-            .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-    });
-    let (noskip_results, dram_noskip_tp) = timed(&JobPool::serial(), SuiteResults::counts, |p| {
-        run_suite_on(&Runner::local(SimConfig::table_i().with_fast_forward(false)), &dram, p)
-            .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-    });
+        kernels.iter().filter(|w| workload_class(w.name()) == "dram_bound").cloned().collect();
+    let skipping = |on: bool| Runner::local(SimConfig::table_i().with_fast_forward(on));
+    let skip_results = run(&skipping(true), &dram, &pool);
+    let noskip_results = run(&skipping(false), &dram, &pool);
     assert_eq!(
         runs_csv(&skip_results),
         runs_csv(&noskip_results),
         "fast-forward changed simulated results"
     );
-    // Skip ratios come from the full-suite serial run, so every workload
-    // class has data (the timed comparison above covers dram_bound only).
-    let ff = FastForwardBench {
-        dram_skip: dram_skip_tp,
-        dram_noskip: dram_noskip_tp,
-        ratios: serial_results.skip_ratios(),
-    };
 
-    // Busy-cycle throughput: every class timed serially with fast-forward
-    // off, so the recorded cycles/s is the raw engine cost per class (the
-    // number the data-oriented core work optimizes and future PRs must
-    // not regress).
-    let busy = busy_cycle_throughput(cfg).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
-
-    // The same skip-off measurement over the translated RV32 corpus:
-    // tracks the frontend's lowering overhead (µops per source
-    // instruction) separately from the mini-ISA kernels.
-    let rv32 =
-        rv32_busy_cycle_throughput(cfg).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
-
-    // Result-store effectiveness: the identical suite batch against a
-    // cold content-addressed store (simulate + save) and then against
-    // the warm store it just filled (pure loads, zero simulations).
-    // Byte-identity of the CSV is the cache-soundness check; the
-    // wall-clock ratio is the figure-regeneration win any `--store`
-    // client or sdo-serve daemon gets.
+    // Cache soundness: the identical suite batch against a cold
+    // content-addressed store (simulate + save), then against the warm
+    // store it just filled (pure loads, zero simulations).
     let store_dir = std::env::temp_dir().join(format!("sdo-all-store-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_dir);
     let store_path = store_dir.to_string_lossy().into_owned();
-    let cold_runner = Runner::with_store(cfg, &store_path)
-        .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
-    let (cold_results, cold_tp) = timed(&bench_pool, SuiteResults::counts, |p| {
-        run_suite_with(&cold_runner, p).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-    });
-    let warm_runner = Runner::with_store(cfg, &store_path)
-        .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
-    let (warm_results, warm_tp) = timed(&bench_pool, SuiteResults::counts, |p| {
-        run_suite_with(&warm_runner, p).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-    });
+    let store_runner = || {
+        Runner::with_store(cfg, &store_path).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
+    };
+    let cold_results = run(&store_runner(), &kernels, &pool);
+    let warm_runner = store_runner();
+    let warm_results = run(&warm_runner, &kernels, &pool);
     assert_eq!(warm_runner.misses(), 0, "warm-store rerun executed simulations");
     assert_eq!(
         runs_csv(&cold_results),
         runs_csv(&warm_results),
         "warm-store results diverged from the cold pass"
     );
-    let serve = ServeBench {
-        cold: cold_tp,
-        warm: warm_tp,
-        warm_hits: warm_runner.hits(),
-        warm_misses: warm_runner.misses(),
-    };
     let _ = std::fs::remove_dir_all(&store_dir);
-
-    let phases: Vec<(&str, Throughput)> = vec![
-        ("suite_serial", serial_tp),
-        ("suite_parallel", parallel_tp),
-        ("pentest", pentest_tp),
-        ("render", render_tp),
-        ("store_cold", cold_tp),
-        ("store_warm", warm_tp),
-    ];
-    let json = bench_suite_json(
-        &phases,
-        Some((serial_tp, parallel_tp)),
-        Some(&ff),
-        Some(&busy),
-        Some(&rv32),
-        Some(&serve),
-    );
-    eprintln!("suite serial:   {}", serial_tp.report());
-    eprintln!("suite parallel: {}", parallel_tp.report());
-    eprintln!(
-        "speedup: {:.2}x at {} jobs",
-        serial_tp.wall.as_secs_f64() / parallel_tp.wall.as_secs_f64().max(1e-9),
-        bench_pool.jobs()
-    );
-    eprintln!(
-        "fast-forward: dram-bound {:.2}x cycles/s (skip {:.2}M/s vs no-skip {:.2}M/s)",
-        dram_skip_tp.cycles_per_sec() / dram_noskip_tp.cycles_per_sec().max(1e-9),
-        dram_skip_tp.cycles_per_sec() / 1e6,
-        dram_noskip_tp.cycles_per_sec() / 1e6,
-    );
-    for r in &ff.ratios {
-        eprintln!("  skip ratio {:14} {:6.2}%", r.class, 100.0 * r.ratio());
-    }
-    for (class, t) in &busy {
-        eprintln!("busy cycle {:14} {:9.0} cycles/s (skip off)", class, t.cycles_per_sec());
-    }
-    for (class, t) in &rv32 {
-        eprintln!("rv32       {:14} {:9.0} cycles/s (skip off)", class, t.cycles_per_sec());
-    }
-    eprintln!(
-        "store: cold {:.2}s -> warm {:.2}s ({:.1}x), warm pass {} hits / {} misses",
-        cold_tp.wall.as_secs_f64(),
-        warm_tp.wall.as_secs_f64(),
-        cold_tp.wall.as_secs_f64() / warm_tp.wall.as_secs_f64().max(1e-9),
-        warm_runner.hits(),
-        warm_runner.misses(),
-    );
-    if !bench_out.is_empty() {
-        if let Err(e) = std::fs::write(&bench_out, &json) {
-            SPEC.runtime_error(&format!("cannot write {bench_out}: {e}"));
-        }
-        eprintln!("wrote {bench_out}");
-    }
 }

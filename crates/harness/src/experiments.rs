@@ -103,30 +103,6 @@ impl SuiteResults {
         m
     }
 
-    /// Quiescence fast-forward effectiveness per workload class:
-    /// skipped and total simulated cycles, aggregated over every run,
-    /// in `WORKLOAD_CLASSES` order. All-zero `skipped` fields simply
-    /// mean the sweep ran with fast-forward off (`--no-skip`).
-    #[must_use]
-    pub fn skip_ratios(&self) -> Vec<crate::export::SkipRatio> {
-        let mut by_class: Vec<crate::export::SkipRatio> = sdo_workloads::WORKLOAD_CLASSES
-            .iter()
-            .map(|&class| crate::export::SkipRatio { class, skipped: 0, cycles: 0 })
-            .collect();
-        for (_, per_workload) in &self.runs {
-            for (name, runs) in self.workloads.iter().zip(per_workload) {
-                let class = sdo_workloads::workload_class(name);
-                let slot =
-                    by_class.iter_mut().find(|s| s.class == class).expect("class is canonical");
-                for r in runs {
-                    slot.skipped += r.skipped_cycles;
-                    slot.cycles += r.cycles;
-                }
-            }
-        }
-        by_class
-    }
-
     /// Sums a per-run statistic over all workloads of one variant.
     fn sum_stat(&self, attack: AttackModel, variant: Variant, f: impl Fn(&RunResult) -> u64) -> u64 {
         let (_, per_workload) =
@@ -194,37 +170,6 @@ pub fn run_suite_on(
     Ok(SuiteResults { runs, workloads })
 }
 
-/// Per-workload-class busy-cycle throughput: each class of the suite
-/// simulated serially with quiescence fast-forward off, so the numbers
-/// measure the raw per-cycle engine cost (`cycles_per_sec`) rather than
-/// how much of a class fast-forward can skip. Returned in
-/// [`sdo_workloads::WORKLOAD_CLASSES`] order; lands in the `busy_cycle`
-/// section of `BENCH_suite.json`.
-///
-/// # Errors
-///
-/// Returns the first simulation error (hang) encountered.
-pub fn busy_cycle_throughput(
-    cfg: SimConfig,
-) -> Result<Vec<(&'static str, crate::engine::Throughput)>, SimError> {
-    let runner = Runner::local(cfg.with_fast_forward(false));
-    let kernels = suite();
-    let mut out = Vec::with_capacity(sdo_workloads::WORKLOAD_CLASSES.len());
-    for &class in sdo_workloads::WORKLOAD_CLASSES {
-        let group: Vec<Workload> = kernels
-            .iter()
-            .filter(|w| sdo_workloads::workload_class(w.name()) == class)
-            .cloned()
-            .collect();
-        let start = std::time::Instant::now();
-        let results = run_suite_on(&runner, &group, &JobPool::serial())?;
-        let wall = start.elapsed();
-        let (sims, cycles) = results.counts();
-        out.push((class, crate::engine::Throughput { jobs: 1, sims, cycles, wall }));
-    }
-    Ok(out)
-}
-
 /// The RV32 sweep's workload set: the four compiled benchmark kernels
 /// plus the compiled Spectre gadget (secret 0 — simulation timing is
 /// secret-independent wherever the policy closes the channel, and the
@@ -236,39 +181,6 @@ pub fn rv32_workloads() -> Vec<Workload> {
         kernels.push(Workload::new(case.name, (case.build)(0)));
     }
     kernels
-}
-
-/// Per-workload-class busy-cycle throughput of the translated RV32
-/// corpus, analogous to [`busy_cycle_throughput`] (serial, quiescence
-/// fast-forward off) but grouped by [`sdo_workloads::rv32_class`] and
-/// skipping classes the corpus doesn't populate. Lands in the `rv32`
-/// section of `BENCH_suite.json`.
-///
-/// # Errors
-///
-/// Returns the first simulation error (hang) encountered.
-pub fn rv32_busy_cycle_throughput(
-    cfg: SimConfig,
-) -> Result<Vec<(&'static str, crate::engine::Throughput)>, SimError> {
-    let runner = Runner::local(cfg.with_fast_forward(false));
-    let kernels = rv32_workloads();
-    let mut out = Vec::new();
-    for &class in sdo_workloads::WORKLOAD_CLASSES {
-        let group: Vec<Workload> = kernels
-            .iter()
-            .filter(|w| sdo_workloads::rv32_class(w.name()) == class)
-            .cloned()
-            .collect();
-        if group.is_empty() {
-            continue;
-        }
-        let start = std::time::Instant::now();
-        let results = run_suite_on(&runner, &group, &JobPool::serial())?;
-        let wall = start.elapsed();
-        let (sims, cycles) = results.counts();
-        out.push((class, crate::engine::Throughput { jobs: 1, sims, cycles, wall }));
-    }
-    Ok(out)
 }
 
 // ----------------------------------------------------------------------

@@ -39,6 +39,11 @@
 //! is a ratchet in both directions: exceeding the budget fails (fix
 //! the code or consciously raise the budget in review), and beating
 //! it fails too (lower the budget so the improvement sticks).
+//!
+//! One more check has no budget: every `cargo … -p <package>` command
+//! in the docs and the CI workflow ([`DOC_COMMAND_FILES`]) names a
+//! package under `crates/`, and the `--bin`/`--bench` target it names
+//! exists there.
 
 use std::path::{Path, PathBuf};
 
@@ -115,6 +120,15 @@ const COLD_FNS: &[&str] = &[
 /// Allocation patterns the per-cycle rule looks for.
 const ALLOC_PATTERNS: &[&str] =
     &["Vec::new", "vec![", ".clone()", ".collect()", "Box::new", "to_vec()"];
+
+/// Docs and workflow whose `cargo` commands must name real targets.
+const DOC_COMMAND_FILES: &[&str] = &[
+    "README.md",
+    "EXPERIMENTS.md",
+    "DESIGN.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
+];
 
 const ALLOWLIST: &str = include_str!("lint_allowlist.txt");
 
@@ -252,6 +266,110 @@ fn trunc_cast_hits(text: &str) -> Vec<usize> {
         }
     }
     out
+}
+
+/// One `-p <package>` of a `cargo` command: its 1-based line, the
+/// package, and the `(kind, name)` of the `--bin`/`--bench` target
+/// that follows it on the line, if any.
+type CargoTarget = (usize, String, Option<(&'static str, String)>);
+
+/// Every `-p <package>` (with its target) of the `cargo` commands in
+/// `text`. A command runs from a `cargo` word to the end of the line,
+/// a `--` (the binary's own arguments follow) or a shell separator;
+/// markdown backticks and punctuation around a word are ignored.
+fn cargo_targets(text: &str) -> Vec<CargoTarget> {
+    let mut out = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        let mut words = line
+            .split_whitespace()
+            .map(|w| w.trim_matches(|c: char| "`()[],.;:'\"".contains(c)));
+        let mut in_cargo = false;
+        let mut package: Option<String> = None;
+        while let Some(word) = words.next() {
+            let kind = match word {
+                "cargo" => {
+                    in_cargo = true;
+                    continue;
+                }
+                "--" | "#" | "|" | "&&" | ">" => {
+                    in_cargo = false;
+                    continue;
+                }
+                "-p" | "--package" if in_cargo => None,
+                "--bin" if in_cargo => Some("bin"),
+                "--bench" if in_cargo => Some("bench"),
+                _ => continue,
+            };
+            let Some(value) = words.next() else { break };
+            match kind {
+                None => {
+                    if let Some(previous) = package.replace(value.to_string()) {
+                        out.push((i + 1, previous, None));
+                    }
+                }
+                Some(kind) => {
+                    if let Some(package) = package.take() {
+                        out.push((i + 1, package, Some((kind, value.to_string()))));
+                    }
+                }
+            }
+        }
+        if let Some(package) = package {
+            out.push((i + 1, package, None));
+        }
+    }
+    out
+}
+
+/// The `name = "…"` values of every `header` section of a Cargo
+/// manifest (`[package]`, `[[bin]]`, …).
+fn manifest_names<'a>(manifest: &'a str, header: &str) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    let mut inside = false;
+    for line in manifest.lines().map(str::trim) {
+        if line.starts_with('[') {
+            inside = line == header;
+        } else if inside {
+            let value = line.strip_prefix("name").map(str::trim_start);
+            if let Some(value) = value.and_then(|v| v.strip_prefix('=')) {
+                out.push(value.trim().trim_matches('"'));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn doc_commands_name_real_targets() {
+    let root = workspace_root();
+    let mut packages = std::collections::BTreeMap::new();
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let dir = entry.expect("crates/ entry").path();
+        let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else { continue };
+        let name = manifest_names(&manifest, "[package]").first().expect("package name").to_string();
+        packages.insert(name, (dir, manifest));
+    }
+    let mut failures = Vec::new();
+    for file in DOC_COMMAND_FILES {
+        let text = std::fs::read_to_string(root.join(file)).expect(file);
+        for (line, package, target) in cargo_targets(&text) {
+            let Some((dir, manifest)) = packages.get(&package) else {
+                failures.push(format!("{file}:{line}: no package `{package}` under crates/"));
+                continue;
+            };
+            let Some((kind, name)) = target else { continue };
+            let found = if kind == "bin" {
+                dir.join("src/bin").join(format!("{name}.rs")).exists()
+                    || manifest_names(manifest, "[[bin]]").contains(&name.as_str())
+            } else {
+                dir.join("benches").join(format!("{name}.rs")).exists()
+            };
+            if !found {
+                failures.push(format!("{file}:{line}: package `{package}` has no {kind} `{name}`"));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "\n{}", failures.join("\n"));
 }
 
 #[test]
@@ -507,6 +625,30 @@ fn f(x: u64) -> u32 {
         // Comment-only lines are dropped before matching.
         let commented = "// let a = x as u32;\nlet b = y as i16;\n";
         assert_eq!(trunc_cast_hits(commented), vec![2]);
+    }
+
+    #[test]
+    fn cargo_target_parser_pairs_packages_with_targets() {
+        let text = "\
+Run `cargo run --release -p sdo-harness --bin all -- --jobs 2` (or `--bin fig6`).
+cargo build --release -p sdo-analyze -p sdo-harness
+cargo bench -p sdo-gone
+mkdir -p out && cargo test -p sdo-harness --test lint
+";
+        let owned = |p: &str| p.to_string();
+        assert_eq!(
+            cargo_targets(text),
+            vec![
+                (1, owned("sdo-harness"), Some(("bin", owned("all")))),
+                (2, owned("sdo-analyze"), None),
+                (2, owned("sdo-harness"), None),
+                (3, owned("sdo-gone"), None),
+                (4, owned("sdo-harness"), None),
+            ]
+        );
+        let manifest = "[package]\nname = \"x\"\n\n[[bin]]\nname = \"y\"\npath = \"src/y.rs\"\n";
+        assert_eq!(manifest_names(manifest, "[package]"), vec!["x"]);
+        assert_eq!(manifest_names(manifest, "[[bin]]"), vec!["y"]);
     }
 
     #[test]

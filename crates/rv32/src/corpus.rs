@@ -35,8 +35,6 @@ pub const STACK_TOP: u32 = 0x8_0000;
 pub struct CorpusEntry {
     /// Kernel name (doubles as the workload name in the harness).
     pub name: &'static str,
-    /// Behavioural class, using the `sdo-workloads` class vocabulary.
-    pub class: &'static str,
     /// The raw RV32I+M instruction words, in address order from
     /// [`TEXT_BASE`].
     pub words: &'static [u32],
@@ -153,7 +151,6 @@ pub const GADGET_SECRET_ADDR: u32 = 0x1_0740;
 pub const CORPUS: &[CorpusEntry] = &[
     CorpusEntry {
         name: "rv32_crc32",
-        class: "cache_resident",
         words: CRC32_WORDS,
         data: crc32_data,
         expected_result: CRC32_EXPECTED,
@@ -161,7 +158,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "rv32_matmul",
-        class: "cache_resident",
         words: MATMUL_WORDS,
         data: matmul_data,
         expected_result: MATMUL_EXPECTED,
@@ -169,7 +165,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "rv32_sort",
-        class: "branchy",
         words: SORT_WORDS,
         data: sort_data,
         expected_result: SORT_EXPECTED,
@@ -177,7 +172,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "rv32_strsearch",
-        class: "branchy",
         words: STRSEARCH_WORDS,
         data: strsearch_data,
         expected_result: STRSEARCH_EXPECTED,
@@ -185,7 +179,6 @@ pub const CORPUS: &[CorpusEntry] = &[
     },
     CorpusEntry {
         name: "rv32_gadget",
-        class: "branchy",
         words: GADGET_WORDS,
         data: gadget_data,
         expected_result: GADGET_EXPECTED,

@@ -47,7 +47,7 @@ pub mod random;
 pub mod rv32;
 pub mod spectre;
 
-pub use kernels::{suite, workload_class, Workload, WORKLOAD_CLASSES};
+pub use kernels::{suite, workload_class, Workload};
 pub use litmus::{litmus_case, Channel, LitmusCase, StaticExpect, CORPUS};
-pub use rv32::{rv32_class, rv32_expect, rv32_litmus_cases, rv32_suite};
+pub use rv32::{rv32_expect, rv32_litmus_cases, rv32_suite};
 pub use spectre::{spectre_fp_victim, spectre_v1_victim, spectre_v1_with_secret, SpectreScenario};

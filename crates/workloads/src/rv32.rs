@@ -1,7 +1,7 @@
 //! RV32 corpus wiring: the compiled-benchmark corpus of `sdo-rv32`
-//! exposed as [`Workload`]s with behavioural class tags, plus the
-//! Spectre-v1 gadget entry as a litmus-style secret-swap case for
-//! `sdo-verify` and pinned static verdicts for `sdo-analyze`.
+//! exposed as [`Workload`]s, plus the Spectre-v1 gadget entry as a
+//! litmus-style secret-swap case for `sdo-verify` and pinned static
+//! verdicts for `sdo-analyze`.
 //!
 //! The corpus programs themselves (raw RV32 words, data segments,
 //! expected outputs) live in `sdo_rv32::corpus`; this module only
@@ -21,13 +21,6 @@ pub fn rv32_suite() -> Vec<Workload> {
         .filter(|e| e.secret_addr.is_none())
         .map(|e| Workload::new(e.name, e.program()))
         .collect()
-}
-
-/// The behavioural class of an RV32 corpus kernel (same vocabulary as
-/// [`crate::workload_class`]); `cache_resident` for unknown names.
-#[must_use]
-pub fn rv32_class(name: &str) -> &'static str {
-    corpus::entry(name).map_or("cache_resident", |e| e.class)
 }
 
 fn build_rv32_gadget(secret: u8) -> Program {
@@ -85,15 +78,7 @@ mod tests {
 
     #[test]
     fn rv32_suite_has_four_classed_kernels() {
-        let suite = rv32_suite();
-        assert_eq!(suite.len(), 4);
-        for w in &suite {
-            assert!(
-                crate::WORKLOAD_CLASSES.contains(&rv32_class(w.name())),
-                "{}: unknown class",
-                w.name()
-            );
-        }
+        assert_eq!(rv32_suite().len(), 4);
     }
 
     #[test]

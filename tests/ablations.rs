@@ -1,5 +1,5 @@
 //! Design-choice assertions behind the paper's optimizations: these are
-//! the claims the ablation benches quantify, enforced as inequalities.
+//! the claims the `ablations` bin quantifies, enforced as inequalities.
 
 use sdo_sim::harness::SimConfig;
 use sdo_sim::mem::{CacheLevel, MemorySystem};
