@@ -12,7 +12,7 @@
 use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
 use sdo_harness::engine::JobPool;
 use sdo_harness::experiments::{
-    fig6_report, fig7_report, fig8_report, pentest_metrics, pentest_report, pentest_with,
+    fig6_report, fig7_report, fig8_report, pentest, pentest_metrics, pentest_report,
     run_suite_on, table3_report, SuiteResults,
 };
 use sdo_harness::export::runs_csv;
@@ -55,7 +55,7 @@ fn main() {
         "parallel suite diverged from the serial baseline"
     );
 
-    let outcomes = pentest_with(runner.simulator(), &pool)
+    let outcomes = pentest(runner.simulator(), &pool)
         .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
 
     let mut report = String::new();

@@ -1,13 +1,13 @@
 //! Regenerates Figure 8: squashes vs normalized execution time.
 //!
 //! `--jobs N` (or `SDO_JOBS`) fans the suite out across worker threads;
-//! `--metrics <path>` dumps the merged metric snapshot; the throughput
-//! summary goes to stderr. `--store <dir>` / `--server <sock>` /
-//! `--no-cache` select the cache-backed or daemon-backed runner.
+//! `--metrics <path>` dumps the merged metric snapshot. `--store <dir>` /
+//! `--server <sock>` / `--no-cache` select the cache-backed or
+//! daemon-backed runner, whose cache summary goes to stderr.
 use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
-use sdo_harness::engine::timed;
-use sdo_harness::experiments::{fig8_report, run_suite_with, SuiteResults};
+use sdo_harness::experiments::{fig8_report, run_suite_on};
 use sdo_harness::SimConfig;
+use sdo_workloads::suite;
 
 const SPEC: BinSpec = BinSpec {
     name: "fig8",
@@ -26,11 +26,9 @@ fn main() {
     let args = CommonArgs::parse(&SPEC);
     args.reject_rest(&SPEC);
     let runner = args.runner(&SPEC, SimConfig::table_i());
-    let (results, throughput) = timed(&args.pool, SuiteResults::counts, |pool| {
-        run_suite_with(&runner, pool).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-    });
+    let results = run_suite_on(&runner, &suite(), &args.pool)
+        .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
     println!("{}", fig8_report(&results));
     args.write_metrics(&SPEC, &results.metrics());
-    eprintln!("{}", throughput.report());
     args.report_cache(&runner);
 }

@@ -9,11 +9,10 @@
 //! worker threads. `--store <dir>` memoizes the sweep in a
 //! content-addressed store (a warm rerun simulates nothing) and
 //! `--server <sock>` submits it to a running `sdo-serve` daemon. The
-//! throughput and cache summaries go to stderr so they never perturb the
-//! figure or CSV stream.
+//! cache summary goes to stderr so it never perturbs the figure or CSV
+//! stream.
 use sdo_harness::cli::{BinSpec, CommonArgs, CsvMode, CsvSupport};
-use sdo_harness::engine::timed;
-use sdo_harness::experiments::{fig6_report, run_suite_on, rv32_workloads, SuiteResults};
+use sdo_harness::experiments::{fig6_report, run_suite_on, rv32_workloads};
 use sdo_harness::export::{fig6_csv, runs_csv};
 use sdo_harness::SimConfig;
 
@@ -34,17 +33,13 @@ fn main() {
     let args = CommonArgs::parse(&SPEC);
     args.reject_rest(&SPEC);
     let runner = args.runner(&SPEC, SimConfig::table_i());
-    let kernels = rv32_workloads();
-    let (results, throughput) = timed(&args.pool, SuiteResults::counts, |pool| {
-        run_suite_on(&runner, &kernels, pool)
-            .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()))
-    });
+    let results = run_suite_on(&runner, &rv32_workloads(), &args.pool)
+        .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
     match args.csv {
         Some(CsvMode::Figure) => print!("{}", fig6_csv(&results)),
         Some(CsvMode::Runs) => print!("{}", runs_csv(&results)),
         None => println!("{}", fig6_report(&results)),
     }
     args.write_metrics(&SPEC, &results.metrics());
-    eprintln!("{}", throughput.report());
     args.report_cache(&runner);
 }

@@ -5,7 +5,7 @@
 //! `--jobs N` (or `SDO_JOBS`) fans the sweep points out across worker
 //! threads; `--metrics <path>` dumps the merged metric snapshot.
 use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
-use sdo_harness::experiments::sensitivity_with_metrics;
+use sdo_harness::experiments::{sensitivity, sensitivity_kernel};
 use sdo_harness::SimConfig;
 
 const SPEC: BinSpec = BinSpec {
@@ -25,7 +25,7 @@ fn main() {
     let args = CommonArgs::parse(&SPEC);
     args.reject_rest(&SPEC);
     let runner = args.runner(&SPEC, SimConfig::table_i());
-    let (report, metrics) = sensitivity_with_metrics(&runner, &args.pool)
+    let (report, metrics) = sensitivity(&runner, &sensitivity_kernel(), &args.pool)
         .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
     println!("{report}");
     args.write_metrics(&SPEC, &metrics);

@@ -25,7 +25,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Environment variable naming the default worker count.
 pub const JOBS_ENV: &str = "SDO_JOBS";
@@ -188,66 +187,6 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Uninhabited error type for the infallible [`JobPool::run`] path.
 enum Never {}
 
-// ----------------------------------------------------------------------
-// Throughput accounting
-// ----------------------------------------------------------------------
-
-/// Wall-clock throughput of a batch of simulations (the measured side of
-/// the "fast as the hardware allows" goal: speedups are reported, never
-/// asserted).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Throughput {
-    /// Worker count used.
-    pub jobs: usize,
-    /// Number of simulations completed.
-    pub sims: u64,
-    /// Total simulated cycles across all runs.
-    pub cycles: u64,
-    /// Wall-clock time for the whole batch.
-    pub wall: Duration,
-}
-
-impl Throughput {
-    /// Simulations completed per wall-clock second.
-    #[must_use]
-    pub fn sims_per_sec(&self) -> f64 {
-        self.sims as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// Simulated cycles per wall-clock second (aggregate over workers).
-    #[must_use]
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.wall.as_secs_f64().max(1e-9)
-    }
-
-    /// One-line human-readable summary.
-    #[must_use]
-    pub fn report(&self) -> String {
-        format!(
-            "throughput: {} sims in {:.2}s with {} job(s) — {:.1} sims/s, {:.2}M cycles/s",
-            self.sims,
-            self.wall.as_secs_f64(),
-            self.jobs,
-            self.sims_per_sec(),
-            self.cycles_per_sec() / 1e6,
-        )
-    }
-}
-
-/// Times `f` and pairs its output with a [`Throughput`] derived from the
-/// returned `(sims, cycles)` extraction.
-pub fn timed<T>(
-    pool: &JobPool,
-    count: impl FnOnce(&T) -> (u64, u64),
-    f: impl FnOnce(&JobPool) -> T,
-) -> (T, Throughput) {
-    let start = Instant::now();
-    let value = f(pool);
-    let wall = start.elapsed();
-    let (sims, cycles) = count(&value);
-    (value, Throughput { jobs: pool.jobs(), sims, cycles, wall })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,13 +265,5 @@ mod tests {
             if n == 3 { Err("job 3 failed".to_string()) } else { Ok(n) }
         });
         assert_eq!(r.unwrap_err(), "job 3 failed");
-    }
-
-    #[test]
-    fn throughput_math() {
-        let t = Throughput { jobs: 2, sims: 10, cycles: 5_000_000, wall: Duration::from_secs(2) };
-        assert!((t.sims_per_sec() - 5.0).abs() < 1e-9);
-        assert!((t.cycles_per_sec() - 2_500_000.0).abs() < 1e-3);
-        assert!(t.report().contains("2 job(s)"));
     }
 }

@@ -1,7 +1,7 @@
 //! The paper's experiments: Figures 6–8, Table III and the penetration
 //! test.
 //!
-//! [`run_suite`] simulates the full kernel × variant × attack-model cross
+//! [`run_suite_on`] simulates the kernel × variant × attack-model cross
 //! product once; each report function derives its artifact from those
 //! results, so a single sweep regenerates everything.
 
@@ -13,7 +13,7 @@ use crate::sim::{RunRequest, RunResult, SimError, Simulator};
 use crate::table::{norm, pct, BarChart, TextTable};
 use sdo_mem::CacheLevel;
 use sdo_uarch::{AttackModel, MetricsSnapshot};
-use sdo_workloads::{spectre_v1_victim, suite, Workload};
+use sdo_workloads::{spectre_v1_victim, Workload};
 
 /// Results of the full sweep: `runs[attack][workload][variant]`, with
 /// variants in [`Variant::ALL`] order.
@@ -68,24 +68,6 @@ impl SuiteResults {
         self.runs.iter().map(|(_, pw)| pw.iter().map(|rs| rs.len() as u64).sum::<u64>()).sum()
     }
 
-    /// Total simulated cycles across every run of the sweep.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.runs
-            .iter()
-            .map(|(_, pw)| {
-                pw.iter().map(|rs| rs.iter().map(|r| r.cycles).sum::<u64>()).sum::<u64>()
-            })
-            .sum()
-    }
-
-    /// `(sims, cycles)` counts for throughput accounting
-    /// ([`crate::engine::timed`]).
-    #[must_use]
-    pub fn counts(&self) -> (u64, u64) {
-        (self.sims(), self.total_cycles())
-    }
-
     /// Merges every run's metric snapshot ([`RunResult::metrics`]) in
     /// canonical (attack-major, workload, variant) order. Counters sum
     /// and histograms merge bucket-wise; both are commutative, so the
@@ -110,26 +92,6 @@ impl SuiteResults {
         let vi = Variant::ALL.iter().position(|&v| v == variant).expect("known variant");
         per_workload.iter().map(|runs| f(&runs[vi])).sum()
     }
-}
-
-/// Runs the full suite (10 kernels × 8 variants × 2 attack models),
-/// serially.
-///
-/// # Errors
-///
-/// Returns the first simulation error (hang) encountered.
-pub fn run_suite(runner: &Runner) -> Result<SuiteResults, SimError> {
-    run_suite_with(runner, &JobPool::serial())
-}
-
-/// Runs the full suite across a [`JobPool`]. Results are byte-identical
-/// to [`run_suite`] at any worker count.
-///
-/// # Errors
-///
-/// Returns the canonically-first simulation error (hang) encountered.
-pub fn run_suite_with(runner: &Runner, pool: &JobPool) -> Result<SuiteResults, SimError> {
-    run_suite_on(runner, &suite(), pool)
 }
 
 /// Runs `kernels` × [`Variant::ALL`] × [`AttackModel::ALL`] through a
@@ -410,89 +372,36 @@ pub fn table3_report(results: &SuiteResults) -> String {
 // microarchitecture and attack model")
 // ----------------------------------------------------------------------
 
+/// The three variants each sensitivity sweep point simulates.
+const SENSITIVITY_VARIANTS: [Variant; 3] = [Variant::Unsafe, Variant::SttLd, Variant::Hybrid];
+
+/// The suite's highest-overhead kernel, the one the `sensitivity` binary
+/// sweeps: `hash_lookup` over a 512 KiB table, prewarmed into L3.
+#[must_use]
+pub fn sensitivity_kernel() -> Workload {
+    use sdo_workloads::kernels::hash_lookup;
+
+    Workload::new("hash_lookup", hash_lookup(1 << 16, 2000, 5))
+        .warmed(0x80_0000, (1 << 16) * 8, CacheLevel::L3)
+}
+
 /// Sweeps a core parameter and reports STT vs STT+SDO(Hybrid) overhead at
-/// each point, on the suite's highest-overhead kernel. Larger speculation
+/// each point on `kernel`, with the merged metric snapshot of every sweep
+/// run (canonical order, `--jobs`-independent). Larger speculation
 /// windows (deeper ROBs) expose more tainted transmitters, so STT's
 /// overhead grows with ROB depth while SDO's stays flat — the sweep makes
 /// the abstract's "depending on the microarchitecture" concrete.
 ///
-/// # Errors
-///
-/// Returns the first simulation error encountered.
-pub fn sensitivity_report(base: SimConfig) -> Result<String, SimError> {
-    sensitivity_report_with(base, &JobPool::serial())
-}
-
-/// [`sensitivity_report`] with the sweep points fanned out across a
-/// [`JobPool`].
+/// The runner's base configuration anchors the sweep; each point is a
+/// full [`RunRequest::config`] override, so a store-backed or
+/// server-backed [`Runner`] caches the points like any other request.
 ///
 /// # Errors
 ///
 /// Returns the canonically-first simulation error encountered.
-pub fn sensitivity_report_with(base: SimConfig, pool: &JobPool) -> Result<String, SimError> {
-    Ok(sensitivity_with_metrics(&Runner::local(base), pool)?.0)
-}
-
-/// [`sensitivity_report_with`] that also returns the merged metric
-/// snapshot of every sweep run (canonical order, `--jobs`-independent).
-/// Sweep points ride as [`RunRequest::config`] overrides, so a
-/// store-backed or server-backed [`Runner`] caches them like any other
-/// request.
-///
-/// # Errors
-///
-/// Returns the canonically-first simulation error encountered.
-pub fn sensitivity_with_metrics(
+pub fn sensitivity(
     runner: &Runner,
-    pool: &JobPool,
-) -> Result<(String, MetricsSnapshot), SimError> {
-    use sdo_workloads::kernels::hash_lookup;
-
-    let kernel = Workload::new("hash_lookup", hash_lookup(1 << 16, 2000, 5))
-        .warmed(0x80_0000, (1 << 16) * 8, CacheLevel::L3);
-    sensitivity_for_with_metrics(runner, &kernel, pool)
-}
-
-/// [`sensitivity_report`] over a caller-chosen kernel (lets tests and
-/// notebooks sweep with smaller inputs).
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered.
-pub fn sensitivity_report_for(
-    base: SimConfig,
-    kernel: &sdo_workloads::Workload,
-) -> Result<String, SimError> {
-    sensitivity_report_for_with(base, kernel, &JobPool::serial())
-}
-
-/// The three variants each sensitivity sweep point simulates.
-const SENSITIVITY_VARIANTS: [Variant; 3] = [Variant::Unsafe, Variant::SttLd, Variant::Hybrid];
-
-/// [`sensitivity_report_for`] with every `(sweep point, variant)` pair
-/// fanned out across a [`JobPool`].
-///
-/// # Errors
-///
-/// Returns the canonically-first simulation error encountered.
-pub fn sensitivity_report_for_with(
-    base: SimConfig,
-    kernel: &sdo_workloads::Workload,
-    pool: &JobPool,
-) -> Result<String, SimError> {
-    Ok(sensitivity_for_with_metrics(&Runner::local(base), kernel, pool)?.0)
-}
-
-/// [`sensitivity_report_for_with`] that also returns the merged metric
-/// snapshot of every sweep run. The runner's base configuration anchors
-/// the sweep; each point is a full [`RunRequest::config`] override.
-///
-/// # Errors
-///
-/// Returns the canonically-first simulation error encountered.
-pub fn sensitivity_for_with_metrics(
-    runner: &Runner,
-    kernel: &sdo_workloads::Workload,
+    kernel: &Workload,
     pool: &JobPool,
 ) -> Result<(String, MetricsSnapshot), SimError> {
     let base = runner.config();
@@ -596,22 +505,13 @@ pub struct PentestOutcome {
 }
 
 /// Runs the Spectre V1 attack under every variant and reads out the
-/// cache covert channel (flush+reload-style residency probe).
-///
-/// # Errors
-///
-/// Returns a [`SimError`] if any victim run hangs.
-pub fn pentest(sim: &Simulator) -> Result<Vec<PentestOutcome>, SimError> {
-    pentest_with(sim, &JobPool::serial())
-}
-
-/// [`pentest`] with each `(variant, attack)` victim run fanned out across
-/// a [`JobPool`].
+/// cache covert channel (flush+reload-style residency probe), each
+/// `(variant, attack)` victim run fanned out across a [`JobPool`].
 ///
 /// # Errors
 ///
 /// Returns the canonically-first [`SimError`] if any victim run hangs.
-pub fn pentest_with(sim: &Simulator, pool: &JobPool) -> Result<Vec<PentestOutcome>, SimError> {
+pub fn pentest(sim: &Simulator, pool: &JobPool) -> Result<Vec<PentestOutcome>, SimError> {
     let scenario = spectre_v1_victim();
     let mut jobs = Vec::new();
     for attack in AttackModel::ALL {
@@ -679,39 +579,6 @@ pub fn pentest_report(outcomes: &[PentestOutcome]) -> String {
     }
     out.push_str(&t.render());
     out
-}
-
-/// Convenience wrapper: run the sweep on a fresh simulator with `cfg` and
-/// return every report concatenated (used by the `all` binary).
-///
-/// # Errors
-///
-/// Returns the first simulation error encountered.
-pub fn full_report(cfg: SimConfig) -> Result<String, SimError> {
-    full_report_with(cfg, &JobPool::serial())
-}
-
-/// [`full_report`] with the sweep and pentest fanned out across a
-/// [`JobPool`].
-///
-/// # Errors
-///
-/// Returns the canonically-first simulation error encountered.
-pub fn full_report_with(cfg: SimConfig, pool: &JobPool) -> Result<String, SimError> {
-    let runner = Runner::local(cfg);
-    let results = run_suite_with(&runner, pool)?;
-    let mut out = String::new();
-    out.push_str(&cfg.render_table_i());
-    out.push_str("\n\n");
-    out.push_str(&Variant::render_table_ii());
-    out.push('\n');
-    out.push_str(&fig6_report(&results));
-    out.push_str(&fig7_report(&results));
-    out.push_str(&fig8_report(&results));
-    out.push_str(&table3_report(&results));
-    out.push('\n');
-    out.push_str(&pentest_report(&pentest_with(runner.simulator(), pool)?));
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -789,7 +656,8 @@ mod tests {
         // suite stays fast.
         let kernel = sdo_workloads::kernels::l1_resident(300, 1);
         let w = sdo_workloads::Workload::new("l1_resident", kernel);
-        let report = sensitivity_report_for(SimConfig::table_i(), &w).unwrap();
+        let runner = Runner::local(SimConfig::table_i());
+        let (report, _) = sensitivity(&runner, &w, &JobPool::serial()).unwrap();
         assert!(report.contains("ROB entries"));
         assert!(report.contains("MSHRs/level"));
         assert!(report.lines().count() > 12);
@@ -798,7 +666,7 @@ mod tests {
     #[test]
     fn pentest_blocks_all_protected_variants() {
         let sim = Simulator::new(SimConfig::table_i());
-        let outcomes = pentest(&sim).unwrap();
+        let outcomes = pentest(&sim, &JobPool::serial()).unwrap();
         for o in &outcomes {
             if o.variant == Variant::Unsafe {
                 assert!(o.leaked, "the insecure baseline must leak the secret");

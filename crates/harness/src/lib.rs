@@ -11,6 +11,7 @@
 //! | Figure 7 (overhead breakdown) | [`experiments::fig7_report`] | `fig7` |
 //! | Figure 8 (squashes vs time) | [`experiments::fig8_report`] | `fig8` |
 //! | Table III (precision/accuracy) | [`experiments::table3_report`] | `table3` |
+//! | Sensitivity (ROB depth, MSHRs) | [`experiments::sensitivity`] | `sensitivity` |
 //! | Penetration test (§VIII-A) | [`experiments::pentest`] | `pentest` (in `sdo-verify`) |
 //!
 //! Every simulation goes through one entry point, [`Simulator::run`],
@@ -50,7 +51,7 @@ pub mod store;
 pub mod table;
 
 pub use config::{SimConfig, Variant};
-pub use engine::{JobPool, Throughput};
+pub use engine::JobPool;
 pub use runner::Runner;
 pub use sim::{RunOutput, RunRequest, RunResult, SimError, Simulator};
 pub use store::{ResultStore, RunKey};

@@ -941,6 +941,19 @@ pub enum Request {
 }
 
 impl Request {
+    /// The id the reply echoes; `shutdown` carries none and gets no
+    /// reply.
+    #[must_use]
+    pub(crate) fn id(&self) -> Option<u64> {
+        match *self {
+            Request::Run { id, .. }
+            | Request::Grid { id, .. }
+            | Request::Stats { id }
+            | Request::Campaign { id, .. } => Some(id),
+            Request::Shutdown => None,
+        }
+    }
+
     /// Renders the message as one JSON line (no trailing newline).
     #[must_use]
     pub fn render(&self) -> String {
@@ -1136,6 +1149,19 @@ pub enum Reply {
 }
 
 impl Reply {
+    /// The echoed request id.
+    #[must_use]
+    pub(crate) fn id(&self) -> u64 {
+        match *self {
+            Reply::Result { id, .. }
+            | Reply::Grid { id, .. }
+            | Reply::Error { id, .. }
+            | Reply::Busy { id }
+            | Reply::Stats { id, .. }
+            | Reply::Campaign { id, .. } => id,
+        }
+    }
+
     /// Renders the message as one JSON line (no trailing newline).
     #[must_use]
     pub fn render(&self) -> String {
@@ -1880,6 +1906,29 @@ mod tests {
         ] {
             assert_eq!(Reply::parse(&reply.render()).unwrap(), reply);
         }
+    }
+
+    #[test]
+    fn reply_lines_match_the_documented_grammar() {
+        // DESIGN.md §13's reply block, one line per shape: no `op` key,
+        // and the key beside `id` names the shape.
+        for (reply, line) in [
+            (Reply::Busy { id: 5 }, r#"{"id":5,"busy":true}"#),
+            (Reply::Error { id: 4, message: "boom".to_string() }, r#"{"id":4,"error":"boom"}"#),
+            (
+                Reply::Stats { id: 6, hits: 1, misses: 2, entries: 3 },
+                r#"{"id":6,"stats":{"hits":1,"misses":2,"entries":3}}"#,
+            ),
+            (
+                Reply::Campaign { id: 7, passed: true, checks: 12, render: "ok\n".to_string() },
+                r#"{"id":7,"campaign":{"passed":true,"checks":12,"render":"ok\n"}}"#,
+            ),
+        ] {
+            assert_eq!(reply.render(), line);
+            assert_eq!(Reply::parse(line).unwrap().id(), reply.id());
+        }
+        assert_eq!(Request::Stats { id: 9 }.id(), Some(9));
+        assert_eq!(Request::Shutdown.id(), None);
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! submitted to a running `sdo-serve` daemon — selected by the uniform
 //! `--store` / `--server` / `--no-cache` client flags every bin exposes.
 //!
+//! Memoization has one definition, [`Executor::execute`], which the
+//! `--store` runner and the `sdo-serve` daemon both run their batches
+//! through; a parameter grid has one expansion, [`expand_grid`]; and
+//! every client talks to a daemon through one [`Connection`].
+//!
 //! Whatever the backend, a batch returns results in request order and
 //! the hit/miss counters record how many simulations were actually
 //! executed, so callers (and CI) can assert "second pass: 100% cache
@@ -10,31 +15,260 @@
 
 use crate::engine::JobPool;
 use crate::proto::{Reply, Request, BATCH_ERROR_ID};
-use crate::sim::{RunRequest, RunResult, SimError, Simulator};
+use crate::sim::{RunOutput, RunRequest, RunResult, SimError, Simulator};
 use crate::store::{ResultStore, RunKey};
 use crate::{SimConfig, Variant};
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The store-fronted batch executor: a simulator, an optional store and
+/// the hit/miss counters of everything it served.
 #[derive(Debug)]
-enum Backend {
-    /// Simulate on this process's pool, optionally memoizing into a
-    /// store.
-    Local { store: Option<ResultStore> },
-    /// Submit to an `sdo-serve` daemon over its Unix socket.
-    Server { path: String },
+pub struct Executor {
+    sim: Simulator,
+    store: Option<ResultStore>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// Where one run's outcome comes from.
+// Most runs of a batch are stored hits, so boxing the large variant
+// would buy nothing and cost an allocation per hit.
+#[allow(clippy::large_enum_variant)]
+enum Source<E> {
+    /// Served by the store (or failed before simulating).
+    Done(Result<(RunResult, bool), E>),
+    /// The fresh simulation at this position; `dup` marks an in-flight
+    /// duplicate of an earlier run with the same key.
+    Fresh { pos: usize, dup: bool },
+}
+
+impl Executor {
+    /// An executor simulating under `base`, memoizing into `store` if
+    /// there is one.
+    #[must_use]
+    pub fn new(base: SimConfig, store: Option<ResultStore>) -> Self {
+        let (hits, misses) = (AtomicU64::new(0), AtomicU64::new(0));
+        Executor { sim: Simulator::new(base), store, hits, misses }
+    }
+
+    /// The simulator requests run on.
+    #[must_use]
+    pub fn simulator(&self) -> &Simulator {
+        &self.sim
+    }
+
+    /// The store results are memoized in, if any.
+    #[must_use]
+    pub fn store(&self) -> Option<&ResultStore> {
+        self.store.as_ref()
+    }
+
+    /// Results served without simulating so far.
+    #[must_use]
+    pub fn hits(&self) -> u64 {
+        self.hits.load(Ordering::Relaxed)
+    }
+
+    /// Results actually simulated so far.
+    #[must_use]
+    pub fn misses(&self) -> u64 {
+        self.misses.load(Ordering::Relaxed)
+    }
+
+    fn tally(&self, cached: bool) {
+        let counter = if cached { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Executes one batch of `(request, no_cache)` runs and returns one
+    /// outcome per run, in run order, flagged `true` when it was served
+    /// without simulating.
+    ///
+    /// A cacheable request (one carrying no observability probe, whose
+    /// output the store cannot hold) is keyed by its [`RunKey`] and,
+    /// unless `no_cache`, looked up in the store. Equal keys in one
+    /// batch simulate once: the first is the representative, the rest
+    /// take its result as in-flight hits. `no_cache` and uncacheable
+    /// runs opt out and simulate individually. The misses run through
+    /// `simulate` on `pool`, and each fresh result is saved under its
+    /// key. A store failure is that run's outcome, as `E`.
+    pub fn execute<E>(
+        &self,
+        runs: &[(&RunRequest, bool)],
+        pool: &JobPool,
+        simulate: impl Fn(&RunRequest) -> Result<RunResult, E> + Sync,
+    ) -> Vec<Result<(RunResult, bool), E>>
+    where
+        E: From<SimError> + Clone + Send,
+    {
+        let base = *self.sim.config();
+        let mut fresh: Vec<(usize, Option<RunKey>)> = Vec::new(); // (run index, key)
+        let mut seen: HashMap<RunKey, usize> = HashMap::new(); // key → position in `fresh`
+        let sources: Vec<Source<E>> = runs
+            .iter()
+            .enumerate()
+            .map(|(j, &(req, no_cache))| {
+                let key = cacheable(req, base).then(|| RunKey::of(req, base));
+                if let (Some(key), false) = (key, no_cache) {
+                    if let Some(&pos) = seen.get(&key) {
+                        self.tally(true);
+                        return Source::Fresh { pos, dup: true };
+                    }
+                    match self.store.as_ref().map(|store| store.load(&key)) {
+                        Some(Ok(Some(result))) => {
+                            self.tally(true);
+                            return Source::Done(Ok((result, true)));
+                        }
+                        Some(Err(e)) => return Source::Done(Err(e.into())),
+                        Some(Ok(None)) | None => {
+                            seen.insert(key, fresh.len());
+                        }
+                    }
+                }
+                fresh.push((j, key));
+                Source::Fresh { pos: fresh.len() - 1, dup: false }
+            })
+            .collect();
+
+        let simulated = pool.run(&fresh, |_, &(j, _)| simulate(runs[j].0));
+        let results: Vec<Result<(RunResult, bool), E>> = simulated
+            .into_iter()
+            .zip(&fresh)
+            .map(|(outcome, (_, key))| {
+                self.tally(false);
+                let result = outcome?;
+                if let (Some(store), Some(key)) = (&self.store, key) {
+                    store.save(key, &result)?;
+                }
+                Ok((result, false))
+            })
+            .collect();
+        sources
+            .into_iter()
+            .map(|source| match source {
+                Source::Done(outcome) => outcome,
+                Source::Fresh { pos, dup } => {
+                    results[pos].clone().map(|(result, cached)| (result, cached || dup))
+                }
+            })
+            .collect()
+    }
+}
+
+/// Whether a request's result may be stored: obs-carrying results
+/// cannot be serialized (the probe stays in-process), so they simulate
+/// every time.
+fn cacheable(req: &RunRequest, base: SimConfig) -> bool {
+    !req.effective_config(base).obs.enabled()
+}
+
+/// Expands a parameter grid: every `configs` × `variants` combination of
+/// `template`, config-major and variant-minor. Each point is the
+/// template with its variant and config substituted — the request a
+/// client would send for that point alone — so its [`RunKey`] equals the
+/// per-point request's and the two share store entries.
+#[must_use]
+pub fn expand_grid(
+    template: &RunRequest,
+    configs: &[SimConfig],
+    variants: &[Variant],
+) -> Vec<RunRequest> {
+    configs
+        .iter()
+        .flat_map(|&cfg| variants.iter().map(move |&v| template.clone().variant(v).config(cfg)))
+        .collect()
+}
+
+/// A client's connection to an `sdo-serve` daemon's Unix socket.
+#[derive(Debug)]
+pub struct Connection {
+    path: String,
+    reader: BufReader<UnixStream>,
+    writer: UnixStream,
+}
+
+impl Connection {
+    /// Connects to the daemon listening at `path`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Server`] if the socket cannot be reached.
+    pub fn open(path: &str) -> Result<Self, SimError> {
+        let writer = UnixStream::connect(path)
+            .map_err(|e| SimError::Server(format!("cannot connect to {path}: {e}")))?;
+        let reader = BufReader::new(
+            writer.try_clone().map_err(|e| SimError::Server(format!("socket clone: {e}")))?,
+        );
+        Ok(Connection { path: path.to_string(), reader, writer })
+    }
+
+    /// Writes `requests` as one batch and reads its replies, returned in
+    /// request order: one per request that carries an id. A reply is
+    /// accepted only for an id sent in this batch and not yet answered.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::Server`] on I/O failure, a reply line that
+    /// does not parse, a batch-level error reply, or a reply for any
+    /// other id.
+    pub fn exchange(&mut self, requests: &[Request]) -> Result<Vec<Reply>, SimError> {
+        let path = &self.path;
+        let mut batch = String::new();
+        for request in requests {
+            batch.push_str(&request.render());
+            batch.push('\n');
+        }
+        batch.push('\n');
+        self.writer
+            .write_all(batch.as_bytes())
+            .map_err(|e| SimError::Server(format!("write to {path}: {e}")))?;
+        let ids: Vec<u64> = requests.iter().filter_map(Request::id).collect();
+        let mut replies: Vec<Option<Reply>> = vec![None; ids.len()];
+        for _ in 0..ids.len() {
+            let mut line = String::new();
+            let n = self
+                .reader
+                .read_line(&mut line)
+                .map_err(|e| SimError::Server(format!("read from {path}: {e}")))?;
+            if n == 0 {
+                return Err(SimError::Server(format!(
+                    "daemon at {path} closed the connection mid-batch"
+                )));
+            }
+            let reply = Reply::parse(line.trim_end())
+                .map_err(|e| SimError::Server(format!("bad reply line: {e}")))?;
+            if let Reply::Error { id: BATCH_ERROR_ID, message } = &reply {
+                // The daemon could not attribute the error to any
+                // request we sent, so no slot can be filled.
+                return Err(SimError::Server(format!("daemon rejected a request line: {message}")));
+            }
+            let id = reply.id();
+            match ids.iter().zip(&replies).position(|(&sent, slot)| sent == id && slot.is_none()) {
+                Some(k) => replies[k] = Some(reply),
+                None => {
+                    return Err(SimError::Server(format!(
+                        "daemon replied for id {id}, which this batch did not send \
+                         or already had answered"
+                    )))
+                }
+            }
+        }
+        Ok(replies.into_iter().flatten().collect())
+    }
 }
 
 /// Executes batches of run requests against a selectable backend. See
 /// the module docs.
 #[derive(Debug)]
 pub struct Runner {
-    sim: Simulator,
-    backend: Backend,
+    exec: Executor,
+    /// The daemon's socket, when batches are submitted rather than run
+    /// in-process.
+    server: Option<String>,
     no_cache: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl Runner {
@@ -42,13 +276,7 @@ impl Runner {
     /// in-process harness behavior.
     #[must_use]
     pub fn local(cfg: SimConfig) -> Self {
-        Runner {
-            sim: Simulator::new(cfg),
-            backend: Backend::Local { store: None },
-            no_cache: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Runner { exec: Executor::new(cfg, None), server: None, no_cache: false }
     }
 
     /// A local runner memoizing through the content-addressed store at
@@ -58,26 +286,14 @@ impl Runner {
     ///
     /// Returns [`SimError::Store`] if the store cannot be opened.
     pub fn with_store(cfg: SimConfig, dir: &str) -> Result<Self, SimError> {
-        Ok(Runner {
-            sim: Simulator::new(cfg),
-            backend: Backend::Local { store: Some(ResultStore::open(dir)?) },
-            no_cache: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        })
+        Ok(Runner { exec: Executor::new(cfg, Some(ResultStore::open(dir)?)), ..Runner::local(cfg) })
     }
 
     /// A thin client submitting every batch to the daemon listening on
     /// the Unix socket at `path`.
     #[must_use]
     pub fn server(cfg: SimConfig, path: impl Into<String>) -> Self {
-        Runner {
-            sim: Simulator::new(cfg),
-            backend: Backend::Server { path: path.into() },
-            no_cache: false,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Runner { server: Some(path.into()), ..Runner::local(cfg) }
     }
 
     /// Disables store lookups (results are still saved locally when a
@@ -92,7 +308,7 @@ impl Runner {
     /// no override.
     #[must_use]
     pub fn config(&self) -> SimConfig {
-        *self.sim.config()
+        *self.exec.sim.config()
     }
 
     /// The underlying local simulator (penetration tests and the
@@ -100,35 +316,34 @@ impl Runner {
     /// and observability, which never route through a store).
     #[must_use]
     pub fn simulator(&self) -> &Simulator {
-        &self.sim
+        &self.exec.sim
     }
 
-    /// Results served from the store (local or daemon-side) so far.
+    /// Results served from the store (local or daemon-side) or from an
+    /// in-flight duplicate so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.exec.hits()
     }
 
     /// Results actually simulated so far.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.exec.misses()
     }
 
     /// A one-line cache report for stderr, or `None` for a plain local
     /// runner (no store, no server — nothing to report).
     #[must_use]
     pub fn cache_report(&self) -> Option<String> {
-        match &self.backend {
-            Backend::Local { store: None } => None,
-            _ => {
-                let hits = self.hits();
-                let misses = self.misses();
-                let total = hits + misses;
-                let pct = if total == 0 { 0.0 } else { 100.0 * hits as f64 / total as f64 };
-                Some(format!("cache: {hits} hits, {misses} misses ({pct:.1}% cached)"))
-            }
+        if self.server.is_none() && self.exec.store.is_none() {
+            return None;
         }
+        let hits = self.hits();
+        let misses = self.misses();
+        let total = hits + misses;
+        let pct = if total == 0 { 0.0 } else { 100.0 * hits as f64 / total as f64 };
+        Some(format!("cache: {hits} hits, {misses} misses ({pct:.1}% cached)"))
     }
 
     /// Runs one request (serially).
@@ -148,8 +363,8 @@ impl Runner {
     /// (the canonical merge — byte-identical at any `--jobs`).
     ///
     /// Requests must be single-program and non-recording; multi-core and
-    /// PC-recording runs need the full [`RunOutput`](crate::RunOutput)
-    /// and go through [`Simulator::run`] directly.
+    /// PC-recording runs need the full [`RunOutput`] and go through
+    /// [`Simulator::run`] directly.
     ///
     /// # Errors
     ///
@@ -169,23 +384,38 @@ impl Runner {
             assert_eq!(req.programs.len(), 1, "Runner batches are single-program");
             assert!(!req.record, "recording runs do not route through a Runner");
         }
-        match &self.backend {
-            Backend::Local { store } => self.run_local(reqs, store.as_ref(), pool),
-            Backend::Server { path } => self.run_remote(reqs, path),
+        let simulate = |req: &RunRequest| self.exec.sim.run(req).map(RunOutput::into_result);
+        match (&self.server, &self.exec.store) {
+            (Some(path), _) => self.run_remote(reqs, path),
+            (None, Some(_)) => {
+                let runs: Vec<(&RunRequest, bool)> =
+                    reqs.iter().map(|req| (req, self.no_cache)).collect();
+                self.exec
+                    .execute(&runs, pool, simulate)
+                    .into_iter()
+                    .map(|outcome| outcome.map(|(result, _)| result))
+                    .collect()
+            }
+            // Without a store there is nothing to look up, so no key is
+            // hashed: every request simulates.
+            (None, None) => {
+                let results = pool.try_run(reqs, |_, req| simulate(req))?;
+                self.exec.misses.fetch_add(reqs.len() as u64, Ordering::Relaxed);
+                Ok(results)
+            }
         }
     }
 
     /// Runs a parameter grid — every `configs` × `variants` combination
-    /// of `template` (config-major, variant-minor) — returning one
+    /// of `template`, as [`expand_grid`] orders it — returning one
     /// result per point in that order.
     ///
     /// Against a daemon the whole grid travels as a single `grid`
-    /// request line (one round-trip, one reply line); each expanded
-    /// point carries the same [`RunKey`] as the equivalent individual
-    /// run request, so store entries are shared between the two paths.
-    /// A daemon whose queue cannot absorb the whole grid answers
-    /// `Busy`, and the client transparently falls back to submitting
-    /// the points as an ordinary batch.
+    /// request line (one round-trip, one reply line), and the daemon
+    /// expands it with the same [`expand_grid`], so store entries are
+    /// shared with per-point runs. A daemon whose queue cannot absorb
+    /// the whole grid answers `Busy`, and the client transparently falls
+    /// back to submitting the points as an ordinary batch.
     ///
     /// # Errors
     ///
@@ -204,26 +434,15 @@ impl Runner {
     ) -> Result<Vec<RunResult>, SimError> {
         assert_eq!(template.programs.len(), 1, "Runner grids are single-program");
         assert!(!template.record, "recording runs do not route through a Runner");
-        let expand = || -> Vec<RunRequest> {
-            configs
-                .iter()
-                .flat_map(|&cfg| {
-                    variants.iter().map(move |&v| template.clone().variant(v).config(cfg))
-                })
-                .collect()
-        };
-        match &self.backend {
-            Backend::Local { .. } => self.run_batch(&expand(), pool),
-            Backend::Server { path } => {
-                match self.run_grid_remote(template, configs, variants, path)? {
-                    Some(results) => Ok(results),
-                    // The daemon bounced the grid (queue too small for
-                    // its point count): per-point submission chunks
-                    // naturally through the Busy/resubmit protocol.
-                    None => self.run_batch(&expand(), pool),
-                }
+        if let Some(path) = &self.server {
+            if let Some(results) = self.run_grid_remote(template, configs, variants, path)? {
+                return Ok(results);
             }
+            // The daemon bounced the grid (queue too small for its point
+            // count): per-point submission chunks naturally through the
+            // Busy/resubmit protocol.
         }
+        self.run_batch(&expand_grid(template, configs, variants), pool)
     }
 
     /// One grid request over the socket. `Ok(None)` means the daemon
@@ -236,35 +455,15 @@ impl Runner {
         variants: &[Variant],
         path: &str,
     ) -> Result<Option<Vec<RunResult>>, SimError> {
-        let stream = UnixStream::connect(path)
-            .map_err(|e| SimError::Server(format!("cannot connect to {path}: {e}")))?;
-        let mut reader = BufReader::new(
-            stream.try_clone().map_err(|e| SimError::Server(format!("socket clone: {e}")))?,
-        );
-        let mut stream = stream;
-        let msg = Request::Grid {
+        let grid = Request::Grid {
             id: 0,
             request: template.clone(),
             configs: configs.to_vec(),
             variants: variants.to_vec(),
             no_cache: self.no_cache,
         };
-        let mut batch = msg.render();
-        batch.push_str("\n\n");
-        stream
-            .write_all(batch.as_bytes())
-            .map_err(|e| SimError::Server(format!("write to {path}: {e}")))?;
-        let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| SimError::Server(format!("read from {path}: {e}")))?;
-        if n == 0 {
-            return Err(SimError::Server(format!(
-                "daemon at {path} closed the connection mid-batch"
-            )));
-        }
-        match Reply::parse(line.trim_end()) {
-            Ok(Reply::Grid { results, .. }) => {
+        match Connection::open(path)?.exchange(&[grid])?.pop() {
+            Some(Reply::Grid { results, .. }) => {
                 let points = configs.len() * variants.len();
                 if results.len() != points {
                     return Err(SimError::Server(format!(
@@ -272,163 +471,66 @@ impl Runner {
                         results.len()
                     )));
                 }
-                let mut out = Vec::with_capacity(points);
-                for (result, cached) in results {
-                    if cached {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    out.push(result);
-                }
-                Ok(Some(out))
+                Ok(Some(
+                    results
+                        .into_iter()
+                        .map(|(result, cached)| {
+                            self.exec.tally(cached);
+                            result
+                        })
+                        .collect(),
+                ))
             }
-            Ok(Reply::Busy { .. }) => Ok(None),
-            Ok(Reply::Error { message, .. }) => Err(SimError::Server(message)),
-            Ok(other) => {
-                Err(SimError::Server(format!("unexpected reply {other:?} to a grid request")))
-            }
-            Err(e) => Err(SimError::Server(format!("bad reply line: {e}"))),
+            Some(Reply::Busy { .. }) => Ok(None),
+            Some(Reply::Error { message, .. }) => Err(SimError::Server(message)),
+            other => Err(SimError::Server(format!("unexpected reply {other:?} to a grid request"))),
         }
-    }
-
-    fn cacheable(&self, req: &RunRequest) -> bool {
-        // Obs-carrying results cannot be serialized (the probe stays
-        // in-process), so they are simulated every time.
-        !req.effective_config(self.config()).obs.enabled()
-    }
-
-    fn run_local(
-        &self,
-        reqs: &[RunRequest],
-        store: Option<&ResultStore>,
-        pool: &JobPool,
-    ) -> Result<Vec<RunResult>, SimError> {
-        let mut slots: Vec<Option<RunResult>> = vec![None; reqs.len()];
-        let mut todo: Vec<usize> = Vec::new();
-        let keys: Vec<Option<RunKey>> = reqs
-            .iter()
-            .map(|req| {
-                (store.is_some() && self.cacheable(req))
-                    .then(|| RunKey::of(req, self.config()))
-            })
-            .collect();
-        if let Some(store) = store {
-            for (i, req) in reqs.iter().enumerate() {
-                match &keys[i] {
-                    Some(key) if !self.no_cache => match store.load(key)? {
-                        Some(result) => {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                            slots[i] = Some(result);
-                        }
-                        None => todo.push(i),
-                    },
-                    _ => {
-                        let _ = req;
-                        todo.push(i);
-                    }
-                }
-            }
-        } else {
-            todo.extend(0..reqs.len());
-        }
-
-        let fresh = pool.try_run(&todo, |_, &i| {
-            self.sim.run(&reqs[i]).map(crate::RunOutput::into_result)
-        })?;
-        self.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
-        for (&i, result) in todo.iter().zip(fresh) {
-            if let (Some(store), Some(key)) = (store, &keys[i]) {
-                store.save(key, &result)?;
-            }
-            slots[i] = Some(result);
-        }
-        Ok(slots.into_iter().map(|s| s.expect("every slot filled")).collect())
     }
 
     fn run_remote(&self, reqs: &[RunRequest], path: &str) -> Result<Vec<RunResult>, SimError> {
-        let stream = UnixStream::connect(path)
-            .map_err(|e| SimError::Server(format!("cannot connect to {path}: {e}")))?;
-        let mut reader = BufReader::new(
-            stream.try_clone().map_err(|e| SimError::Server(format!("socket clone: {e}")))?,
-        );
-        let mut stream = stream;
+        let mut conn = Connection::open(path)?;
         let mut slots: Vec<Option<RunResult>> = vec![None; reqs.len()];
-        let mut first_error: Option<(u64, String)> = None;
+        let mut first_error: Option<(usize, String)> = None;
         // Submit everything; resubmit whatever the daemon bounced with
         // `Busy` (its bounded queue is the back-pressure contract) until
         // every id has a terminal reply.
         let mut pending: Vec<usize> = (0..reqs.len()).collect();
         while !pending.is_empty() {
-            let mut batch = String::new();
-            for &i in &pending {
-                // Resolve the config client-side: the daemon's base
-                // config is its own (and not ours), so a request sent
-                // with `config: None` would silently run under whatever
-                // the daemon was started with. Resolving here matches
-                // the RunKey canonicalization (the key hashes the
-                // effective config), so cache behavior is unchanged.
-                let mut request = reqs[i].clone();
-                request.config = Some(request.effective_config(self.config()));
-                let msg = Request::Run { id: i as u64, request, no_cache: self.no_cache };
-                batch.push_str(&msg.render());
-                batch.push('\n');
-            }
-            batch.push('\n');
-            stream
-                .write_all(batch.as_bytes())
-                .map_err(|e| SimError::Server(format!("write to {path}: {e}")))?;
-            let expected = pending.len();
+            let batch: Vec<Request> = pending
+                .iter()
+                .map(|&i| {
+                    // Resolve the config client-side: the daemon's base
+                    // config is its own (and not ours), so a request
+                    // sent with `config: None` would silently run under
+                    // whatever the daemon was started with. Resolving
+                    // here matches the RunKey canonicalization (the key
+                    // hashes the effective config), so cache behavior is
+                    // unchanged.
+                    let mut request = reqs[i].clone();
+                    request.config = Some(request.effective_config(self.config()));
+                    Request::Run { id: i as u64, request, no_cache: self.no_cache }
+                })
+                .collect();
             let mut bounced: Vec<usize> = Vec::new();
-            for _ in 0..expected {
-                let mut line = String::new();
-                let n = reader
-                    .read_line(&mut line)
-                    .map_err(|e| SimError::Server(format!("read from {path}: {e}")))?;
-                if n == 0 {
-                    return Err(SimError::Server(format!(
-                        "daemon at {path} closed the connection mid-batch"
-                    )));
-                }
-                match Reply::parse(line.trim_end()) {
-                    Ok(Reply::Result { id, result, cached }) => {
-                        if cached {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            self.misses.fetch_add(1, Ordering::Relaxed);
-                        }
-                        match slots.get_mut(id as usize) {
-                            Some(slot) => *slot = Some(result),
-                            None => {
-                                return Err(SimError::Server(format!(
-                                    "daemon replied for unknown id {id}"
-                                )))
-                            }
+            for (&i, reply) in pending.iter().zip(conn.exchange(&batch)?) {
+                match reply {
+                    Reply::Result { result, cached, .. } => {
+                        self.exec.tally(cached);
+                        slots[i] = Some(result);
+                    }
+                    Reply::Busy { .. } => bounced.push(i),
+                    Reply::Error { message, .. } => {
+                        if first_error.as_ref().is_none_or(|&(prev, _)| i < prev) {
+                            first_error = Some((i, message));
                         }
                     }
-                    Ok(Reply::Busy { id }) => bounced.push(id as usize),
-                    Ok(Reply::Error { id, message }) if id == BATCH_ERROR_ID => {
-                        // Batch-level: the daemon could not attribute
-                        // the error to any request we sent, so no slot
-                        // can be filled — fail the whole batch.
-                        return Err(SimError::Server(format!(
-                            "daemon rejected a request line: {message}"
-                        )));
-                    }
-                    Ok(Reply::Error { id, message }) => {
-                        if first_error.as_ref().is_none_or(|&(prev, _)| id < prev) {
-                            first_error = Some((id, message));
-                        }
-                    }
-                    Ok(other) => {
+                    other => {
                         return Err(SimError::Server(format!(
                             "unexpected reply {other:?} to a run batch"
                         )))
                     }
-                    Err(e) => return Err(SimError::Server(format!("bad reply line: {e}"))),
                 }
             }
-            bounced.sort_unstable();
             pending = bounced;
         }
         if let Some((_, message)) = first_error {
@@ -437,9 +539,7 @@ impl Runner {
         slots
             .into_iter()
             .enumerate()
-            .map(|(i, s)| {
-                s.ok_or_else(|| SimError::Server(format!("no reply for request {i}")))
-            })
+            .map(|(i, s)| s.ok_or_else(|| SimError::Server(format!("no reply for request {i}"))))
             .collect()
     }
 }
@@ -526,5 +626,48 @@ mod tests {
         // A failed run must not poison the store.
         assert!(ResultStore::open(&dir).unwrap().is_empty().unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A fake daemon on a Unix socket that answers every request line of
+    /// one connection with `reply`.
+    fn fake_daemon(tag: &str, reply: &'static str) -> (String, std::thread::JoinHandle<()>) {
+        let dir = temp_dir(tag);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = format!("{dir}/sock");
+        let listener = std::os::unix::net::UnixListener::bind(&path).unwrap();
+        let daemon = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            // The client hangs up at the first bad reply.
+            for line in BufReader::new(stream).lines().map_while(Result::ok) {
+                if !line.is_empty() && writer.write_all(reply.as_bytes()).is_err() {
+                    break;
+                }
+            }
+        });
+        (path, daemon)
+    }
+
+    #[test]
+    fn replies_for_ids_not_sent_or_already_answered_are_server_errors() {
+        let prog = l1_resident(60, 1);
+        let reqs: Vec<RunRequest> = [Variant::Unsafe, Variant::SttLd, Variant::Hybrid]
+            .iter()
+            .map(|&v| RunRequest::program(&prog).variant(v))
+            .collect();
+        for (tag, reply, id) in [
+            ("unsent", "{\"id\":999,\"busy\":true}\n", 999),
+            ("answered", "{\"id\":0,\"busy\":true}\n", 0),
+        ] {
+            let (path, daemon) = fake_daemon(tag, reply);
+            let err = Runner::server(SimConfig::tiny(), &path)
+                .run_batch(&reqs, &JobPool::serial())
+                .unwrap_err();
+            let SimError::Server(message) = &err else {
+                panic!("expected a server error, got {err:?}");
+            };
+            assert!(message.contains(&format!("replied for id {id},")), "{message}");
+            daemon.join().unwrap();
+        }
     }
 }

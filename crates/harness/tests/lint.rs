@@ -61,6 +61,7 @@ const NO_UNWRAP: &[&str] = &[
     "crates/obs/src/json.rs",
     "crates/harness/src/proto.rs",
     "crates/harness/src/store.rs",
+    "crates/harness/src/runner.rs",
     "crates/serve/src/lib.rs",
     "crates/rv32/src/loader.rs",
     "crates/analyze/src/callgraph.rs",

@@ -33,18 +33,26 @@
 //! [`std::panic::catch_unwind`] and rendered through
 //! [`sdo_harness::engine::panic_message`], the same plumbing the
 //! in-process pool uses.
+//!
+//! ## One memoization path
+//!
+//! Admitted runs, grid points included, execute through
+//! [`Executor::execute`], the executor the in-process `--store` runner
+//! uses too: store lookups, in-flight coalescing of equal keys, the
+//! misses on the warm pool, and a save for each fresh result.
 
 #![warn(missing_docs)]
 
 use sdo_harness::engine::{panic_message, JobPool};
 use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID, BATCH_PAGES};
-use sdo_harness::store::{ResultStore, RunKey};
-use sdo_harness::{RunRequest, RunResult, SimConfig, SimError, Simulator};
+use sdo_harness::runner::{expand_grid, Executor};
+use sdo_harness::store::ResultStore;
+use sdo_harness::{RunRequest, RunResult, SimConfig, SimError};
 use sdo_verify::{CampaignConfig, Checker};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -64,15 +72,13 @@ impl Default for ServeOptions {
     }
 }
 
-/// The daemon: a warm pool, an optional store, and hit/miss counters.
+/// The daemon: a warm pool and the store-fronted executor with its
+/// hit/miss counters.
 #[derive(Debug)]
 pub struct Server {
-    sim: Simulator,
-    store: Option<ResultStore>,
+    exec: Executor,
     queue: usize,
     pool: JobPool,
-    hits: AtomicU64,
-    misses: AtomicU64,
     shutdown: AtomicBool,
 }
 
@@ -89,12 +95,9 @@ impl Server {
             None => None,
         };
         Ok(Server {
-            sim: Simulator::new(opts.base),
-            store,
+            exec: Executor::new(opts.base, store),
             queue: opts.queue.max(1),
             pool,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
         })
     }
@@ -102,13 +105,13 @@ impl Server {
     /// Requests served from the store since startup.
     #[must_use]
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.exec.hits()
     }
 
     /// Requests actually simulated since startup.
     #[must_use]
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.exec.misses()
     }
 
     /// Whether a `shutdown` request has been received.
@@ -120,7 +123,7 @@ impl Server {
     /// The store the daemon serves, if any.
     #[must_use]
     pub fn store(&self) -> Option<&ResultStore> {
-        self.store.as_ref()
+        self.exec.store()
     }
 
     /// Serves one stream (stdio or an accepted socket connection) until
@@ -204,239 +207,141 @@ impl Server {
                 .and_then(Request::parse)
         });
 
-        // Queue bound: the first `queue` run requests are accepted, the
-        // rest bounced with Busy (the client resubmits them), and so is
-        // a run whose images would take the admitted ones past
-        // BATCH_PAGES pages.
-        //
         // `replies` gets exactly one entry per line — Shutdown lines
         // (which get no reply) hold a None that the final flatten drops —
-        // so `AcceptedRun.slot` can index by line number.
-        let mut accepted = 0usize;
-        let mut held_pages = 0usize;
+        // so `Admitted.slot` can index by line number. `runs` holds the
+        // admitted runs, each grid expanded into its points.
         let mut replies: Vec<Option<Reply>> = Vec::with_capacity(lines.len());
-        let mut runs: Vec<AcceptedRun> = Vec::new();
-        let mut grids: Vec<AcceptedGrid> = Vec::new();
-        for (i, req) in parsed.enumerate() {
-            match req {
+        let mut runs: Vec<(RunRequest, bool)> = Vec::new();
+        let mut admitted: Vec<Admitted> = Vec::new();
+        let mut held_pages = 0usize;
+        for (slot, req) in parsed.enumerate() {
+            let (id, request, no_cache, grid) = match req {
                 Err(message) => {
                     replies.push(Some(Reply::Error { id: BATCH_ERROR_ID, message }));
+                    continue;
                 }
-                Ok(Request::Run { id, request, no_cache }) => {
-                    let pages = image_pages(&request);
-                    if id == BATCH_ERROR_ID {
-                        replies.push(Some(Reply::Error {
-                            id: BATCH_ERROR_ID,
-                            message: format!(
-                                "request id {id} is reserved for unattributable errors"
-                            ),
-                        }));
-                    } else if let Err(message) = servable(&request) {
-                        replies.push(Some(Reply::Error { id, message }));
-                    } else if accepted >= self.queue || held_pages + pages > BATCH_PAGES {
-                        replies.push(Some(Reply::Busy { id }));
-                    } else {
-                        accepted += 1;
-                        held_pages += pages;
-                        runs.push(AcceptedRun { slot: i, id, request, no_cache, grid: None });
-                        replies.push(None); // filled after execution
-                    }
-                }
+                Ok(Request::Run { id, request, no_cache }) => (id, request, no_cache, None),
                 Ok(Request::Grid { id, request, configs, variants, no_cache }) => {
-                    let points = configs.len() * variants.len();
-                    let pages = image_pages(&request);
-                    if id == BATCH_ERROR_ID {
-                        replies.push(Some(Reply::Error {
-                            id: BATCH_ERROR_ID,
-                            message: format!(
-                                "request id {id} is reserved for unattributable errors"
-                            ),
-                        }));
-                    } else if let Err(message) = servable(&request) {
-                        replies.push(Some(Reply::Error { id, message }));
-                    } else if points == 0 {
-                        replies.push(Some(Reply::Error {
-                            id,
-                            message: "grid has no points (empty configs or variants)".to_string(),
-                        }));
-                    } else if accepted + points > self.queue || held_pages + pages > BATCH_PAGES {
-                        // The whole grid counts against the queue bound;
-                        // it is accepted or bounced atomically so a Busy
-                        // grid never half-executes. Its points share the
-                        // request's images, so they count once.
-                        replies.push(Some(Reply::Busy { id }));
-                    } else {
-                        accepted += points;
-                        held_pages += pages;
-                        // Expand config-major, variant-minor. Each point
-                        // is the same RunRequest a client would send
-                        // individually (config resolved into the
-                        // request), so its RunKey — and therefore its
-                        // store entry — is identical to the per-point
-                        // equivalent.
-                        for cfg in &configs {
-                            for &v in &variants {
-                                runs.push(AcceptedRun {
-                                    slot: i,
-                                    id,
-                                    request: request.clone().variant(v).config(*cfg),
-                                    no_cache,
-                                    grid: Some(grids.len()),
-                                });
-                            }
-                        }
-                        grids.push(AcceptedGrid { slot: i, id, points });
-                        replies.push(None); // filled after execution
-                    }
+                    (id, request, no_cache, Some((configs, variants)))
                 }
-                Ok(Request::Stats { id }) => replies.push(Some(self.stats_reply(id))),
+                Ok(Request::Stats { id }) => {
+                    replies.push(Some(self.stats_reply(id)));
+                    continue;
+                }
                 Ok(Request::Campaign { id, seed, quick, fuzz }) => {
                     replies.push(Some(self.run_campaign(id, seed, quick, fuzz)));
+                    continue;
                 }
                 Ok(Request::Shutdown) => {
                     self.shutdown.store(true, Ordering::Relaxed);
                     // No id, no reply — but the slot placeholder keeps
                     // line-number indexing sound for later run replies.
                     replies.push(None);
+                    continue;
                 }
+            };
+            let points = grid.as_ref().map(|(configs, variants)| configs.len() * variants.len());
+            let pages: usize = request.programs.iter().map(|p| p.data().pages().len()).sum();
+            if let Some(reply) = self.refusal(id, &request, points, pages, runs.len(), held_pages) {
+                replies.push(Some(reply));
+                continue;
             }
+            held_pages += pages;
+            match grid {
+                None => runs.push((request, no_cache)),
+                Some((configs, variants)) => runs.extend(
+                    expand_grid(&request, &configs, &variants)
+                        .into_iter()
+                        .map(|point| (point, no_cache)),
+                ),
+            }
+            admitted.push(Admitted { slot, id, points });
+            replies.push(None); // filled after execution
         }
 
-        // Outcomes come back aligned with `runs`: plain runs fill their
-        // reply slot directly, grid points accumulate per grid (the
-        // expansion pushed them contiguously in point order, and the
-        // alignment preserves that order).
-        let mut acc: Vec<Vec<Result<(RunResult, bool), String>>> =
-            grids.iter().map(|g| Vec::with_capacity(g.points)).collect();
-        for (run, outcome) in runs.iter().zip(self.execute_runs(&runs)) {
-            match run.grid {
-                None => {
-                    replies[run.slot] = Some(match outcome {
-                        Ok((result, cached)) => Reply::Result { id: run.id, result, cached },
-                        Err(message) => Reply::Error { id: run.id, message },
-                    });
+        // Outcomes come back in run order, so each admitted request
+        // takes the next one, or a grid the next `points`.
+        let batch: Vec<(&RunRequest, bool)> =
+            runs.iter().map(|(request, no_cache)| (request, *no_cache)).collect();
+        let mut outcomes =
+            self.exec.execute(&batch, &self.pool, |req| self.run_guarded(req)).into_iter();
+        for Admitted { slot, id, points } in admitted {
+            replies[slot] = match points {
+                // A grid is all-or-nothing, so the client can fall back
+                // cleanly: its first failing point fails it. Every point
+                // is taken first, so later requests stay aligned.
+                Some(points) => {
+                    let group: Vec<_> = (&mut outcomes).take(points).collect();
+                    Some(match group.into_iter().collect() {
+                        Ok(results) => Reply::Grid { id, results },
+                        Err(Failure(message)) => Reply::Error { id, message },
+                    })
                 }
-                Some(g) => acc[g].push(outcome),
-            }
-        }
-        for (grid, points) in grids.iter().zip(acc) {
-            let mut results = Vec::with_capacity(points.len());
-            let mut failed = None;
-            for point in points {
-                match point {
-                    Ok(pair) => results.push(pair),
-                    Err(message) => {
-                        // First failing point wins; a grid is all-or-
-                        // nothing so the client can fall back cleanly.
-                        failed = Some(message);
-                        break;
-                    }
-                }
-            }
-            replies[grid.slot] = Some(match failed {
-                Some(message) => Reply::Error { id: grid.id, message },
-                None => Reply::Grid { id: grid.id, results },
-            });
+                None => outcomes.next().map(|outcome| match outcome {
+                    Ok((result, cached)) => Reply::Result { id, result, cached },
+                    Err(Failure(message)) => Reply::Error { id, message },
+                }),
+            };
         }
         replies.into_iter().flatten().collect()
     }
 
-    /// Executes the accepted run requests of one batch: store lookups
-    /// first, then the remainder fanned out on the warm pool (each
-    /// simulation individually panic-guarded), then store writes.
-    /// Returns one result-or-error per run, aligned with `runs`.
-    fn execute_runs(&self, runs: &[AcceptedRun]) -> Vec<Result<(RunResult, bool), String>> {
-        let base = *self.sim.config();
-        let keys: Vec<Option<RunKey>> = runs
-            .iter()
-            .map(|run| cacheable(&run.request, base).then(|| RunKey::of(&run.request, base)))
-            .collect();
-
-        let mut out: Vec<Option<Result<(RunResult, bool), String>>> = vec![None; runs.len()];
-        let mut todo: Vec<usize> = Vec::new(); // indices into `runs`
-        for (j, run) in runs.iter().enumerate() {
-            match (&self.store, &keys[j]) {
-                (Some(store), Some(key)) if !run.no_cache => match store.load(key) {
-                    Ok(Some(result)) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
-                        out[j] = Some(Ok((result, true)));
-                    }
-                    Ok(None) => todo.push(j),
-                    Err(e) => out[j] = Some(Err(e.to_string())),
-                },
-                _ => todo.push(j),
-            }
+    /// The reply refusing a run request, or a grid of `points` runs,
+    /// whose images hold `pages` pages, from a batch that has admitted
+    /// `accepted` runs holding `held_pages` pages; `None` admits it. A
+    /// reserved id, an unservable request and an empty grid are errors.
+    /// Past the queue bound or [`BATCH_PAGES`] the request is `Busy`: a
+    /// grid is admitted or bounced whole, so a Busy grid never
+    /// half-executes, and its points share the request's images, so
+    /// they count once.
+    fn refusal(
+        &self,
+        id: u64,
+        request: &RunRequest,
+        points: Option<usize>,
+        pages: usize,
+        accepted: usize,
+        held_pages: usize,
+    ) -> Option<Reply> {
+        let error = |message: String| Some(Reply::Error { id, message });
+        if id == BATCH_ERROR_ID {
+            return error(format!("request id {id} is reserved for unattributable errors"));
         }
-
-        // Coalesce in-flight duplicates: requests with the same RunKey
-        // in one batch simulate once — the representative runs (and
-        // saves), the duplicates clone its result and count as hits.
-        // `--no-cache` requests opt out and simulate individually, and
-        // uncacheable requests (no key) are never coalesced.
-        let mut unique: Vec<usize> = Vec::new(); // indices into `runs`
-        let mut assign: Vec<(usize, usize)> = Vec::new(); // (runs idx, unique pos)
-        {
-            let mut seen: Vec<(&RunKey, usize)> = Vec::new();
-            for &j in &todo {
-                if let (false, Some(key)) = (runs[j].no_cache, &keys[j]) {
-                    if let Some(&(_, pos)) = seen.iter().find(|(k, _)| *k == key) {
-                        assign.push((j, pos));
-                        continue;
-                    }
-                    seen.push((key, unique.len()));
-                }
-                assign.push((j, unique.len()));
-                unique.push(j);
-            }
+        // The protocol carries exactly one result per request, so
+        // multi-core and PC-recording runs (which need the full
+        // in-process `RunOutput`) are refused rather than truncated.
+        if request.programs.len() != 1 {
+            return error(format!(
+                "multi-core requests ({} programs) are not servable; run them in-process",
+                request.programs.len()
+            ));
         }
-
-        let fresh: Vec<Result<RunResult, String>> = self
-            .pool
-            .try_run(&unique, |_, &j| {
-                Ok::<_, SimError>(self.run_guarded(&runs[j].request))
-            })
-            .expect("guarded closure never errs");
-        let mut results: Vec<Result<(RunResult, bool), String>> =
-            Vec::with_capacity(unique.len());
-        for (&j, outcome) in unique.iter().zip(fresh) {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let outcome = outcome.and_then(|result| {
-                if let (Some(store), Some(key)) = (&self.store, &keys[j]) {
-                    store.save(key, &result).map_err(|e| e.to_string())?;
-                }
-                Ok((result, false))
-            });
-            results.push(outcome);
+        if request.record {
+            return error("recording runs are not servable; run them in-process".to_string());
         }
-        for (j, pos) in assign {
-            let outcome = if unique[pos] == j {
-                results[pos].clone()
-            } else {
-                // Served from the in-flight representative, not the
-                // simulator — a hit, and flagged `cached` like one.
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                results[pos].clone().map(|(result, _)| (result, true))
-            };
-            out[j] = Some(outcome);
+        if points == Some(0) {
+            return error("grid has no points (empty configs or variants)".to_string());
         }
-        out.into_iter()
-            .map(|o| o.expect("every accepted run resolves to exactly one outcome"))
-            .collect()
+        if accepted + points.unwrap_or(1) > self.queue || held_pages + pages > BATCH_PAGES {
+            return Some(Reply::Busy { id });
+        }
+        None
     }
 
     /// One simulation with the panic boundary drawn *inside* the worker
     /// closure: a panicking run yields an `Err` here instead of
     /// unwinding across the pool and killing the daemon.
-    fn run_guarded(&self, req: &RunRequest) -> Result<RunResult, String> {
-        match catch_unwind(AssertUnwindSafe(|| self.sim.run(req))) {
+    fn run_guarded(&self, req: &RunRequest) -> Result<RunResult, Failure> {
+        match catch_unwind(AssertUnwindSafe(|| self.exec.simulator().run(req))) {
             Ok(Ok(output)) => Ok(output.into_result()),
-            Ok(Err(e)) => Err(e.to_string()),
-            Err(payload) => Err(format!("worker panicked: {}", panic_message(&*payload))),
+            Ok(Err(e)) => Err(e.into()),
+            Err(payload) => Err(Failure(format!("worker panicked: {}", panic_message(&*payload)))),
         }
     }
 
     fn stats_reply(&self, id: u64) -> Reply {
-        let entries = match &self.store {
+        let entries = match self.store() {
             Some(store) => match store.len() {
                 Ok(n) => n,
                 Err(e) => return Reply::Error { id, message: e.to_string() },
@@ -455,7 +360,7 @@ impl Server {
             fuzz_count: Some(fuzz as usize),
             variants: None,
         };
-        let checker = Checker::with_config(*self.sim.config());
+        let checker = Checker::with_config(*self.exec.simulator().config());
         let outcome =
             catch_unwind(AssertUnwindSafe(|| cfg.run(&checker, &self.pool)));
         match outcome {
@@ -474,53 +379,21 @@ impl Server {
     }
 }
 
-/// Why a run request cannot be served, if it cannot: the protocol
-/// carries exactly one result per request, so multi-core and
-/// PC-recording runs (which need the full in-process `RunOutput`) are
-/// rejected with a typed error rather than silently truncated.
-fn servable(req: &RunRequest) -> Result<(), String> {
-    if req.programs.len() != 1 {
-        return Err(format!(
-            "multi-core requests ({} programs) are not servable; run them in-process",
-            req.programs.len()
-        ));
+/// Why an admitted run failed: the text of its `error` reply.
+#[derive(Debug, Clone)]
+struct Failure(String);
+
+impl From<SimError> for Failure {
+    fn from(e: SimError) -> Self {
+        Failure(e.to_string())
     }
-    if req.record {
-        return Err("recording runs are not servable; run them in-process".to_string());
-    }
-    Ok(())
 }
 
-/// Data-image pages a request's programs hold.
-fn image_pages(req: &RunRequest) -> usize {
-    req.programs.iter().map(|p| p.data().pages().len()).sum()
-}
-
-/// Whether a request's results may be stored: obs-carrying results
-/// cannot be serialized (the probe stays in-process), so they simulate
-/// every time.
-fn cacheable(req: &RunRequest, base: SimConfig) -> bool {
-    !req.effective_config(base).obs.enabled()
-}
-
-/// A run request admitted past the queue bound, with its reply slot in
-/// the batch and its echoed id. Grid points carry the index of their
-/// [`AcceptedGrid`] so outcomes accumulate into one `Grid` reply
-/// instead of filling the slot directly.
+/// An admitted run or grid request: its reply slot in the batch, its
+/// echoed id, and for a grid its point count.
 #[derive(Debug)]
-struct AcceptedRun {
+struct Admitted {
     slot: usize,
     id: u64,
-    request: RunRequest,
-    no_cache: bool,
-    grid: Option<usize>,
-}
-
-/// An accepted grid request: one reply slot collecting `points`
-/// expanded runs.
-#[derive(Debug)]
-struct AcceptedGrid {
-    slot: usize,
-    id: u64,
-    points: usize,
+    points: Option<usize>,
 }

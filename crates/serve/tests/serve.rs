@@ -4,8 +4,10 @@
 //! requests with the daemon surviving all of them, and the socket
 //! transport driven by the `Runner` client.
 
-use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID, BATCH_PAGES};
-use sdo_harness::{JobPool, Runner, RunRequest, SimConfig, Variant};
+use sdo_harness::proto::{result_to_json, Reply, Request, BATCH_ERROR_ID, BATCH_PAGES};
+use sdo_harness::{
+    JobPool, ResultStore, RunKey, RunRequest, RunResult, Runner, SimConfig, Variant,
+};
 use sdo_serve::{ServeOptions, Server};
 use sdo_workloads::kernels::l1_resident;
 use std::io::Cursor;
@@ -582,7 +584,7 @@ fn socket_transport_serves_the_runner_client() {
 
 #[test]
 fn sensitivity_sweep_through_the_daemon_is_byte_identical() {
-    use sdo_harness::experiments::sensitivity_for_with_metrics;
+    use sdo_harness::experiments::sensitivity;
     use sdo_workloads::Workload;
 
     let dir = temp_dir("grid-sweep");
@@ -609,14 +611,14 @@ fn sensitivity_sweep_through_the_daemon_is_byte_identical() {
         let kernel = Workload::new("l1_resident", l1_resident(120, 1));
         let local = Runner::local(SimConfig::tiny());
         let (reference, ref_metrics) =
-            sensitivity_for_with_metrics(&local, &kernel, &JobPool::serial()).unwrap();
+            sensitivity(&local, &kernel, &JobPool::serial()).unwrap();
 
         // The whole sweep rides ONE grid request line: every point
         // simulates daemon-side, and the rendered report is
         // byte-identical to the in-process one.
         let client = Runner::server(SimConfig::tiny(), &sock);
         let (remote, remote_metrics) =
-            sensitivity_for_with_metrics(&client, &kernel, &JobPool::serial()).unwrap();
+            sensitivity(&client, &kernel, &JobPool::serial()).unwrap();
         assert_eq!(remote, reference, "daemon-served sensitivity report diverged");
         assert_eq!(remote_metrics.to_json(), ref_metrics.to_json());
         let points = client.hits() + client.misses();
@@ -626,7 +628,7 @@ fn sensitivity_sweep_through_the_daemon_is_byte_identical() {
         // A warm rerun is a pure cache pass: zero daemon simulations,
         // still byte-identical.
         let warm = Runner::server(SimConfig::tiny(), &sock);
-        let (rewarm, _) = sensitivity_for_with_metrics(&warm, &kernel, &JobPool::serial()).unwrap();
+        let (rewarm, _) = sensitivity(&warm, &kernel, &JobPool::serial()).unwrap();
         assert_eq!(rewarm, reference);
         assert_eq!(warm.misses(), 0, "warm sweep executed zero simulations");
         assert_eq!(warm.hits(), points);
@@ -636,4 +638,157 @@ fn sensitivity_sweep_through_the_daemon_is_byte_identical() {
         stream.write_all(format!("{}\n\n", Request::Shutdown.render()).as_bytes()).unwrap();
     });
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Run lines for `reqs`, ids in order.
+fn run_lines(reqs: &[RunRequest]) -> String {
+    let msgs: Vec<Request> = reqs
+        .iter()
+        .enumerate()
+        .map(|(i, r)| Request::Run { id: i as u64, request: r.clone(), no_cache: false })
+        .collect();
+    batch(&msgs)
+}
+
+/// The `(result, cached)` pairs of an all-result reply stream.
+fn results(replies: &[Reply]) -> Vec<(RunResult, bool)> {
+    replies
+        .iter()
+        .map(|reply| match reply {
+            Reply::Result { result, cached, .. } => (result.clone(), *cached),
+            other => panic!("expected a result, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn the_store_runner_and_the_daemon_coalesce_alike() {
+    // `--store` and the daemon run batches through one executor: equal
+    // keys in a batch simulate once and the duplicate is a hit.
+    let prog = l1_resident(120, 1);
+    let a = RunRequest::program(&prog);
+    let b = RunRequest::program(&prog).variant(Variant::Hybrid);
+    let reqs = [a.clone(), a, b];
+
+    let runner_dir = temp_dir("coalesce-runner");
+    let runner = Runner::with_store(SimConfig::tiny(), &runner_dir).unwrap();
+    let local = runner.run_batch(&reqs, &JobPool::new(2)).unwrap();
+    assert_eq!((runner.hits(), runner.misses()), (1, 2), "[a, a, b] simulates a and b once");
+    assert_eq!(ResultStore::open(&runner_dir).unwrap().len().unwrap(), 2);
+
+    let server_dir = temp_dir("coalesce-server");
+    let server = Server::new(opts(Some(server_dir.clone()), 64), JobPool::new(2)).unwrap();
+    let served = results(&drive(&server, &run_lines(&reqs)));
+    assert_eq!((server.hits(), server.misses()), (1, 2));
+    assert_eq!(served.iter().map(|(_, cached)| *cached).collect::<Vec<_>>(), [false, true, false]);
+    let served: Vec<RunResult> = served.into_iter().map(|(result, _)| result).collect();
+    assert_eq!(served, local, "both front-ends return the same results");
+    std::fs::remove_dir_all(&runner_dir).unwrap();
+    std::fs::remove_dir_all(&server_dir).unwrap();
+}
+
+#[test]
+fn a_store_filled_by_either_front_end_serves_the_other() {
+    let prog = l1_resident(120, 1);
+    let reqs: Vec<RunRequest> =
+        Variant::ALL.iter().map(|&v| RunRequest::program(&prog).variant(v)).collect();
+    let bytes = |results: &[RunResult]| -> Vec<String> {
+        results.iter().map(|r| result_to_json(r).render()).collect()
+    };
+
+    // Filled in-process, answered by the daemon: all hits, same bytes.
+    let dir = temp_dir("fill-runner");
+    let filled = Runner::with_store(SimConfig::tiny(), &dir)
+        .unwrap()
+        .run_batch(&reqs, &JobPool::new(2))
+        .unwrap();
+    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let served = results(&drive(&server, &run_lines(&reqs)));
+    assert!(served.iter().all(|(_, cached)| *cached), "every run line is a store hit");
+    assert_eq!((server.hits(), server.misses()), (reqs.len() as u64, 0));
+    let served: Vec<RunResult> = served.into_iter().map(|(result, _)| result).collect();
+    assert_eq!(bytes(&served), bytes(&filled));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // Filled by the daemon, answered in-process: all hits, same bytes.
+    let dir = temp_dir("fill-server");
+    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let served: Vec<RunResult> =
+        results(&drive(&server, &run_lines(&reqs))).into_iter().map(|(result, _)| result).collect();
+    let runner = Runner::with_store(SimConfig::tiny(), &dir).unwrap();
+    let local = runner.run_batch(&reqs, &JobPool::new(2)).unwrap();
+    assert_eq!((runner.hits(), runner.misses()), (reqs.len() as u64, 0));
+    assert_eq!(bytes(&local), bytes(&served));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn worker_panics_and_store_failures_are_typed_error_replies() {
+    let prog = l1_resident(60, 1);
+    let request = RunRequest::program(&prog);
+
+    // A panicking simulation is answered in its slot; the daemon lives.
+    let server = Server::new(opts(None, 64), JobPool::new(2)).unwrap();
+    let mut no_rob = SimConfig::tiny();
+    no_rob.core.rob_entries = 0;
+    let panicking =
+        Request::Run { id: 3, request: request.clone().config(no_rob), no_cache: false };
+    let ok = Request::Run { id: 4, request: request.clone(), no_cache: false };
+    let replies = drive(&server, &batch(&[panicking, ok]));
+    assert_eq!(
+        replies[0].render(),
+        r#"{"id":3,"error":"worker panicked: ROB capacity must be positive"}"#
+    );
+    assert!(matches!(replies[1], Reply::Result { id: 4, cached: false, .. }), "{:?}", replies[1]);
+
+    // The request's store shard is a file: the lookup fails. A dangling
+    // link: the lookup misses and the save fails.
+    let key = RunKey::of(&request, SimConfig::tiny()).hex();
+    for (tag, expected) in
+        [("load", "result store: cannot read "), ("save", "result store: cannot create ")]
+    {
+        let dir = temp_dir(&format!("store-{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let shard = std::path::Path::new(&dir).join(&key[..2]);
+        if tag == "load" {
+            std::fs::write(&shard, "").unwrap();
+        } else {
+            std::os::unix::fs::symlink(std::path::Path::new(&dir).join("missing"), &shard).unwrap();
+        }
+        let server = Server::new(opts(Some(dir.clone()), 64), JobPool::serial()).unwrap();
+        let run = Request::Run { id: 5, request: request.clone(), no_cache: false };
+        let replies = drive(&server, &batch(&[run]));
+        let Reply::Error { id: 5, message } = &replies[0] else {
+            panic!("a store failure must be a typed error, got {:?}", replies[0]);
+        };
+        assert!(message.starts_with(expected), "{message}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+#[test]
+fn a_grid_failing_at_its_first_point_leaves_later_replies_aligned() {
+    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let prog = l1_resident(60, 1);
+    let mut hang = SimConfig::tiny();
+    hang.max_cycles = 10;
+    let grid = Request::Grid {
+        id: 1,
+        request: RunRequest::program(&prog),
+        configs: vec![hang, SimConfig::tiny()],
+        variants: vec![Variant::Unsafe],
+        no_cache: false,
+    };
+    let request = RunRequest::program(&prog).variant(Variant::Hybrid);
+    let run = Request::Run { id: 2, request, no_cache: false };
+    let replies = drive(&server, &batch(&[grid, run.clone()]));
+    let Reply::Error { id: 1, message } = &replies[0] else {
+        panic!("the grid's failing point fails it, got {:?}", replies[0]);
+    };
+    assert!(message.contains("did not halt"), "{message}");
+    let Reply::Result { id: 2, result, .. } = &replies[1] else {
+        panic!("the run after the grid gets its own result, got {:?}", replies[1]);
+    };
+    let alone = drive(&Server::new(opts(None, 64), JobPool::serial()).unwrap(), &batch(&[run]));
+    assert!(matches!(&alone[0], Reply::Result { result: r, .. } if r == result));
 }

@@ -17,10 +17,9 @@
 
 use sdo_harness::cli::{parse_variant, BinSpec, CommonArgs, CsvSupport};
 use sdo_harness::proto::{Reply, Request};
+use sdo_harness::runner::Connection;
 use sdo_harness::SimConfig;
 use sdo_verify::{CampaignConfig, Checker};
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
 
 const SPEC: BinSpec = BinSpec {
     name: "verify",
@@ -86,7 +85,7 @@ fn main() {
             SPEC.usage_error("--report and --variant require a local campaign, not --server");
         }
         let reply = submit_campaign(sock, &cfg);
-        let Reply::Campaign { passed, checks, render, .. } = reply else {
+        let Some(Reply::Campaign { passed, checks, render, .. }) = reply else {
             SPEC.runtime_error(&format!("unexpected reply to a campaign request: {reply:?}"));
         };
         print!("{render}");
@@ -124,15 +123,8 @@ fn parse_fuzz(v: &str) -> usize {
 /// Submits the campaign as one protocol request over the daemon's Unix
 /// socket and returns its terminal reply. Resubmits on `Busy` (the
 /// daemon's bounded-queue back-pressure).
-fn submit_campaign(sock: &str, cfg: &CampaignConfig) -> Reply {
-    let stream = UnixStream::connect(sock)
-        .unwrap_or_else(|e| SPEC.runtime_error(&format!("cannot connect to {sock}: {e}")));
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .unwrap_or_else(|e| SPEC.runtime_error(&format!("socket clone: {e}"))),
-    );
-    let mut stream = stream;
+fn submit_campaign(sock: &str, cfg: &CampaignConfig) -> Option<Reply> {
+    let mut conn = Connection::open(sock).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
     let msg = Request::Campaign {
         id: 0,
         seed: cfg.seed,
@@ -140,21 +132,13 @@ fn submit_campaign(sock: &str, cfg: &CampaignConfig) -> Reply {
         fuzz: cfg.fuzz_total() as u64,
     };
     loop {
-        stream
-            .write_all(format!("{}\n\n", msg.render()).as_bytes())
-            .unwrap_or_else(|e| SPEC.runtime_error(&format!("write to {sock}: {e}")));
-        let mut line = String::new();
-        let n = reader
-            .read_line(&mut line)
-            .unwrap_or_else(|e| SPEC.runtime_error(&format!("read from {sock}: {e}")));
-        if n == 0 {
-            SPEC.runtime_error(&format!("daemon at {sock} closed the connection"));
-        }
-        match Reply::parse(line.trim_end()) {
-            Ok(Reply::Busy { .. }) => continue,
-            Ok(Reply::Error { message, .. }) => SPEC.runtime_error(&message),
-            Ok(reply) => return reply,
-            Err(e) => SPEC.runtime_error(&format!("bad reply line: {e}")),
+        let replies = conn
+            .exchange(std::slice::from_ref(&msg))
+            .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
+        match replies.into_iter().next() {
+            Some(Reply::Busy { .. }) => continue,
+            Some(Reply::Error { message, .. }) => SPEC.runtime_error(&message),
+            reply => return reply,
         }
     }
 }

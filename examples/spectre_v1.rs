@@ -8,7 +8,7 @@
 //! ```
 
 use sdo_sim::harness::experiments::{pentest, pentest_report};
-use sdo_sim::harness::{RunRequest, SimConfig, Simulator};
+use sdo_sim::harness::{JobPool, RunRequest, SimConfig, Simulator};
 use sdo_sim::mem::CacheLevel;
 use sdo_sim::workloads::spectre_v1_victim;
 
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let sim = Simulator::new(SimConfig::table_i());
-    let outcomes = pentest(&sim)?;
+    let outcomes = pentest(&sim, &JobPool::serial())?;
     println!("{}", pentest_report(&outcomes));
 
     // Show the receiver's view for the insecure baseline.
