@@ -17,8 +17,11 @@
 //! cache-soundness argument.
 
 use crate::config::{SimConfig, Variant};
+use crate::intern::ProgramTable;
 use crate::sim::{RunRequest, RunResult};
-use sdo_uarch::json::{obj, write_json_string, write_u64, Reader};
+use crate::store::KeyPrefix;
+use sdo_uarch::json::{obj, put_u64, write_json_string, Reader, U64_DIGITS};
+use std::fmt;
 // The JSON value and parser are the workspace's one codec,
 // `sdo_obs::json`, reached through `sdo-uarch`'s re-exports.
 pub use sdo_uarch::json::{parse_json, Json};
@@ -29,7 +32,7 @@ pub use sdo_uarch::json::{parse_json, Json};
 /// a legal request id (the daemon refuses `run` requests that claim it)
 /// and clients treat an `error` reply carrying it as batch-level.
 pub const BATCH_ERROR_ID: u64 = u64::MAX;
-use sdo_isa::{Program, MAX_PARSED_PAGES, PAGE_SHIFT};
+use sdo_isa::{DataImage, Program, MAX_PARSED_PAGES, PAGE_SHIFT};
 use sdo_mem::{
     CacheLevel, CacheParams, DramParams, MemConfig, MemStats, TlbParams,
 };
@@ -349,19 +352,51 @@ pub fn level_from_slug(slug: &str) -> Result<CacheLevel, String> {
 // The request is the one message that carries program images (up to a
 // few MB of `[addr, byte]` pairs), so it is written and read in one
 // pass, never as a `Json` tree: `write_request` streams each image
-// straight from its `Program`, and `read_request` decodes each `data`
+// straight from its `Program` into any `fmt::Write` sink — the wire
+// line, the RunKey's hash, or the daemon's comparison of a line with a
+// program it already holds — and `read_request` decodes each `data`
 // array pair by pair. Every other field is written and read as a small
 // `Json` value, decoded by the typed decoders above.
 
-/// Appends the canonical encoding of `req`, with `config` encoded in
+/// Writes the canonical encoding of `req`, with `config` encoded in
 /// place of the request's own `config` field. These bytes are both the
 /// wire form and what the [`RunKey`](crate::store::RunKey) hashes (with
 /// the effective configuration, substituted here without cloning the
-/// request).
-pub(crate) fn write_request(req: &RunRequest, config: Option<&SimConfig>, out: &mut String) {
+/// request): [`write_request_head`], then [`write_request_tail`].
+fn write_request<W: fmt::Write>(
+    req: &RunRequest,
+    config: Option<&SimConfig>,
+    out: &mut W,
+) -> fmt::Result {
+    write_request_head(req.programs.first(), out)?;
+    write_request_tail(req, config, out)
+}
+
+/// Writes the head of a request's encoding that only its first program
+/// decides: `{"programs":[` and that program.
+pub(crate) fn write_request_head<W: fmt::Write>(
+    first: Option<&Program>,
+    out: &mut W,
+) -> fmt::Result {
+    out.write_str("{\"programs\":[")?;
+    first.map_or(Ok(()), |program| write_program(program, out))
+}
+
+/// Writes the rest of a request's encoding after
+/// [`write_request_head`]: the later programs, then every other field.
+pub(crate) fn write_request_tail<W: fmt::Write>(
+    req: &RunRequest,
+    config: Option<&SimConfig>,
+    out: &mut W,
+) -> fmt::Result {
     // Exhaustive: a new RunRequest field must be added here (and thus to
     // the RunKey) before this compiles again.
     let RunRequest { programs, prewarm, variant, attack, config: _, seed, record } = req;
+    for program in programs.iter().skip(1) {
+        out.write_char(',')?;
+        write_program(program, out)?;
+    }
+    out.write_char(']')?;
     let prewarm: Vec<Json> = prewarm
         .iter()
         .map(|&(start, bytes, level)| {
@@ -372,20 +407,8 @@ pub(crate) fn write_request(req: &RunRequest, config: Option<&SimConfig>, out: &
             ])
         })
         .collect();
-    let write_programs = |out: &mut String| {
-        out.push('[');
-        for (i, program) in programs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_program(program, out);
-        }
-        out.push(']');
-    };
-    write_object(
+    write_fields(
         out,
-        Vec::new(),
-        ("programs", write_programs),
         vec![
             ("prewarm", Json::Arr(prewarm)),
             ("variant", Json::Str(variant.slug().to_string())),
@@ -394,68 +417,84 @@ pub(crate) fn write_request(req: &RunRequest, config: Option<&SimConfig>, out: &
             ("seed", Json::UInt(*seed)),
             ("record", Json::Bool(*record)),
         ],
-    );
+    )?;
+    out.write_char('}')
 }
 
-/// Appends a program as its name, disassembly text and sparse data
+/// Writes a program as its name, disassembly text and sparse data
 /// image. The round trip through [`sdo_isa::parse_asm`] is
 /// instruction-identical (pinned by `crates/workloads/tests/roundtrip.rs`),
 /// so this *is* the program's canonical byte representation.
-fn write_program(program: &Program, out: &mut String) {
-    let write_data = |out: &mut String| {
-        out.push('[');
-        for (i, (addr, byte)) in program.data().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            write_u64(addr, out);
-            out.push(',');
-            write_u64(u64::from(byte), out);
-            out.push(']');
-        }
-        out.push(']');
-    };
+fn write_program<W: fmt::Write>(program: &Program, out: &mut W) -> fmt::Result {
     write_object(
         out,
         vec![
             ("name", Json::Str(program.name().to_string())),
             ("asm", Json::Str(program.disassemble())),
         ],
-        ("data", write_data),
+        ("data", |out: &mut W| write_data(program.data(), out)),
         Vec::new(),
-    );
+    )
 }
 
-/// Appends an object: the `head` fields, then `key` with its value
-/// appended by `write`, then the `tail` fields — in that (rendered)
+/// Writes a data image as its `[addr,byte]` pairs in address order. Each
+/// pair, with the comma before it, is formatted in a stack buffer, two
+/// digits per division, and written at once.
+pub(crate) fn write_data<W: fmt::Write>(data: &DataImage, out: &mut W) -> fmt::Result {
+    // `,[` + address + `,` + byte + `]`
+    const PAIR: usize = 2 + U64_DIGITS + 1 + 3 + 1;
+    out.write_char('[')?;
+    let mut buf = [0u8; PAIR];
+    for (i, (addr, byte)) in data.iter().enumerate() {
+        buf[PAIR - 1] = b']';
+        let mut at = put_u64(u64::from(byte), &mut buf[..PAIR - 1]) - 1;
+        buf[at] = b',';
+        at = put_u64(addr, &mut buf[..at]) - 1;
+        buf[at] = b'[';
+        if i > 0 {
+            at -= 1;
+            buf[at] = b',';
+        }
+        out.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)?;
+    }
+    out.write_char(']')
+}
+
+/// Writes `,"key":value` for each field.
+fn write_fields<W: fmt::Write>(out: &mut W, fields: Vec<(&str, Json)>) -> fmt::Result {
+    for (k, v) in fields {
+        out.write_char(',')?;
+        write_json_string(k, out)?;
+        out.write_char(':')?;
+        v.write(out)?;
+    }
+    Ok(())
+}
+
+/// Writes an object: the `head` fields, then `key` with its value
+/// written by `write`, then the `tail` fields — in that (rendered)
 /// order.
-fn write_object(
-    out: &mut String,
+fn write_object<W: fmt::Write>(
+    out: &mut W,
     head: Vec<(&str, Json)>,
-    (key, write): (&str, impl FnOnce(&mut String)),
+    (key, write): (&str, impl FnOnce(&mut W) -> fmt::Result),
     tail: Vec<(&str, Json)>,
-) {
-    out.push('{');
+) -> fmt::Result {
+    out.write_char('{')?;
     for (k, v) in head {
-        write_json_string(k, out);
-        out.push(':');
-        v.write(out);
-        out.push(',');
+        write_json_string(k, out)?;
+        out.write_char(':')?;
+        v.write(out)?;
+        out.write_char(',')?;
     }
-    write_json_string(key, out);
-    out.push(':');
-    write(out);
-    for (k, v) in tail {
-        out.push(',');
-        write_json_string(k, out);
-        out.push(':');
-        v.write(out);
-    }
-    out.push('}');
+    write_json_string(key, out)?;
+    out.write_char(':')?;
+    write(out)?;
+    write_fields(out, tail)?;
+    out.write_char('}')
 }
 
-/// Appends a `run` or `grid` message: its `op` and `id`, the
+/// Writes a `run` or `grid` message: its `op` and `id`, the
 /// [`write_request`] encoding of `request`, then the `tail` fields.
 fn write_message_with_request(
     out: &mut String,
@@ -463,13 +502,13 @@ fn write_message_with_request(
     id: u64,
     request: &RunRequest,
     tail: Vec<(&str, Json)>,
-) {
+) -> fmt::Result {
     write_object(
         out,
         vec![("op", Json::Str(op.to_string())), ("id", Json::UInt(id))],
         ("request", |out: &mut String| write_request(request, request.config.as_ref(), out)),
         tail,
-    );
+    )
 }
 
 /// A value read in one pass: the outer `Result` fails on malformed
@@ -480,17 +519,32 @@ fn write_message_with_request(
 type Decoded<T> = Result<Result<T, String>, String>;
 
 /// Reads the `request` field of a message as a [`RunRequest`]. Its
-/// programs stream through [`read_program`]; every other field is read
-/// as a [`Json`] value. Unknown keys are validated and skipped, and a
+/// programs stream through [`read_program`], with `table` when the
+/// daemon decodes, and `prefix` takes the key prefix of the first one
+/// when the table held or took it; every other field is read as a
+/// [`Json`] value. Unknown keys are validated and skipped, and a
 /// repeated key keeps its first value, as [`Json::get`] does.
-fn read_request(r: &mut Reader) -> Decoded<RunRequest> {
+fn read_request(
+    r: &mut Reader,
+    mut table: Option<&mut ProgramTable>,
+    prefix: &mut Option<KeyPrefix>,
+) -> Decoded<RunRequest> {
     let mut programs = None;
     let mut pages = MAX_PARSED_PAGES;
     let mut fields = Vec::new();
     let is_object = r.object(|r, key| {
         match key.as_str() {
             "programs" if programs.is_none() => {
-                programs = Some(read_list(r, "programs", |r| read_program(r, &mut pages))?);
+                let mut first = true;
+                programs = Some(read_list(r, "programs", |r| {
+                    let program = read_program(r, &mut pages, table.as_deref_mut())?;
+                    Ok(program.map(|(program, held)| {
+                        if std::mem::take(&mut first) {
+                            *prefix = held;
+                        }
+                        program
+                    }))
+                })?);
             }
             "prewarm" | "variant" | "attack" | "config" | "seed" | "record" => {
                 fields.push((key, r.value()?));
@@ -567,32 +621,74 @@ fn read_list<T>(
 /// Reads one program object: `name` and `asm` as values, `data` pair
 /// by pair into the write list `DataImage::from_iter` takes. `pages` is
 /// what is left of the request's page budget.
-fn read_program(r: &mut Reader, pages: &mut usize) -> Decoded<Program> {
+///
+/// With a `table`, a `data` array read after the program's `name` and
+/// `asm` strings is first compared with the programs the table holds for
+/// them: on an exact match the held program is taken, and its pages are
+/// charged as its decoded writes would be. Any other program that
+/// decodes, its assembly writing no data, is interned. A held or
+/// interned program comes with its key prefix.
+fn read_program(
+    r: &mut Reader,
+    pages: &mut usize,
+    mut table: Option<&mut ProgramTable>,
+) -> Decoded<(Program, Option<KeyPrefix>)> {
     let mut data = None;
+    let mut held = None;
     let mut fields = Vec::new();
     r.object(|r, key| {
         match key.as_str() {
-            "data" if data.is_none() => data = Some(read_list(r, "data", read_pair)?),
+            "data" if data.is_none() && held.is_none() => {
+                if let (Some(table), Some(name), Some(asm)) =
+                    (table.as_deref_mut(), first_str(&fields, "name"), first_str(&fields, "asm"))
+                {
+                    held = table.recognise(r, name, asm);
+                }
+                if held.is_none() {
+                    data = Some(read_list(r, "data", read_pair)?);
+                }
+            }
             "name" | "asm" => fields.push((key, r.value()?)),
             _ => r.skip()?,
         }
         Ok(())
     })?;
-    Ok(program_from_parts(&Json::Obj(fields), data, pages))
+    if let Some((program, prefix)) = held {
+        let touched = program.data().pages().len();
+        return Ok(charge(pages, touched, program.name()).map(|()| (program, Some(prefix))));
+    }
+    let v = Json::Obj(fields);
+    Ok(program_from_parts(&v, data, pages).map(|(program, own_data)| {
+        let prefix = match (table, own_data, v.str_field("name"), v.str_field("asm")) {
+            (Some(table), false, Ok(name), Ok(asm)) => Some(table.intern(name, asm, &program)),
+            _ => None,
+        };
+        (program, prefix)
+    }))
+}
+
+/// The first value of `key` among `fields`, if it is a string.
+fn first_str<'a>(fields: &'a [(String, Json)], key: &str) -> Option<&'a str> {
+    match fields.iter().find(|(k, _)| k == key) {
+        Some((_, Json::Str(s))) => Some(s),
+        _ => None,
+    }
 }
 
 /// Assembles a program from its `name` and `asm` fields and applies its
 /// streamed data writes. The pages the writes touch are counted, and
-/// taken from `pages`, before the image allocates any of them.
+/// taken from `pages`, before the image allocates any of them. Also says
+/// whether the assembly wrote data of its own.
 fn program_from_parts(
     v: &Json,
     data: Option<Result<Vec<(u64, u8)>, String>>,
     pages: &mut usize,
-) -> Result<Program, String> {
+) -> Result<(Program, bool), String> {
     let name = v.str_field("name")?;
     let asm = v.str_field("asm")?;
     let mut program = sdo_isa::parse_asm(asm).map_err(|e| format!("program '{name}': {e}"))?;
     program.set_name(name);
+    let own_data = !program.data().is_empty();
     let writes = data.unwrap_or_else(|| Err("missing field 'data'".to_string()))?;
     // The assembly's own bytes, then the listed writes in order: built
     // into one image in one pass, the image `set_byte` would leave. The
@@ -600,13 +696,20 @@ fn program_from_parts(
     let mut writes: Vec<(u64, u8)> = program.data().iter().chain(writes).collect();
     writes.sort_by_key(|&(addr, _)| addr);
     let touched = writes.chunk_by(|a, b| a.0 >> PAGE_SHIFT == b.0 >> PAGE_SHIFT).count();
+    charge(pages, touched, name)?;
+    *program.data_mut() = writes.into_iter().collect();
+    Ok((program, own_data))
+}
+
+/// Takes the `touched` pages of program `name`'s data from what is left
+/// of its request's page budget.
+fn charge(pages: &mut usize, touched: usize, name: &str) -> Result<(), String> {
     *pages = pages.checked_sub(touched).ok_or_else(|| {
         format!(
             "program '{name}': data on {touched} pages, over the {MAX_PARSED_PAGES} a request may hold"
         )
     })?;
-    *program.data_mut() = writes.into_iter().collect();
-    Ok(program)
+    Ok(())
 }
 
 /// Reads one `[addr, byte]` data pair.
@@ -958,9 +1061,17 @@ impl Request {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        match self {
+        self.write(&mut out);
+        out
+    }
+
+    /// Appends the [`render`](Request::render)ing of the message to
+    /// `out`.
+    pub(crate) fn write(&self, out: &mut String) {
+        // Writing to a `String` cannot fail.
+        let _ = match self {
             Request::Run { id, request, no_cache } => write_message_with_request(
-                &mut out,
+                out,
                 "run",
                 *id,
                 request,
@@ -968,7 +1079,7 @@ impl Request {
             ),
             Request::Grid { id, request, configs, variants, no_cache } => {
                 write_message_with_request(
-                    &mut out,
+                    out,
                     "grid",
                     *id,
                     request,
@@ -982,11 +1093,11 @@ impl Request {
                         ),
                         ("no_cache", Json::Bool(*no_cache)),
                     ],
-                );
+                )
             }
             Request::Stats { id } => {
                 obj(vec![("op", Json::Str("stats".to_string())), ("id", Json::UInt(*id))])
-                    .write(&mut out);
+                    .write(out)
             }
             Request::Campaign { id, seed, quick, fuzz } => obj(vec![
                 ("op", Json::Str("campaign".to_string())),
@@ -995,12 +1106,9 @@ impl Request {
                 ("quick", Json::Bool(*quick)),
                 ("fuzz", Json::UInt(*fuzz)),
             ])
-            .write(&mut out),
-            Request::Shutdown => {
-                obj(vec![("op", Json::Str("shutdown".to_string()))]).write(&mut out);
-            }
-        }
-        out
+            .write(out),
+            Request::Shutdown => obj(vec![("op", Json::Str("shutdown".to_string()))]).write(out),
+        };
     }
 
     /// Parses one request line.
@@ -1020,12 +1128,40 @@ impl Request {
     /// the daemon turns this into a typed `error` reply rather than
     /// dying.
     pub fn parse(text: &str) -> Result<Request, String> {
+        Self::decode(text, None).map(|(request, _)| request)
+    }
+
+    /// Parses one request line as [`parse`](Request::parse) does, with
+    /// the daemon's `table` of programs: a program the table holds is
+    /// recognised by its `data` bytes and taken from it instead of
+    /// decoded, and a program decoded afresh is interned. Also returns
+    /// the key prefix of the request's first program when the table held
+    /// or took it, for a [`KeyPrefix::key`] that hashes only the rest of
+    /// each run.
+    ///
+    /// # Errors
+    ///
+    /// Returns exactly the error [`parse`](Request::parse) returns.
+    pub fn parse_interned(
+        text: &str,
+        table: &mut ProgramTable,
+    ) -> Result<(Request, Option<KeyPrefix>), String> {
+        Self::decode(text, Some(table))
+    }
+
+    fn decode(
+        text: &str,
+        mut table: Option<&mut ProgramTable>,
+    ) -> Result<(Request, Option<KeyPrefix>), String> {
         let mut r = Reader::new(text);
         let mut request = None;
+        let mut prefix = None;
         let mut fields = Vec::new();
         r.object(|r, key| {
             match key.as_str() {
-                "request" if request.is_none() => request = Some(read_request(r)?),
+                "request" if request.is_none() => {
+                    request = Some(read_request(r, table.as_deref_mut(), &mut prefix)?);
+                }
                 "op" | "id" | "no_cache" | "configs" | "variants" | "seed" | "quick" | "fuzz" => {
                     fields.push((key, r.value()?));
                 }
@@ -1037,7 +1173,7 @@ impl Request {
         // A line that is not an object leaves no fields: "missing field 'op'".
         let v = Json::Obj(fields);
         let request = || request.unwrap_or_else(|| Err("missing field 'request'".to_string()));
-        match v.str_field("op")? {
+        let message = match v.str_field("op")? {
             "run" => Ok(Request::Run {
                 id: v.u64_field("id")?,
                 request: request()?,
@@ -1081,7 +1217,8 @@ impl Request {
             }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown op '{other}'")),
-        }
+        };
+        message.map(|message| (message, prefix))
     }
 }
 
@@ -1463,9 +1600,9 @@ mod tests {
         }
     }
 
-    fn written(write: impl FnOnce(&mut String)) -> String {
+    fn written(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
         let mut out = String::new();
-        write(&mut out);
+        write(&mut out).unwrap();
         out
     }
 
@@ -1479,8 +1616,10 @@ mod tests {
         for asm in ["halt", ".byte 0x10 5 6\n.byte 0x20 4\nhalt"] {
             let asm_json = Json::Str(asm.to_string()).render();
             let json = format!("{{\"name\":\"t\",\"asm\":{asm_json},\"data\":[{data}]}}");
-            let decoded =
-                read_program(&mut Reader::new(&json), &mut { MAX_PARSED_PAGES }).unwrap().unwrap();
+            let (decoded, _) =
+                read_program(&mut Reader::new(&json), &mut { MAX_PARSED_PAGES }, None)
+                    .unwrap()
+                    .unwrap();
             let mut expected = sdo_isa::parse_asm(asm).unwrap().data().clone();
             for &(addr, byte) in &writes {
                 expected.set_byte(addr, byte);
@@ -1614,7 +1753,8 @@ mod tests {
             let base = random_config(&mut rng);
             let mut payload = format!("{KEY_SCHEMA}\n");
             request_to_json_with_config(&request, Some(&request.effective_config(base)))
-                .write(&mut payload);
+                .write(&mut payload)
+                .unwrap();
             let digest: String =
                 sha256(payload.as_bytes()).iter().map(|b| format!("{b:02x}")).collect();
             assert_eq!(RunKey::of(&request, base).hex(), digest, "case {case}: RunKey differs");
@@ -1786,11 +1926,32 @@ mod tests {
         }
     }
 
+    /// The runs a decoded message asks for, each grid expanded.
+    fn runs_of(message: &Request) -> Vec<RunRequest> {
+        match message {
+            Request::Run { request, .. } => vec![request.clone()],
+            Request::Grid { request, configs, variants, .. } => {
+                crate::runner::expand_grid(request, configs, variants)
+            }
+            _ => Vec::new(),
+        }
+    }
+
     #[test]
     fn mutated_lines_decode_exactly_as_the_tree_decoder_does() {
         let lines = recorded_lines();
+        // The daemon's decoder meets each mutation with the recorded
+        // lines' programs held, so every near miss of a held data array
+        // is compared with it; a long-lived table also holds what earlier
+        // mutations decoded.
+        let mut held = ProgramTable::new();
+        for line in &lines {
+            Request::parse_interned(line, &mut held).unwrap();
+        }
+        let mut long_lived = held.clone();
+        let base = SimConfig::tiny();
         let mut rng = SdoRng::seed_from_u64(0xf022_11e5);
-        let (mut accepted, mut rejected) = (0, 0);
+        let (mut accepted, mut rejected, mut taken) = (0, 0, 0);
         for case in 0..10_240 {
             // One case in 128 mutates the large line: it is 99% of the
             // bytes, and most of the test's time.
@@ -1799,25 +1960,48 @@ mod tests {
             let (mutation, bytes) = mutate(&mut rng, line);
             // The daemon answers a non-UTF-8 line before parsing it.
             let text = String::from_utf8_lossy(&bytes);
-            match (Request::parse(&text), parse_tree(&text)) {
-                (Ok(got), Ok(want)) => {
-                    assert!(got == want, "case {case} ({mutation}): decoded values differ");
+            let want = parse_tree(&text);
+            let mut table = held.clone();
+            let interned = Request::parse_interned(&text, &mut table);
+            taken += table.hits() - held.hits();
+            let lived = Request::parse_interned(&text, &mut long_lived);
+            for (decoder, got) in [
+                ("one pass", Request::parse(&text)),
+                ("interned", interned.clone().map(|(message, _)| message)),
+                ("long-lived", lived.map(|(message, _)| message)),
+            ] {
+                match (got, &want) {
+                    (Ok(got), Ok(want)) => {
+                        assert!(got == *want, "case {case} ({mutation}, {decoder}): values differ");
+                    }
+                    // The contract allows another error first only on a
+                    // line with two defects; these lines get the tree's
+                    // own error.
+                    (Err(got), Err(want)) => {
+                        assert_eq!(&got, want, "case {case} ({mutation}, {decoder})");
+                    }
+                    (got, want) => panic!(
+                        "case {case} ({mutation}): {decoder} {:?}, tree {:?}",
+                        got.err(),
+                        want.as_ref().err()
+                    ),
+                }
+            }
+            match interned {
+                Ok((message, prefix)) => {
+                    // The first program's prefix finishes every run's key.
+                    for run in runs_of(&message) {
+                        let prefix = prefix.as_ref().expect("a decoded run's program is held");
+                        assert_eq!(prefix.key(&run, base), RunKey::of(&run, base), "case {case}");
+                    }
                     accepted += 1;
                 }
-                // The contract allows another error first only on a line
-                // with two defects; these lines get the tree's own error.
-                (Err(got), Err(want)) => {
-                    assert_eq!(got, want, "case {case} ({mutation})");
-                    rejected += 1;
-                }
-                (got, want) => panic!(
-                    "case {case} ({mutation}): one pass {:?}, tree {:?}",
-                    got.err(),
-                    want.err()
-                ),
+                Err(_) => rejected += 1,
             }
         }
         assert!(accepted > 1000 && rejected > 1000, "{accepted} accepted, {rejected} rejected");
+        assert!(taken > 1000, "only {taken} lines took a held program");
+        assert!(long_lived.pages() <= MAX_PARSED_PAGES);
     }
 
     #[test]
@@ -1834,9 +2018,10 @@ mod tests {
         for w in suite() {
             let encoded = written(|out| write_program(w.program(), out));
             assert_eq!(encoded, program_to_json(w.program()).render());
-            let decoded = read_program(&mut Reader::new(&encoded), &mut { MAX_PARSED_PAGES })
-                .unwrap()
-                .unwrap();
+            let (decoded, _) =
+                read_program(&mut Reader::new(&encoded), &mut { MAX_PARSED_PAGES }, None)
+                    .unwrap()
+                    .unwrap();
             assert_eq!(decoded.name(), w.program().name());
             assert_eq!(decoded.instructions(), w.program().instructions());
             let orig: Vec<(u64, u8)> = w.program().data().iter().collect();
@@ -1855,7 +2040,7 @@ mod tests {
             .seed(7);
         let encoded = written(|out| write_request(&req, req.config.as_ref(), out));
         assert_eq!(encoded, request_to_json(&req).render());
-        assert_eq!(read_request(&mut Reader::new(&encoded)).unwrap(), Ok(req));
+        assert_eq!(read_request(&mut Reader::new(&encoded), None, &mut None).unwrap(), Ok(req));
     }
 
     #[test]

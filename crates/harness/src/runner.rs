@@ -16,7 +16,7 @@
 use crate::engine::JobPool;
 use crate::proto::{Reply, Request, BATCH_ERROR_ID};
 use crate::sim::{RunOutput, RunRequest, RunResult, SimError, Simulator};
-use crate::store::{ResultStore, RunKey};
+use crate::store::{KeyPrefix, ResultStore, RunKey};
 use crate::{SimConfig, Variant};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -83,35 +83,46 @@ impl Executor {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Executes one batch of `(request, no_cache)` runs and returns one
-    /// outcome per run, in run order, flagged `true` when it was served
-    /// without simulating.
+    /// The key `req` is memoized under, or `None` when its result cannot
+    /// be stored: a request carrying an observability probe, whose output
+    /// the store cannot hold. `prefix`, the [`KeyPrefix`] of the
+    /// request's first program when the caller holds it, saves hashing
+    /// that program again.
+    #[must_use]
+    pub fn key(&self, req: &RunRequest, prefix: Option<&KeyPrefix>) -> Option<RunKey> {
+        let base = *self.sim.config();
+        cacheable(req, base).then(|| match prefix {
+            Some(prefix) => prefix.key(req, base),
+            None => RunKey::of(req, base),
+        })
+    }
+
+    /// Executes one batch of `(request, no_cache, key)` runs, each key
+    /// from [`key`](Self::key), and returns one outcome per run, in run
+    /// order, flagged `true` when it was served without simulating.
     ///
-    /// A cacheable request (one carrying no observability probe, whose
-    /// output the store cannot hold) is keyed by its [`RunKey`] and,
-    /// unless `no_cache`, looked up in the store. Equal keys in one
-    /// batch simulate once: the first is the representative, the rest
-    /// take its result as in-flight hits. `no_cache` and uncacheable
-    /// runs opt out and simulate individually. The misses run through
-    /// `simulate` on `pool`, and each fresh result is saved under its
-    /// key. A store failure is that run's outcome, as `E`.
+    /// A run with a key is, unless `no_cache`, looked up in the store.
+    /// Equal keys in one batch simulate once: the first is the
+    /// representative, the rest take its result as in-flight hits.
+    /// `no_cache` and keyless runs opt out and simulate individually. The
+    /// misses run through `simulate` on `pool`, and each fresh result is
+    /// saved under its key. A store failure is that run's outcome, as
+    /// `E`.
     pub fn execute<E>(
         &self,
-        runs: &[(&RunRequest, bool)],
+        runs: &[(&RunRequest, bool, Option<RunKey>)],
         pool: &JobPool,
         simulate: impl Fn(&RunRequest) -> Result<RunResult, E> + Sync,
     ) -> Vec<Result<(RunResult, bool), E>>
     where
         E: From<SimError> + Clone + Send,
     {
-        let base = *self.sim.config();
         let mut fresh: Vec<(usize, Option<RunKey>)> = Vec::new(); // (run index, key)
         let mut seen: HashMap<RunKey, usize> = HashMap::new(); // key → position in `fresh`
         let sources: Vec<Source<E>> = runs
             .iter()
             .enumerate()
-            .map(|(j, &(req, no_cache))| {
-                let key = cacheable(req, base).then(|| RunKey::of(req, base));
+            .map(|(j, &(_, no_cache, key))| {
                 if let (Some(key), false) = (key, no_cache) {
                     if let Some(&pos) = seen.get(&key) {
                         self.tally(true);
@@ -218,7 +229,7 @@ impl Connection {
         let path = &self.path;
         let mut batch = String::new();
         for request in requests {
-            batch.push_str(&request.render());
+            request.write(&mut batch);
             batch.push('\n');
         }
         batch.push('\n');
@@ -388,8 +399,8 @@ impl Runner {
         match (&self.server, &self.exec.store) {
             (Some(path), _) => self.run_remote(reqs, path),
             (None, Some(_)) => {
-                let runs: Vec<(&RunRequest, bool)> =
-                    reqs.iter().map(|req| (req, self.no_cache)).collect();
+                let runs: Vec<(&RunRequest, bool, Option<RunKey>)> =
+                    reqs.iter().map(|req| (req, self.no_cache, self.exec.key(req, None))).collect();
                 self.exec
                     .execute(&runs, pool, simulate)
                     .into_iter()

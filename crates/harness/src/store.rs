@@ -18,6 +18,7 @@
 use crate::proto::{self, Json};
 use crate::sim::{RunRequest, RunResult, SimError};
 use crate::SimConfig;
+use sdo_isa::Program;
 use std::fmt;
 use std::fs;
 use std::io::Write as _;
@@ -49,24 +50,73 @@ const H0: [u32; 8] = [
 /// Computes the SHA-256 digest of `data`.
 #[must_use]
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h = H0;
-    let mut blocks = data.chunks_exact(64);
-    for block in &mut blocks {
-        compress(&mut h, block);
+    let mut hash = Sha256::new();
+    hash.update(data);
+    hash.finish()
+}
+
+/// An incremental SHA-256: the digest of everything passed to
+/// [`update`](Sha256::update), in any number of pieces. It is a
+/// [`fmt::Write`] sink, so a writer can hash what it would render
+/// without building the text, and a clone is a saved midstate.
+#[derive(Debug, Clone)]
+pub(crate) struct Sha256 {
+    h: [u32; 8],
+    /// The block being filled: its first `len % 64` bytes.
+    block: [u8; 64],
+    /// Bytes hashed so far.
+    len: u64,
+}
+
+impl Sha256 {
+    /// The state before any byte.
+    pub(crate) fn new() -> Self {
+        Sha256 { h: H0, block: [0; 64], len: 0 }
     }
-    // Pad only the tail: 0x80, zeros, 64-bit big-endian bit length —
-    // one block, or two when the length no longer fits after the tail.
-    let rest = blocks.remainder();
-    let mut tail = [0u8; 128];
-    tail[..rest.len()].copy_from_slice(rest);
-    tail[rest.len()] = 0x80;
-    let end = if rest.len() < 56 { 64 } else { 128 };
-    let bit_len = (data.len() as u64).wrapping_mul(8);
-    tail[end - 8..end].copy_from_slice(&bit_len.to_be_bytes());
-    for block in tail[..end].chunks_exact(64) {
-        compress(&mut h, block);
+
+    /// Hashes `data` after everything hashed so far.
+    pub(crate) fn update(&mut self, mut data: &[u8]) {
+        let filled = (self.len % 64) as usize;
+        self.len = self.len.wrapping_add(data.len() as u64);
+        if filled > 0 {
+            let take = data.len().min(64 - filled);
+            self.block[filled..filled + take].copy_from_slice(&data[..take]);
+            if filled + take < 64 {
+                return;
+            }
+            compress(&mut self.h, &self.block);
+            data = &data[take..];
+        }
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.h, block);
+        }
+        let rest = blocks.remainder();
+        self.block[..rest.len()].copy_from_slice(rest);
     }
-    digest_bytes(&h)
+
+    /// The digest of everything hashed.
+    pub(crate) fn finish(mut self) -> [u8; 32] {
+        // Pad only the tail: 0x80, zeros, 64-bit big-endian bit length —
+        // one block, or two when the length no longer fits after the tail.
+        let filled = (self.len % 64) as usize;
+        let mut tail = [0u8; 128];
+        tail[..filled].copy_from_slice(&self.block[..filled]);
+        tail[filled] = 0x80;
+        let end = if filled < 56 { 64 } else { 128 };
+        tail[end - 8..end].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        for block in tail[..end].chunks_exact(64) {
+            compress(&mut self.h, block);
+        }
+        digest_bytes(&self.h)
+    }
+}
+
+impl fmt::Write for Sha256 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 fn digest_bytes(h: &[u32; 8]) -> [u8; 32] {
@@ -135,7 +185,8 @@ fn compress(h: &mut [u32; 8], block: &[u8]) {
 /// request encoding with the configuration fully resolved (the
 /// simulator's base configuration is substituted in before hashing, so a
 /// request with no override and one overriding to the same configuration
-/// hash identically — they *are* the same simulation).
+/// hash identically — they *are* the same simulation). The payload is
+/// hashed as it is written, a [`KeyPrefix`] and then the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunKey([u8; 32]);
 
@@ -144,11 +195,7 @@ impl RunKey {
     /// with `base`.
     #[must_use]
     pub fn of(req: &RunRequest, base: SimConfig) -> RunKey {
-        let config = req.effective_config(base);
-        let mut payload = String::from(KEY_SCHEMA);
-        payload.push('\n');
-        proto::write_request(req, Some(&config), &mut payload);
-        RunKey(sha256(payload.as_bytes()))
+        KeyPrefix::of(req.programs.first()).key(req, base)
     }
 
     /// The key as 64 lowercase hex digits.
@@ -167,6 +214,39 @@ impl RunKey {
 impl fmt::Display for RunKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.hex())
+    }
+}
+
+/// The hash state after the part of a [`RunKey`]'s payload that only the
+/// request's first program decides, `sdo-runkey-v1\n{"programs":[` and
+/// that program's canonical encoding. Every key of a request starting
+/// with that program continues from it, so a daemon that keeps the state
+/// hashes only the rest of each request (about 1 KB), however large the
+/// program's image.
+#[derive(Debug, Clone)]
+pub struct KeyPrefix(Sha256);
+
+impl KeyPrefix {
+    /// The state after the key payload's head for a request whose first
+    /// program is `first` (`None`: a request with no programs).
+    #[must_use]
+    pub fn of(first: Option<&Program>) -> KeyPrefix {
+        let mut hash = Sha256::new();
+        hash.update(KEY_SCHEMA.as_bytes());
+        hash.update(b"\n");
+        // Hashing cannot fail.
+        let _ = proto::write_request_head(first, &mut hash);
+        KeyPrefix(hash)
+    }
+
+    /// The key of `req` as executed by a simulator configured with
+    /// `base`. The prefix must be the one of `req`'s first program: the
+    /// key hashes the rest of `req` after it, whatever it was made of.
+    #[must_use]
+    pub fn key(&self, req: &RunRequest, base: SimConfig) -> RunKey {
+        let mut hash = self.0.clone();
+        let _ = proto::write_request_tail(req, Some(&req.effective_config(base)), &mut hash);
+        RunKey(hash.finish())
     }
 }
 
@@ -400,6 +480,49 @@ mod tests {
         for len in [1 << 20, (1 << 20) + 57] {
             assert_eq!(sha256(&data[..len]), sha256_reference(&data[..len]), "length {len}");
         }
+    }
+
+    #[test]
+    fn incremental_hash_matches_the_reference_at_every_split() {
+        let data: Vec<u8> =
+            (0..(1u32 << 20) + 57).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+        let split_at = |data: &[u8], cuts: &[usize]| {
+            let mut hash = Sha256::new();
+            let mut from = 0;
+            for &cut in cuts.iter().chain([&data.len()]) {
+                hash.update(&data[from..cut]);
+                from = cut;
+            }
+            hash.finish()
+        };
+        for len in 0..=200 {
+            let want = sha256_reference(&data[..len]);
+            for cut in 0..=len {
+                assert_eq!(split_at(&data[..len], &[cut]), want, "length {len}, cut at {cut}");
+            }
+        }
+        // The 1 MiB + 57 input: cut at the edges of its first, middle and
+        // last blocks, and into pieces of every length from 1 to 129 in
+        // turn, which start and end at every offset within a block.
+        let want = sha256_reference(&data);
+        let len = data.len();
+        for cut in [1, 55, 56, 63, 64, 65, 119, 120, 128, len / 2, len - 65, len - 57, len - 1] {
+            assert_eq!(split_at(&data, &[cut]), want, "cut at {cut}");
+        }
+        let mut cuts = Vec::new();
+        let mut at = 0;
+        for piece in (1..=129).cycle() {
+            at += piece;
+            if at >= len {
+                break;
+            }
+            cuts.push(at);
+        }
+        assert_eq!(split_at(&data, &cuts), want, "{} pieces", cuts.len() + 1);
+        // Writing through `fmt::Write` hashes the same bytes.
+        let mut text = Sha256::new();
+        fmt::Write::write_str(&mut text, "abc").unwrap();
+        assert_eq!(text.finish(), sha256(b"abc"));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //!   in the hot-path modules (`uarch::core`, `mem::cache`,
 //!   `mem::mshr`, `mem::backing`, `mem::tlb`) and the outside-input
 //!   ones (`isa::program`, which builds images from wire data,
-//!   `obs::json`, `harness::proto`, `harness::store`, `serve`,
-//!   `rv32::loader`, and the analyzer modules `analyze --scan` runs
-//!   over an outside image). A
+//!   `obs::json`, `harness::proto`, `harness::store`,
+//!   `harness::intern`, which holds programs decoded from wire lines,
+//!   `serve`, `rv32::loader`, and the analyzer modules `analyze --scan`
+//!   runs over an outside image). A
 //!   panic in the cycle loop takes down a whole campaign, and one on a
 //!   client's line takes down the daemon; recoverable paths must return
 //!   errors.
@@ -61,6 +62,7 @@ const NO_UNWRAP: &[&str] = &[
     "crates/obs/src/json.rs",
     "crates/harness/src/proto.rs",
     "crates/harness/src/store.rs",
+    "crates/harness/src/intern.rs",
     "crates/harness/src/runner.rs",
     "crates/serve/src/lib.rs",
     "crates/rv32/src/loader.rs",

@@ -5,9 +5,11 @@
 //! building a whole [`Json`] tree. A decoder for a large message (the
 //! `sdo-serve` request with its program images) walks the reader
 //! directly and builds its typed value in one pass, and a writer for
-//! one appends to a `String` with [`write_json_string`] and
-//! [`write_u64`]. The reader keeps the tree parser's grammar, nesting
-//! bound and error texts; the writers produce the tree writer's bytes.
+//! one writes to any [`fmt::Write`] sink with [`write_json_string`] and
+//! [`write_u64`]: a `String`, a hash, or the comparison
+//! [`Reader::skip_if_rendered`] runs against the text ahead. The reader
+//! keeps the tree parser's grammar, nesting bound and error texts; the
+//! writers produce the tree writer's bytes.
 //!
 //! Every JSON format the reproduction reads back goes through it — the
 //! `sdo-serve` wire protocol and result store, the
@@ -23,6 +25,8 @@
 //! The writer is deterministic — objects keep insertion order, strings
 //! escape `"`, `\` and every control character — so equal values render
 //! to equal bytes and a rendered value is always exactly one line.
+
+use std::fmt;
 
 /// A parsed JSON value. Numbers are unsigned 64-bit integers only (see
 /// the module docs for why floats are rejected).
@@ -48,38 +52,43 @@ impl Json {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        // Writing to a `String` cannot fail.
+        let _ = self.write(&mut out);
         out
     }
 
-    /// Appends the [`render`](Json::render)ing of the value to `out`.
-    pub fn write(&self, out: &mut String) {
+    /// Writes the [`render`](Json::render)ing of the value to `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `out` returns.
+    pub fn write<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::UInt(n) => write_u64(*n, out),
             Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
-                out.push('[');
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    item.write(out);
+                    item.write(out)?;
                 }
-                out.push(']');
+                out.write_char(']')
             }
             Json::Obj(pairs) => {
-                out.push('{');
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.write_char(',')?;
                     }
-                    write_json_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                    write_json_string(k, out)?;
+                    out.write_char(':')?;
+                    v.write(out)?;
                 }
-                out.push('}');
+                out.write_char('}')
             }
         }
     }
@@ -159,40 +168,85 @@ impl Json {
     }
 }
 
-/// Appends `n` in decimal, formatted in a stack buffer.
-pub fn write_u64(mut n: u64, out: &mut String) {
-    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
-    let mut start = digits.len();
-    loop {
-        start -= 1;
-        digits[start] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+/// The most decimal digits a `u64` has (`u64::MAX` has 20).
+pub const U64_DIGITS: usize = 20;
+
+/// `"00"` through `"99"`: two digits per division when formatting.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Formats `n` in decimal at the end of `buf` and returns the index its
+/// first digit is at. `buf` must have room for [`U64_DIGITS`] digits,
+/// or for as many as `n` has.
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than `n`'s decimal digits.
+pub fn put_u64(mut n: u64, buf: &mut [u8]) -> usize {
+    let mut at = buf.len();
+    while n >= 100 {
+        let pair = 2 * (n % 100) as usize;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+    if n >= 10 {
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[2 * n as usize..2 * n as usize + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    at
 }
 
-/// Appends `s` as a JSON string: `"`, `\` and control characters are
+/// Writes `n` in decimal, formatted in a stack buffer and written at once.
+///
+/// # Errors
+///
+/// Returns the error `out` returns.
+pub fn write_u64<W: fmt::Write + ?Sized>(n: u64, out: &mut W) -> fmt::Result {
+    let mut digits = [0u8; U64_DIGITS];
+    let start = put_u64(n, &mut digits);
+    out.write_str(std::str::from_utf8(&digits[start..]).map_err(|_| fmt::Error)?)
+}
+
+/// Writes `s` as a JSON string: `"`, `\` and control characters are
 /// escaped, everything else (multi-byte characters included) is written
-/// as raw UTF-8.
-pub fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// as raw UTF-8, each run between escapes in one write.
+///
+/// # Errors
+///
+/// Returns the first error `out` returns.
+pub fn write_json_string<W: fmt::Write + ?Sized>(s: &str, out: &mut W) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    // Every byte that needs an escape is ASCII, so each split below
+    // falls on a character boundary.
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..0x20 => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        run = i + 1;
+        if escape.is_empty() {
+            write!(out, "\\u{b:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// Parses one JSON value from `input` (trailing whitespace allowed,
@@ -357,6 +411,33 @@ impl<'a> Reader<'a> {
         } else {
             self.skip().map(|()| false)
         }
+    }
+
+    /// Skips the next value if `write` writes exactly its bytes, and
+    /// says whether it did; if not, nothing is consumed. This lets a
+    /// decoder that already holds a value recognise it in the text by its
+    /// rendering instead of decoding it again.
+    ///
+    /// `write` must write one whole value as [`Json::write`] renders it,
+    /// with containers nested at most `depth` deep: the reader takes the
+    /// bytes it matched as read without checking them again. Where the
+    /// nesting bound would reject a value that deep, nothing is matched,
+    /// so reading the value normally reports the error.
+    pub fn skip_if_rendered(
+        &mut self,
+        depth: usize,
+        write: impl FnOnce(&mut Expect<'_>) -> fmt::Result,
+    ) -> bool {
+        if self.depth + depth > MAX_DEPTH {
+            return false;
+        }
+        self.skip_ws();
+        let mut expect = Expect { ahead: &self.bytes[self.pos..], matched: 0 };
+        if write(&mut expect).is_err() {
+            return false;
+        }
+        self.pos += expect.matched;
+        true
     }
 
     fn skip_ws(&mut self) {
@@ -552,6 +633,26 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The [`fmt::Write`] sink [`Reader::skip_if_rendered`] hands its
+/// writer: each write must equal the text ahead, or it fails.
+#[derive(Debug)]
+pub struct Expect<'a> {
+    ahead: &'a [u8],
+    /// Bytes of `ahead` matched so far.
+    matched: usize,
+}
+
+impl fmt::Write for Expect<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.matched + s.len();
+        if self.ahead.get(self.matched..end) != Some(s.as_bytes()) {
+            return Err(fmt::Error);
+        }
+        self.matched = end;
+        Ok(())
+    }
+}
+
 /// The four hex digits at `start`, exactly: no sign, no shorter run.
 fn hex4(bytes: &[u8], start: usize) -> Result<u32, String> {
     let digits = bytes.get(start..start + 4).ok_or_else(|| "truncated \\u escape".to_string())?;
@@ -572,6 +673,7 @@ pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write as _;
 
     #[test]
     fn json_round_trips_values() {
@@ -599,13 +701,13 @@ mod tests {
         ];
         for s in cases {
             let mut text = String::new();
-            write_json_string(s, &mut text);
+            write_json_string(s, &mut text).unwrap();
             assert_eq!(parse_json(&text).unwrap(), Json::Str(s.to_string()), "{text}");
         }
         // The escapes themselves are pinned: stored entries and RunKeys
         // hash these bytes.
         let mut text = String::new();
-        write_json_string("a\"b\\c\nd\re\tf\u{1}g\u{1f}é🙂", &mut text);
+        write_json_string("a\"b\\c\nd\re\tf\u{1}g\u{1f}é🙂", &mut text).unwrap();
         assert_eq!(text, "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001g\\u001fé🙂\"");
         // Escapes the writer never emits still decode.
         assert_eq!(
@@ -737,6 +839,66 @@ mod tests {
         for t in &cases {
             assert_eq!(skipped(t).err(), parse_json(t).err(), "{t}");
         }
+    }
+
+    #[test]
+    fn digits_are_formatted_two_at_a_time_exactly() {
+        let mut n = 1u64;
+        let mut cases = vec![0, u64::MAX];
+        while let Some(next) = n.checked_mul(10) {
+            cases.extend([n - 1, n, n + 1, 2 * n]);
+            n = next;
+        }
+        for n in cases {
+            let mut buf = [0u8; U64_DIGITS];
+            let start = put_u64(n, &mut buf);
+            assert_eq!(&buf[start..], n.to_string().as_bytes());
+            // A buffer exactly as long as the digits is enough.
+            let mut tight = vec![0u8; U64_DIGITS - start];
+            assert_eq!(put_u64(n, &mut tight), 0);
+        }
+    }
+
+    #[test]
+    fn skip_if_rendered_consumes_exactly_a_matching_value() {
+        let value = Json::Arr(vec![
+            Json::Arr(vec![Json::UInt(4096), Json::UInt(7)]),
+            Json::Arr(vec![Json::UInt(4097), Json::UInt(255)]),
+        ]);
+        let text = format!("{{\"data\": {},\"k\":1}}", value.render());
+        let walk = |candidate: &Json| {
+            let mut r = Reader::new(&text);
+            let mut matched = None;
+            r.object(|r, key| {
+                if key == "data" {
+                    matched = Some(r.skip_if_rendered(2, |out| candidate.write(out)));
+                    if matched == Some(false) {
+                        r.skip()?;
+                    }
+                } else {
+                    r.skip()?;
+                }
+                Ok(())
+            })
+            .unwrap();
+            r.finish().unwrap();
+            matched.unwrap()
+        };
+        assert!(walk(&value));
+        // A prefix, a longer value and a different byte consume nothing.
+        let Json::Arr(pairs) = &value else { unreachable!() };
+        for other in [
+            Json::Arr(pairs[..1].to_vec()),
+            Json::Arr([pairs.clone(), pairs.clone()].concat()),
+            Json::Arr(vec![pairs[0].clone(), Json::Arr(vec![Json::UInt(4097), Json::UInt(25)])]),
+        ] {
+            assert!(!walk(&other), "{}", other.render());
+        }
+        // Past the nesting bound nothing matches, so reading reports it.
+        let mut r = Reader::new("[[1,2]]");
+        r.depth = MAX_DEPTH - 1;
+        assert!(!r.skip_if_rendered(2, |out| out.write_str("[[1,2]]")));
+        assert!(r.skip().unwrap_err().contains("nesting deeper"));
     }
 
     #[test]

@@ -40,19 +40,36 @@
 //! [`Executor::execute`], the executor the in-process `--store` runner
 //! uses too: store lookups, in-flight coalescing of equal keys, the
 //! misses on the warm pool, and a save for each fresh result.
+//!
+//! ## Each distinct program decoded and hashed once
+//!
+//! The daemon keeps a bounded [`ProgramTable`] of the programs it
+//! decoded, each with the key prefix of its canonical encoding, and
+//! parses lines with [`Request::parse_interned`]. A line repeating a
+//! held program's `data` bytes takes the held program without decoding
+//! them, and its keys are finished from the held prefix over the rest of
+//! the request, so a repeated image costs one byte comparison instead of
+//! a decode and a hash. Every reply, store entry and key is the one a
+//! fresh daemon would produce.
 
 #![warn(missing_docs)]
 
 use sdo_harness::engine::{panic_message, JobPool};
+use sdo_harness::intern::ProgramTable;
 use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID, BATCH_PAGES};
 use sdo_harness::runner::{expand_grid, Executor};
-use sdo_harness::store::ResultStore;
+use sdo_harness::store::{ResultStore, RunKey};
 use sdo_harness::{RunRequest, RunResult, SimConfig, SimError};
 use sdo_verify::{CampaignConfig, Checker};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard};
+
+/// Bytes a socket connection is read in: a large request line (a
+/// 1 MiB image is a 1.3 MB line) arrives in a few dozen reads.
+const SOCKET_READ_BYTES: usize = 64 << 10;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -72,14 +89,15 @@ impl Default for ServeOptions {
     }
 }
 
-/// The daemon: a warm pool and the store-fronted executor with its
-/// hit/miss counters.
+/// The daemon: a warm pool, the store-fronted executor with its
+/// hit/miss counters, and the table of programs it decoded.
 #[derive(Debug)]
 pub struct Server {
     exec: Executor,
     queue: usize,
     pool: JobPool,
     shutdown: AtomicBool,
+    programs: Mutex<ProgramTable>,
 }
 
 impl Server {
@@ -99,6 +117,7 @@ impl Server {
             queue: opts.queue.max(1),
             pool,
             shutdown: AtomicBool::new(false),
+            programs: Mutex::new(ProgramTable::new()),
         })
     }
 
@@ -156,10 +175,13 @@ impl Server {
                 lines.push(line);
             }
             if !lines.is_empty() {
+                // One write per batch: the socket is unbuffered.
+                let mut replies = String::new();
                 for reply in self.handle_batch(&lines) {
-                    writer.write_all(reply.render().as_bytes())?;
-                    writer.write_all(b"\n")?;
+                    replies.push_str(&reply.render());
+                    replies.push('\n');
                 }
+                writer.write_all(replies.as_bytes())?;
                 writer.flush()?;
             }
             if eof || self.shutting_down() {
@@ -180,7 +202,7 @@ impl Server {
         let listener = UnixListener::bind(path)?;
         for conn in listener.incoming() {
             let stream = conn?;
-            let reader = BufReader::new(stream.try_clone()?);
+            let reader = BufReader::with_capacity(SOCKET_READ_BYTES, stream.try_clone()?);
             if let Err(e) = self.serve(reader, &stream) {
                 eprintln!("serve: connection error: {e}");
             }
@@ -200,40 +222,43 @@ impl Server {
     pub fn handle_batch<L: AsRef<[u8]>>(&self, lines: &[L]) -> Vec<Reply> {
         // Each line is parsed when its turn comes, so a line answered
         // here (an error, Busy) drops its program images at once; only
-        // admitted runs keep theirs.
+        // admitted runs keep theirs (the table shares them).
         let parsed = lines.iter().map(|line| {
             std::str::from_utf8(line.as_ref())
                 .map_err(|e| format!("invalid UTF-8 at byte {}", e.valid_up_to()))
-                .and_then(Request::parse)
+                .and_then(|text| Request::parse_interned(text, &mut self.programs()))
         });
 
         // `replies` gets exactly one entry per line — Shutdown lines
         // (which get no reply) hold a None that the final flatten drops —
         // so `Admitted.slot` can index by line number. `runs` holds the
-        // admitted runs, each grid expanded into its points.
+        // admitted runs, each grid expanded into its points, with their
+        // keys.
         let mut replies: Vec<Option<Reply>> = Vec::with_capacity(lines.len());
-        let mut runs: Vec<(RunRequest, bool)> = Vec::new();
+        let mut runs: Vec<(RunRequest, bool, Option<RunKey>)> = Vec::new();
         let mut admitted: Vec<Admitted> = Vec::new();
         let mut held_pages = 0usize;
         for (slot, req) in parsed.enumerate() {
-            let (id, request, no_cache, grid) = match req {
+            let (id, request, no_cache, grid, prefix) = match req {
                 Err(message) => {
                     replies.push(Some(Reply::Error { id: BATCH_ERROR_ID, message }));
                     continue;
                 }
-                Ok(Request::Run { id, request, no_cache }) => (id, request, no_cache, None),
-                Ok(Request::Grid { id, request, configs, variants, no_cache }) => {
-                    (id, request, no_cache, Some((configs, variants)))
+                Ok((Request::Run { id, request, no_cache }, prefix)) => {
+                    (id, request, no_cache, None, prefix)
                 }
-                Ok(Request::Stats { id }) => {
+                Ok((Request::Grid { id, request, configs, variants, no_cache }, prefix)) => {
+                    (id, request, no_cache, Some((configs, variants)), prefix)
+                }
+                Ok((Request::Stats { id }, _)) => {
                     replies.push(Some(self.stats_reply(id)));
                     continue;
                 }
-                Ok(Request::Campaign { id, seed, quick, fuzz }) => {
+                Ok((Request::Campaign { id, seed, quick, fuzz }, _)) => {
                     replies.push(Some(self.run_campaign(id, seed, quick, fuzz)));
                     continue;
                 }
-                Ok(Request::Shutdown) => {
+                Ok((Request::Shutdown, _)) => {
                     self.shutdown.store(true, Ordering::Relaxed);
                     // No id, no reply — but the slot placeholder keeps
                     // line-number indexing sound for later run replies.
@@ -248,22 +273,22 @@ impl Server {
                 continue;
             }
             held_pages += pages;
-            match grid {
-                None => runs.push((request, no_cache)),
-                Some((configs, variants)) => runs.extend(
-                    expand_grid(&request, &configs, &variants)
-                        .into_iter()
-                        .map(|point| (point, no_cache)),
-                ),
-            }
+            let expanded = match grid {
+                None => vec![request],
+                Some((configs, variants)) => expand_grid(&request, &configs, &variants),
+            };
+            runs.extend(expanded.into_iter().map(|run| {
+                let key = self.exec.key(&run, prefix.as_ref());
+                (run, no_cache, key)
+            }));
             admitted.push(Admitted { slot, id, points });
             replies.push(None); // filled after execution
         }
 
         // Outcomes come back in run order, so each admitted request
         // takes the next one, or a grid the next `points`.
-        let batch: Vec<(&RunRequest, bool)> =
-            runs.iter().map(|(request, no_cache)| (request, *no_cache)).collect();
+        let batch: Vec<(&RunRequest, bool, Option<RunKey>)> =
+            runs.iter().map(|(request, no_cache, key)| (request, *no_cache, *key)).collect();
         let mut outcomes =
             self.exec.execute(&batch, &self.pool, |req| self.run_guarded(req)).into_iter();
         for Admitted { slot, id, points } in admitted {
@@ -327,6 +352,18 @@ impl Server {
             return Some(Reply::Busy { id });
         }
         None
+    }
+
+    /// The program table. A thread that panicked while holding it may
+    /// have left it half-updated, so it is then emptied, which is always
+    /// a valid table.
+    fn programs(&self) -> MutexGuard<'_, ProgramTable> {
+        self.programs.lock().unwrap_or_else(|poisoned| {
+            self.programs.clear_poison();
+            let mut table = poisoned.into_inner();
+            *table = ProgramTable::new();
+            table
+        })
     }
 
     /// One simulation with the panic boundary drawn *inside* the worker

@@ -792,3 +792,117 @@ fn a_grid_failing_at_its_first_point_leaves_later_replies_aligned() {
     let alone = drive(&Server::new(opts(None, 64), JobPool::serial()).unwrap(), &batch(&[run]));
     assert!(matches!(&alone[0], Reply::Result { result: r, .. } if r == result));
 }
+
+/// Spellings of a canonical `run` or `grid` line that decode to the same
+/// message, the canonical line last: whitespace in and around the data
+/// array, its pairs reversed with one written twice, the program's name
+/// with a `\u` escape, and the data before the name.
+fn spellings(line: &str) -> Vec<String> {
+    let at = line.find("\"data\":[").expect("a run line carries data") + "\"data\":".len();
+    let end = at + line[at..].find("}]").expect("the program object ends");
+    let (head, data, tail) = (&line[..at - "\"data\":".len()], &line[at..end], &line[end..]);
+    let pairs = sdo_harness::proto::parse_json(data).unwrap();
+    let sdo_harness::proto::Json::Arr(mut pairs) = pairs else { panic!("data is an array") };
+    assert!(pairs.len() > 2, "the program writes data");
+    // A newline would end the line on the wire: spaces and tabs only.
+    let spaced = data.replace("],[", "] ,\t [").replace(",", ", ");
+    pairs.reverse();
+    pairs.push(pairs[1].clone());
+    let shuffled = sdo_harness::proto::Json::Arr(pairs).render();
+    let name_at = head.find("\"name\":\"").unwrap() + "\"name\":\"".len();
+    let escaped =
+        format!("{}\\u{:04x}{}", &line[..name_at], line.as_bytes()[name_at], &line[name_at + 1..]);
+    let program_at = head.rfind("[{").unwrap() + 2;
+    let data_first = format!(
+        "{}\"data\":{data},{}{tail}",
+        &head[..program_at],
+        &head[program_at..head.len() - 1]
+    );
+    vec![
+        format!("{head}\"data\": {spaced} {tail}"),
+        format!("{head}\"data\":{shuffled}{tail}"),
+        escaped,
+        data_first,
+        line.to_string(),
+    ]
+}
+
+/// The replies to `line` alone, and `cached` flags, from `server`.
+fn answer(server: &Server, line: &str) -> Vec<Reply> {
+    drive(server, &format!("{line}\n\n"))
+}
+
+#[test]
+fn non_canonical_spellings_answer_as_a_fresh_daemon_does() {
+    // One long-lived daemon, whose table holds the program after the
+    // first spelling, and a fresh daemon per line, on stores that see
+    // the same keys in the same order: every reply, cached flag and
+    // store entry must agree.
+    let base = SimConfig::tiny();
+    let prog = sdo_workloads::kernels::stream(64, 1, 3);
+    let run = Request::Run { id: 1, request: RunRequest::program(&prog), no_cache: false };
+    let grid = Request::Grid {
+        id: 2,
+        request: RunRequest::program(&prog).seed(5),
+        configs: vec![SimConfig::tiny(), SimConfig::table_i()],
+        variants: vec![Variant::Unsafe, Variant::Hybrid],
+        no_cache: false,
+    };
+    let (lived_dir, fresh_dir) = (temp_dir("spell-lived"), temp_dir("spell-fresh"));
+    let lived = Server::new(opts(Some(lived_dir.clone()), 64), JobPool::new(2)).unwrap();
+    for message in [&run, &grid] {
+        let lines = spellings(&message.render());
+        for (k, line) in lines.iter().enumerate() {
+            assert_eq!(Request::parse(line).unwrap(), *message, "spelling {k} decodes alike");
+            let fresh = Server::new(opts(Some(fresh_dir.clone()), 64), JobPool::new(2)).unwrap();
+            let want = answer(&fresh, line);
+            assert_eq!(answer(&lived, line), want, "spelling {k}");
+            let cached = match &want[..] {
+                [Reply::Result { cached, .. }] => vec![*cached],
+                [Reply::Grid { results, .. }] => results.iter().map(|(_, c)| *c).collect(),
+                other => panic!("spelling {k}: {other:?}"),
+            };
+            assert!(cached.iter().all(|&c| c == (k > 0)), "spelling {k}: cached {cached:?}");
+        }
+    }
+    // Both stores hold every run and grid point under its `RunKey::of`.
+    let points: Vec<RunRequest> = match &grid {
+        Request::Grid { request, configs, variants, .. } => {
+            sdo_harness::runner::expand_grid(request, configs, variants)
+        }
+        _ => unreachable!(),
+    };
+    let Request::Run { request, .. } = &run else { unreachable!() };
+    let local = Runner::local(base);
+    for point in points.iter().chain([request]) {
+        let want = local.run_one(point).unwrap();
+        for dir in [&lived_dir, &fresh_dir] {
+            let stored = ResultStore::open(dir.as_str()).unwrap().load(&RunKey::of(point, base));
+            assert_eq!(stored.unwrap(), Some(want.clone()));
+        }
+    }
+    std::fs::remove_dir_all(&lived_dir).unwrap();
+    std::fs::remove_dir_all(&fresh_dir).unwrap();
+}
+
+#[test]
+fn a_daemon_past_its_program_table_budget_answers_as_a_fresh_one() {
+    // Seven programs of about 1,000 pages each, named apart, are charged
+    // more than the table's 4,096 pages, so the long-lived daemon drops
+    // the least recently used ones; the first three come back afterwards.
+    let lived = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let lines: Vec<String> = (0..7)
+        .map(|k| {
+            let line = run_line_with_pages(k, 990 + k as usize);
+            line.replacen("\"name\":\"l1_resident\"", &format!("\"name\":\"l1_resident {k}\""), 1)
+        })
+        .collect();
+    assert!(lines.iter().all(|line| line.contains("l1_resident ")), "each line is renamed");
+    for (k, line) in lines.iter().chain(&lines[..3]).enumerate() {
+        let line = line.trim_end();
+        let fresh = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+        let want = answer(&fresh, line);
+        assert!(matches!(want[..], [Reply::Result { .. }]), "line {k}: {want:?}");
+        assert_eq!(answer(&lived, line), want, "line {k}");
+    }
+}
