@@ -1,23 +1,31 @@
-//! The daemon's table of decoded programs (DESIGN.md §13).
+//! The executor's table of programs (DESIGN.md §13).
 //!
-//! A figure sends the same program many times: Figure 6 runs every
-//! kernel under 8 variants and 2 attack models, so one program text
-//! reaches `sdo-serve` 16 times. [`ProgramTable`] keeps each program the
-//! daemon decoded, keyed by the `name` and `asm` strings it was decoded
-//! from, with the [`KeyPrefix`] of its canonical encoding.
-//! [`Request::parse_interned`](crate::proto::Request::parse_interned)
+//! A figure runs the same program many times: Figure 6 runs every
+//! kernel under 8 variants and 2 attack models, so one program reaches
+//! the [`Executor`](crate::runner::Executor) 16 times, as in-process
+//! requests or as `sdo-serve` lines. [`ProgramTable`] keeps each program
+//! under the `name` and `asm` strings of its wire line, with the
+//! [`KeyPrefix`] of its canonical encoding once a run is keyed from it.
+//! The executor finds a run's first program in the table by `Program ==`,
+//! which compares the shared copy-on-write image by pointer first, and
+//! finishes the run's key from the held prefix; a program the table
+//! lacks is hashed and held under its name and disassembly, the strings
+//! its canonical line carries. The daemon decodes lines through the same
+//! table: [`Request::parse_interned`](crate::proto::Request::parse_interned)
 //! compares a line's `data` array with a held program's canonical
-//! rendering as it reads it: on an exact match it takes the held program
-//! instead of decoding the array, and the request's key is finished from
-//! the held prefix, so a repeated image is neither decoded nor hashed
-//! again.
+//! rendering as it reads it, and on an exact match takes the held
+//! program instead of decoding the array. So a repeated image is neither
+//! decoded nor hashed again.
 //!
 //! A held program is exactly the one the line would decode to. Its
 //! `name` and `asm` strings are equal, so `parse_asm` would build the
 //! same instructions; its assembly wrote no data (only such programs are
-//! held), so its image is the line's `[addr, byte]` writes; and those
-//! bytes are the image's canonical rendering, which decodes back to the
-//! image (`crates/workloads/tests/roundtrip.rs`).
+//! held, and a disassembly writes none), so its image is the line's
+//! `[addr, byte]` writes; and those bytes are the image's canonical
+//! rendering, which decodes back to the image. A program held under its
+//! disassembly also relies on `parse_asm` rebuilding its instructions
+//! from it, which `crates/workloads/tests/roundtrip.rs` pins for every
+//! in-tree program.
 
 use crate::proto::write_data;
 use crate::store::KeyPrefix;
@@ -29,7 +37,7 @@ use sdo_uarch::json::Reader;
 /// costs at most this many times its own length to recognise.
 const IMAGES_PER_TEXT: usize = 4;
 
-/// A bounded table of decoded programs with their key prefixes.
+/// A bounded table of programs with their key prefixes.
 ///
 /// An entry is charged its image pages plus the 4 KiB pages its `name`,
 /// `asm` and instructions fill, at least one. The entries are charged at
@@ -38,7 +46,7 @@ const IMAGES_PER_TEXT: usize = 4;
 /// dropped, as is the least recently used of the four programs held for
 /// one `name` and `asm` when a fifth arrives.
 #[derive(Debug, Default, Clone)]
-pub struct ProgramTable {
+pub(crate) struct ProgramTable {
     entries: Vec<Entry>,
     /// Pages the entries are charged between them.
     pages: usize,
@@ -53,7 +61,8 @@ struct Entry {
     name: String,
     asm: String,
     program: Program,
-    prefix: KeyPrefix,
+    /// The key prefix, once a run has been keyed from the program.
+    prefix: Option<KeyPrefix>,
     /// Pages the entry is charged.
     cost: usize,
     /// Stamp of the entry's latest use.
@@ -63,45 +72,14 @@ struct Entry {
 impl ProgramTable {
     /// An empty table.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Pages the entries are charged between them; never more than
-    /// [`MAX_PARSED_PAGES`].
-    #[must_use]
-    pub fn pages(&self) -> usize {
-        self.pages
-    }
-
-    /// Number of programs held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table holds no program.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Programs taken from the table instead of decoded so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
     }
 
     /// If the reader's next value is the canonical `data` rendering of a
     /// held program decoded from `name` and `asm`, consumes it and
-    /// returns that program and its key prefix. Otherwise nothing is
-    /// consumed.
-    pub(crate) fn recognise(
-        &mut self,
-        r: &mut Reader,
-        name: &str,
-        asm: &str,
-    ) -> Option<(Program, KeyPrefix)> {
+    /// returns that program. Otherwise nothing is consumed.
+    pub(crate) fn recognise(&mut self, r: &mut Reader, name: &str, asm: &str) -> Option<Program> {
         self.clock += 1;
         // A data array nests two deep: the array and its pairs.
         let entry = self.entries.iter_mut().find(|e| {
@@ -111,28 +89,44 @@ impl ProgramTable {
         })?;
         entry.used = self.clock;
         self.hits += 1;
-        Some((entry.program.clone(), entry.prefix.clone()))
+        Some(entry.program.clone())
     }
 
     /// Holds `program`, decoded from `name`, `asm` and a `data` array
-    /// (its assembly wrote no data), and returns its key prefix. An equal
-    /// program already held, from another spelling of its line, is kept
-    /// once. A program charged more than the whole table is not held.
-    pub(crate) fn intern(&mut self, name: &str, asm: &str, program: &Program) -> KeyPrefix {
+    /// (its assembly wrote no data). An equal program already held, from
+    /// another spelling of its line, is kept once.
+    pub(crate) fn intern(&mut self, name: &str, asm: &str, program: &Program) {
         self.clock += 1;
-        if let Some(entry) = self
+        match self
             .entries
             .iter_mut()
             .find(|e| e.name == name && e.asm == asm && e.program.data() == program.data())
         {
+            Some(entry) => entry.used = self.clock,
+            None => self.hold(name, asm, program, None),
+        }
+    }
+
+    /// The key prefix of `program`: the held one's, or else computed and
+    /// held with `program` under its name and disassembly.
+    pub(crate) fn prefix(&mut self, program: &Program) -> KeyPrefix {
+        self.clock += 1;
+        if let Some(entry) = self.entries.iter_mut().find(|e| e.program == *program) {
             entry.used = self.clock;
-            return entry.prefix.clone();
+            return entry.prefix.get_or_insert_with(|| KeyPrefix::of(Some(program))).clone();
         }
         let prefix = KeyPrefix::of(Some(program));
+        self.hold(program.name(), &program.disassemble(), program, Some(prefix.clone()));
+        prefix
+    }
+
+    /// Adds an entry, evicting the least recently used ones it displaces.
+    /// A program charged more than the whole table is not held.
+    fn hold(&mut self, name: &str, asm: &str, program: &Program, prefix: Option<KeyPrefix>) {
         let text = name.len() + asm.len() + std::mem::size_of_val(program.instructions());
         let cost = (program.data().pages().len() + text.div_ceil(PAGE_BYTES)).max(1);
         if cost > MAX_PARSED_PAGES {
-            return prefix;
+            return;
         }
         let same_text = |e: &Entry| e.name == name && e.asm == asm;
         if self.entries.iter().filter(|e| same_text(e)).count() >= IMAGES_PER_TEXT {
@@ -144,11 +138,10 @@ impl ProgramTable {
             name: name.to_string(),
             asm: asm.to_string(),
             program: program.clone(),
-            prefix: prefix.clone(),
+            prefix,
             cost,
             used: self.clock,
         });
-        prefix
     }
 
     /// Drops the least recently used entry `pick` selects, if any.
@@ -164,12 +157,39 @@ impl ProgramTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{rv32_workloads, sensitivity_kernel};
     use crate::proto::Request;
-    use crate::runner::expand_grid;
+    use crate::runner::{expand_grid, Executor};
     use crate::store::RunKey;
     use crate::{RunRequest, SimConfig, Variant};
     use sdo_mem::CacheLevel;
+    use sdo_uarch::AttackModel;
     use sdo_workloads::kernels::{hash_lookup, l1_resident, stream};
+    use sdo_workloads::{suite, Workload};
+
+    /// Readings of the table for the tests.
+    impl ProgramTable {
+        /// Pages the entries are charged between them; never more than
+        /// [`MAX_PARSED_PAGES`].
+        pub(crate) fn pages(&self) -> usize {
+            self.pages
+        }
+
+        /// Number of programs held.
+        pub(crate) fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        /// Whether the table holds no program.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+
+        /// Programs taken from the table instead of decoded so far.
+        pub(crate) fn hits(&self) -> u64 {
+            self.hits
+        }
+    }
 
     /// A `halt` program named `name` with one byte on each of `pages`
     /// pages starting at page `first`.
@@ -195,10 +215,14 @@ mod tests {
             .collect();
         // Each program is charged a quarter of the budget and a page for
         // its text, so three fit at a time; the first stays in use.
+        let base = SimConfig::tiny();
         for (i, line) in lines.iter().enumerate() {
-            let (request, prefix) = Request::parse_interned(line, &mut table).unwrap();
+            let request = Request::parse_interned(line, &mut table).unwrap();
             assert_eq!(request, Request::parse(line).unwrap());
-            assert!(prefix.is_some(), "line {i} was interned");
+            let Request::Run { request, .. } = request else { unreachable!() };
+            let (len, key) = (table.len(), table.prefix(&request.programs[0]).key(&request, base));
+            assert_eq!(key, RunKey::of(&request, base), "line {i}");
+            assert_eq!(table.len(), len, "line {i} was interned");
             assert!(table.pages() <= MAX_PARSED_PAGES, "{} pages after line {i}", table.pages());
             assert!(table.len() <= 3);
             let hits = table.hits();
@@ -208,7 +232,7 @@ mod tests {
         assert_eq!(table.len(), 3);
         // An evicted program decodes again, and is held again.
         let hits = table.hits();
-        let (request, _) = Request::parse_interned(&lines[5], &mut table).unwrap();
+        let request = Request::parse_interned(&lines[5], &mut table).unwrap();
         assert_eq!(request, Request::parse(&lines[5]).unwrap());
         assert_eq!(table.hits(), hits);
         Request::parse_interned(&lines[5], &mut table).unwrap();
@@ -217,10 +241,10 @@ mod tests {
         // its prefix still finishes its key.
         let whole = paged("whole", 0, MAX_PARSED_PAGES as u64);
         let line = run_line(RunRequest::program(&whole));
-        let (request, prefix) = Request::parse_interned(&line, &mut table).unwrap();
+        let request = Request::parse_interned(&line, &mut table).unwrap();
         let Request::Run { request, .. } = request else { unreachable!() };
-        let base = SimConfig::tiny();
-        assert_eq!(prefix.unwrap().key(&request, base), RunKey::of(&request, base));
+        let prefix = table.prefix(&request.programs[0]);
+        assert_eq!(prefix.key(&request, base), RunKey::of(&request, base));
         assert!(table.pages() <= MAX_PARSED_PAGES);
         assert_eq!(table.len(), 3);
     }
@@ -250,12 +274,26 @@ mod tests {
         };
         let mut table = ProgramTable::new();
         for data in ["[[16,0]]", "[]", "[[16,0]]"] {
-            let (got, prefix) = Request::parse_interned(&line(data), &mut table).unwrap();
+            let got = Request::parse_interned(&line(data), &mut table).unwrap();
             assert_eq!(got, Request::parse(&line(data)).unwrap(), "data {data}");
-            assert!(prefix.is_none());
         }
         assert!(table.is_empty());
         assert_eq!(table.hits(), 0);
+        // Keying the program holds it under its disassembly, which writes
+        // no data: its canonical line is then recognised, and decodes as
+        // a fresh decoder decodes it.
+        let Request::Run { request, .. } = Request::parse(&line("[[16,0]]")).unwrap() else {
+            unreachable!()
+        };
+        let base = SimConfig::tiny();
+        let prefix = table.prefix(&request.programs[0]);
+        assert_eq!(prefix.key(&request, base), RunKey::of(&request, base));
+        assert_eq!(table.len(), 1);
+        let canonical = run_line(request);
+        assert!(canonical.contains(r#""asm":"     0: halt\n","data":[]"#), "{canonical}");
+        let got = Request::parse_interned(&canonical, &mut table).unwrap();
+        assert_eq!(got, Request::parse(&canonical).unwrap());
+        assert_eq!(table.hits(), 1);
     }
 
     #[test]
@@ -270,11 +308,27 @@ mod tests {
         // The latest four are held; the earlier ones decode again.
         for i in (4..8).chain(0..4) {
             let hits = table.hits();
-            let (request, _) = Request::parse_interned(&lines[i], &mut table).unwrap();
+            let request = Request::parse_interned(&lines[i], &mut table).unwrap();
             assert_eq!(request, Request::parse(&lines[i]).unwrap());
             assert_eq!(table.hits() - hits, u64::from(i >= 4), "line {i}");
         }
         assert_eq!(table.len(), IMAGES_PER_TEXT);
+    }
+
+    /// The executor's keys for `requests`, each checked against
+    /// `RunKey::of`.
+    fn check_keys(
+        exec: &Executor,
+        requests: &[RunRequest],
+        base: SimConfig,
+        what: &str,
+    ) -> Vec<Option<RunKey>> {
+        let runs: Vec<(&RunRequest, bool)> = requests.iter().map(|r| (r, false)).collect();
+        let keys = exec.keys(&runs);
+        for (k, (request, key)) in requests.iter().zip(&keys).enumerate() {
+            assert_eq!(*key, Some(RunKey::of(request, base)), "{what}, run {k}");
+        }
+        keys
     }
 
     #[test]
@@ -332,16 +386,16 @@ mod tests {
             no_cache: false,
         });
         let base = SimConfig::tiny();
-        let mut table = ProgramTable::new();
-        // The first pass interns each program, the second takes it.
+        let exec = Executor::new(base, None);
+        // As the daemon decodes and keys them: the first pass interns
+        // each program, the second takes it.
         let mut hits = 0;
         for pass in 0..2 {
-            hits = table.hits();
+            hits = exec.programs().hits();
             for message in &requests {
                 let line = message.render();
-                let (parsed, prefix) = Request::parse_interned(&line, &mut table).unwrap();
+                let parsed = exec.parse(&line).unwrap();
                 assert_eq!(&parsed, message);
-                let prefix = prefix.expect("every program is held");
                 let points = match parsed {
                     Request::Run { request, .. } => vec![request],
                     Request::Grid { request, configs, variants, .. } => {
@@ -349,15 +403,73 @@ mod tests {
                     }
                     other => unreachable!("{other:?}"),
                 };
-                for point in &points {
-                    assert_eq!(prefix.key(point, base), RunKey::of(point, base), "pass {pass}");
-                }
+                check_keys(&exec, &points, base, &format!("pass {pass}"));
             }
         }
         let programs = requests.iter().map(|message| match message {
             Request::Run { request, .. } | Request::Grid { request, .. } => request.programs.len(),
             _ => 0,
         });
-        assert_eq!(table.hits(), hits + programs.sum::<usize>() as u64, "the second pass took all");
+        let hits = exec.programs().hits() - hits;
+        assert_eq!(hits, programs.sum::<usize>() as u64, "the second pass took all");
+
+        // As `--store` keys them in process: fig6's suite under every
+        // variant and attack model, attack-major as `run_suite_on` orders
+        // it, then the RV32 workloads and the sensitivity sweep's points.
+        let exec = Executor::new(base, None);
+        let runs = |kernels: &[Workload]| -> Vec<RunRequest> {
+            let mut runs = Vec::new();
+            for attack in AttackModel::ALL {
+                for w in kernels {
+                    let run = |v| RunRequest::workload(w).variant(v).attack(attack);
+                    runs.extend(Variant::ALL.map(run));
+                }
+            }
+            runs
+        };
+        let kernels = suite();
+        let suite_runs = runs(&kernels);
+        let keys = check_keys(&exec, &suite_runs, base, "suite");
+        assert_eq!(exec.programs().len(), kernels.len(), "one entry per suite kernel");
+        let again: Vec<(&RunRequest, bool)> = suite_runs.iter().map(|r| (r, false)).collect();
+        assert_eq!(exec.keys(&again), keys, "a second pass keys alike");
+        assert_eq!(exec.programs().len(), kernels.len(), "and adds no entry");
+        let rv32 = rv32_workloads();
+        check_keys(&exec, &runs(&rv32), base, "rv32");
+        let kernel = sensitivity_kernel();
+        let mut points = Vec::new();
+        for rob in [64, 128, 192, 256] {
+            let mut cfg = SimConfig::table_i();
+            cfg.core.rob_entries = rob;
+            cfg.core.lq_entries = (rob / 6).max(8);
+            cfg.core.sq_entries = (rob / 6).max(8);
+            points.push(cfg);
+        }
+        for mshrs in [4, 8, 16, 32] {
+            let mut cfg = SimConfig::table_i();
+            (cfg.mem.l1.mshrs, cfg.mem.l2.mshrs, cfg.mem.l3.mshrs) = (mshrs, mshrs, mshrs);
+            points.push(cfg);
+        }
+        let template = RunRequest::workload(&kernel).attack(AttackModel::Spectre);
+        let variants = [Variant::Unsafe, Variant::SttLd, Variant::Hybrid];
+        let sweep = expand_grid(&template, &points, &variants);
+        check_keys(&exec, &sweep, base, "sensitivity");
+        let held = kernels.len() + rv32.len() + 1;
+        assert_eq!(exec.programs().len(), held, "one entry per distinct program");
+        // Each program is held under its disassembly, so its canonical
+        // line is recognised and decodes as a fresh decoder decodes it.
+        for w in kernels.iter().chain(&rv32).chain([&kernel]) {
+            let line = run_line(RunRequest::workload(w));
+            let hits = exec.programs().hits();
+            assert_eq!(exec.parse(&line).unwrap(), Request::parse(&line).unwrap(), "{}", w.name());
+            assert_eq!(exec.programs().hits(), hits + 1, "{} was recognised", w.name());
+        }
+
+        // A grid over a program charged more than the whole table, which
+        // the table cannot hold.
+        let whole = paged("whole", 0, MAX_PARSED_PAGES as u64);
+        let grid = expand_grid(&RunRequest::program(&whole), &points[..2], &variants[1..]);
+        check_keys(&exec, &grid, base, "a grid over a program larger than the table");
+        assert_eq!(exec.programs().len(), held);
     }
 }

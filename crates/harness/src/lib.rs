@@ -44,7 +44,7 @@ pub mod config;
 pub mod engine;
 pub mod experiments;
 pub mod export;
-pub mod intern;
+mod intern;
 pub mod proto;
 pub mod runner;
 pub mod sim;

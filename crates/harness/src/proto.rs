@@ -19,7 +19,6 @@
 use crate::config::{SimConfig, Variant};
 use crate::intern::ProgramTable;
 use crate::sim::{RunRequest, RunResult};
-use crate::store::KeyPrefix;
 use sdo_uarch::json::{obj, put_u64, write_json_string, Reader, U64_DIGITS};
 use std::fmt;
 // The JSON value and parser are the workspace's one codec,
@@ -520,30 +519,18 @@ type Decoded<T> = Result<Result<T, String>, String>;
 
 /// Reads the `request` field of a message as a [`RunRequest`]. Its
 /// programs stream through [`read_program`], with `table` when the
-/// daemon decodes, and `prefix` takes the key prefix of the first one
-/// when the table held or took it; every other field is read as a
-/// [`Json`] value. Unknown keys are validated and skipped, and a
-/// repeated key keeps its first value, as [`Json::get`] does.
-fn read_request(
-    r: &mut Reader,
-    mut table: Option<&mut ProgramTable>,
-    prefix: &mut Option<KeyPrefix>,
-) -> Decoded<RunRequest> {
+/// daemon decodes; every other field is read as a [`Json`] value.
+/// Unknown keys are validated and skipped, and a repeated key keeps its
+/// first value, as [`Json::get`] does.
+fn read_request(r: &mut Reader, mut table: Option<&mut ProgramTable>) -> Decoded<RunRequest> {
     let mut programs = None;
     let mut pages = MAX_PARSED_PAGES;
     let mut fields = Vec::new();
     let is_object = r.object(|r, key| {
         match key.as_str() {
             "programs" if programs.is_none() => {
-                let mut first = true;
                 programs = Some(read_list(r, "programs", |r| {
-                    let program = read_program(r, &mut pages, table.as_deref_mut())?;
-                    Ok(program.map(|(program, held)| {
-                        if std::mem::take(&mut first) {
-                            *prefix = held;
-                        }
-                        program
-                    }))
+                    read_program(r, &mut pages, table.as_deref_mut())
                 })?);
             }
             "prewarm" | "variant" | "attack" | "config" | "seed" | "record" => {
@@ -626,13 +613,12 @@ fn read_list<T>(
 /// `asm` strings is first compared with the programs the table holds for
 /// them: on an exact match the held program is taken, and its pages are
 /// charged as its decoded writes would be. Any other program that
-/// decodes, its assembly writing no data, is interned. A held or
-/// interned program comes with its key prefix.
+/// decodes, its assembly writing no data, is interned.
 fn read_program(
     r: &mut Reader,
     pages: &mut usize,
     mut table: Option<&mut ProgramTable>,
-) -> Decoded<(Program, Option<KeyPrefix>)> {
+) -> Decoded<Program> {
     let mut data = None;
     let mut held = None;
     let mut fields = Vec::new();
@@ -653,17 +639,18 @@ fn read_program(
         }
         Ok(())
     })?;
-    if let Some((program, prefix)) = held {
+    if let Some(program) = held {
         let touched = program.data().pages().len();
-        return Ok(charge(pages, touched, program.name()).map(|()| (program, Some(prefix))));
+        return Ok(charge(pages, touched, program.name()).map(|()| program));
     }
     let v = Json::Obj(fields);
     Ok(program_from_parts(&v, data, pages).map(|(program, own_data)| {
-        let prefix = match (table, own_data, v.str_field("name"), v.str_field("asm")) {
-            (Some(table), false, Ok(name), Ok(asm)) => Some(table.intern(name, asm, &program)),
-            _ => None,
-        };
-        (program, prefix)
+        if let (Some(table), false, Ok(name), Ok(asm)) =
+            (table, own_data, v.str_field("name"), v.str_field("asm"))
+        {
+            table.intern(name, asm, &program);
+        }
+        program
     }))
 }
 
@@ -693,7 +680,10 @@ fn program_from_parts(
     // The assembly's own bytes, then the listed writes in order: built
     // into one image in one pass, the image `set_byte` would leave. The
     // sort is stable, so the build keeps each address's writes in order.
-    let mut writes: Vec<(u64, u8)> = program.data().iter().chain(writes).collect();
+    // An assembly that wrote no data leaves the listed writes as they
+    // are, so a large image is not copied once more.
+    let mut writes: Vec<(u64, u8)> =
+        if own_data { program.data().iter().chain(writes).collect() } else { writes };
     writes.sort_by_key(|&(addr, _)| addr);
     let touched = writes.chunk_by(|a, b| a.0 >> PAGE_SHIFT == b.0 >> PAGE_SHIFT).count();
     charge(pages, touched, name)?;
@@ -1028,17 +1018,6 @@ pub enum Request {
         /// Client-chosen id echoed in the reply.
         id: u64,
     },
-    /// Run a verification campaign on the daemon's warm pool.
-    Campaign {
-        /// Client-chosen id echoed in the reply.
-        id: u64,
-        /// Campaign seed.
-        seed: u64,
-        /// Quick (CI-sized) campaign rather than the full one.
-        quick: bool,
-        /// Extra fuzz cases on top of the corpus.
-        fuzz: u64,
-    },
     /// Stop the daemon after replying to the current batch.
     Shutdown,
 }
@@ -1049,10 +1028,7 @@ impl Request {
     #[must_use]
     pub(crate) fn id(&self) -> Option<u64> {
         match *self {
-            Request::Run { id, .. }
-            | Request::Grid { id, .. }
-            | Request::Stats { id }
-            | Request::Campaign { id, .. } => Some(id),
+            Request::Run { id, .. } | Request::Grid { id, .. } | Request::Stats { id } => Some(id),
             Request::Shutdown => None,
         }
     }
@@ -1099,14 +1075,6 @@ impl Request {
                 obj(vec![("op", Json::Str("stats".to_string())), ("id", Json::UInt(*id))])
                     .write(out)
             }
-            Request::Campaign { id, seed, quick, fuzz } => obj(vec![
-                ("op", Json::Str("campaign".to_string())),
-                ("id", Json::UInt(*id)),
-                ("seed", Json::UInt(*seed)),
-                ("quick", Json::Bool(*quick)),
-                ("fuzz", Json::UInt(*fuzz)),
-            ])
-            .write(out),
             Request::Shutdown => obj(vec![("op", Json::Str("shutdown".to_string()))]).write(out),
         };
     }
@@ -1128,41 +1096,31 @@ impl Request {
     /// the daemon turns this into a typed `error` reply rather than
     /// dying.
     pub fn parse(text: &str) -> Result<Request, String> {
-        Self::decode(text, None).map(|(request, _)| request)
+        Self::decode(text, None)
     }
 
-    /// Parses one request line as [`parse`](Request::parse) does, with
-    /// the daemon's `table` of programs: a program the table holds is
-    /// recognised by its `data` bytes and taken from it instead of
-    /// decoded, and a program decoded afresh is interned. Also returns
-    /// the key prefix of the request's first program when the table held
-    /// or took it, for a [`KeyPrefix::key`] that hashes only the rest of
-    /// each run.
+    /// Parses one request line as [`parse`](Request::parse) does, with a
+    /// `table` of programs: a program the table holds is recognised by
+    /// its `data` bytes and taken from it instead of decoded, and a
+    /// program decoded afresh is interned.
     ///
     /// # Errors
     ///
     /// Returns exactly the error [`parse`](Request::parse) returns.
-    pub fn parse_interned(
-        text: &str,
-        table: &mut ProgramTable,
-    ) -> Result<(Request, Option<KeyPrefix>), String> {
+    pub(crate) fn parse_interned(text: &str, table: &mut ProgramTable) -> Result<Request, String> {
         Self::decode(text, Some(table))
     }
 
-    fn decode(
-        text: &str,
-        mut table: Option<&mut ProgramTable>,
-    ) -> Result<(Request, Option<KeyPrefix>), String> {
+    fn decode(text: &str, mut table: Option<&mut ProgramTable>) -> Result<Request, String> {
         let mut r = Reader::new(text);
         let mut request = None;
-        let mut prefix = None;
         let mut fields = Vec::new();
         r.object(|r, key| {
             match key.as_str() {
                 "request" if request.is_none() => {
-                    request = Some(read_request(r, table.as_deref_mut(), &mut prefix)?);
+                    request = Some(read_request(r, table.as_deref_mut())?);
                 }
-                "op" | "id" | "no_cache" | "configs" | "variants" | "seed" | "quick" | "fuzz" => {
+                "op" | "id" | "no_cache" | "configs" | "variants" => {
                     fields.push((key, r.value()?));
                 }
                 _ => r.skip()?,
@@ -1173,7 +1131,7 @@ impl Request {
         // A line that is not an object leaves no fields: "missing field 'op'".
         let v = Json::Obj(fields);
         let request = || request.unwrap_or_else(|| Err("missing field 'request'".to_string()));
-        let message = match v.str_field("op")? {
+        match v.str_field("op")? {
             "run" => Ok(Request::Run {
                 id: v.u64_field("id")?,
                 request: request()?,
@@ -1209,16 +1167,9 @@ impl Request {
                 })
             }
             "stats" => Ok(Request::Stats { id: v.u64_field("id")? }),
-            "campaign" => Ok(Request::Campaign {
-                id: v.u64_field("id")?,
-                seed: v.u64_field("seed")?,
-                quick: v.bool_field("quick")?,
-                fuzz: v.u64_field("fuzz")?,
-            }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown op '{other}'")),
-        };
-        message.map(|message| (message, prefix))
+        }
     }
 }
 
@@ -1272,17 +1223,6 @@ pub enum Reply {
         /// Entries currently in the store.
         entries: u64,
     },
-    /// A completed verification campaign.
-    Campaign {
-        /// Echoed request id.
-        id: u64,
-        /// Whether every check passed.
-        passed: bool,
-        /// Number of checks executed.
-        checks: u64,
-        /// The campaign's rendered summary.
-        render: String,
-    },
 }
 
 impl Reply {
@@ -1294,8 +1234,7 @@ impl Reply {
             | Reply::Grid { id, .. }
             | Reply::Error { id, .. }
             | Reply::Busy { id }
-            | Reply::Stats { id, .. }
-            | Reply::Campaign { id, .. } => id,
+            | Reply::Stats { id, .. } => id,
         }
     }
 
@@ -1343,17 +1282,6 @@ impl Reply {
                     ]),
                 ),
             ]),
-            Reply::Campaign { id, passed, checks, render } => obj(vec![
-                ("id", Json::UInt(*id)),
-                (
-                    "campaign",
-                    obj(vec![
-                        ("passed", Json::Bool(*passed)),
-                        ("checks", Json::UInt(*checks)),
-                        ("render", Json::Str(render.clone())),
-                    ]),
-                ),
-            ]),
         }
         .render()
     }
@@ -1380,14 +1308,6 @@ impl Reply {
                 entries: stats.u64_field("entries")?,
             });
         }
-        if let Some(campaign) = v.get("campaign") {
-            return Ok(Reply::Campaign {
-                id,
-                passed: campaign.bool_field("passed")?,
-                checks: campaign.u64_field("checks")?,
-                render: campaign.str_field("render")?.to_string(),
-            });
-        }
         if let Some(grid) = v.get("grid") {
             let Json::Arr(points) = grid else {
                 return Err("grid must be an array".to_string());
@@ -1410,7 +1330,7 @@ impl Reply {
                 cached: v.bool_field("cached")?,
             });
         }
-        Err("reply carries none of result/error/busy/stats/campaign/grid".to_string())
+        Err("reply carries none of result/error/busy/stats/grid".to_string())
     }
 }
 
@@ -1589,12 +1509,6 @@ mod tests {
                 })
             }
             "stats" => Ok(Request::Stats { id: v.u64_field("id")? }),
-            "campaign" => Ok(Request::Campaign {
-                id: v.u64_field("id")?,
-                seed: v.u64_field("seed")?,
-                quick: v.bool_field("quick")?,
-                fuzz: v.u64_field("fuzz")?,
-            }),
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown op '{other}'")),
         }
@@ -1616,7 +1530,7 @@ mod tests {
         for asm in ["halt", ".byte 0x10 5 6\n.byte 0x20 4\nhalt"] {
             let asm_json = Json::Str(asm.to_string()).render();
             let json = format!("{{\"name\":\"t\",\"asm\":{asm_json},\"data\":[{data}]}}");
-            let (decoded, _) =
+            let decoded =
                 read_program(&mut Reader::new(&json), &mut { MAX_PARSED_PAGES }, None)
                     .unwrap()
                     .unwrap();
@@ -1763,8 +1677,8 @@ mod tests {
 
     /// Request lines as clients send them: the 344,429-byte large-image
     /// request of `runkey_golden.rs`, small runs (one warmed, one
-    /// multi-core), a grid, a campaign, and a `stats` line whose junk
-    /// `request` arrives before its `op`.
+    /// multi-core), a grid, a line of the retired `campaign` op, and a
+    /// `stats` line whose junk `request` arrives before its `op`.
     fn recorded_lines() -> Vec<String> {
         let large = Request::Run {
             id: 0,
@@ -1803,10 +1717,10 @@ mod tests {
                 variants: vec![Variant::Unsafe, Variant::SttLd],
                 no_cache: true,
             },
-            Request::Campaign { id: 1, seed: 0, quick: true, fuzz: 4 },
         ];
         let mut lines = vec![large];
         lines.extend(small.iter().map(Request::render));
+        lines.push(r#"{"op":"campaign","id":1,"seed":0,"quick":true,"fuzz":4}"#.to_string());
         lines.push(
             r#"{"request":{"programs":[{"name":7,"data":[[1,256],[2]]}],"x":[{},[]]},"op":"stats","id":2}"#
                 .to_string(),
@@ -1943,10 +1857,17 @@ mod tests {
         // The daemon's decoder meets each mutation with the recorded
         // lines' programs held, so every near miss of a held data array
         // is compared with it; a long-lived table also holds what earlier
-        // mutations decoded.
+        // mutations decoded. Every recorded line but the retired op's
+        // decodes, and its runs are keyed through the table, so the held
+        // programs carry their key prefixes.
         let mut held = ProgramTable::new();
         for line in &lines {
-            Request::parse_interned(line, &mut held).unwrap();
+            match Request::parse_interned(line, &mut held) {
+                Ok(message) => runs_of(&message).iter().for_each(|run| {
+                    held.prefix(&run.programs[0]);
+                }),
+                Err(e) => assert_eq!(e, "unknown op 'campaign'"),
+            }
         }
         let mut long_lived = held.clone();
         let base = SimConfig::tiny();
@@ -1967,8 +1888,8 @@ mod tests {
             let lived = Request::parse_interned(&text, &mut long_lived);
             for (decoder, got) in [
                 ("one pass", Request::parse(&text)),
-                ("interned", interned.clone().map(|(message, _)| message)),
-                ("long-lived", lived.map(|(message, _)| message)),
+                ("interned", interned.clone()),
+                ("long-lived", lived),
             ] {
                 match (got, &want) {
                     (Ok(got), Ok(want)) => {
@@ -1988,10 +1909,11 @@ mod tests {
                 }
             }
             match interned {
-                Ok((message, prefix)) => {
-                    // The first program's prefix finishes every run's key.
+                Ok(message) => {
+                    // Every run's key taken through the table is its
+                    // `RunKey::of`.
                     for run in runs_of(&message) {
-                        let prefix = prefix.as_ref().expect("a decoded run's program is held");
+                        let prefix = table.prefix(&run.programs[0]);
                         assert_eq!(prefix.key(&run, base), RunKey::of(&run, base), "case {case}");
                     }
                     accepted += 1;
@@ -2018,7 +1940,7 @@ mod tests {
         for w in suite() {
             let encoded = written(|out| write_program(w.program(), out));
             assert_eq!(encoded, program_to_json(w.program()).render());
-            let (decoded, _) =
+            let decoded =
                 read_program(&mut Reader::new(&encoded), &mut { MAX_PARSED_PAGES }, None)
                     .unwrap()
                     .unwrap();
@@ -2040,7 +1962,7 @@ mod tests {
             .seed(7);
         let encoded = written(|out| write_request(&req, req.config.as_ref(), out));
         assert_eq!(encoded, request_to_json(&req).render());
-        assert_eq!(read_request(&mut Reader::new(&encoded), None, &mut None).unwrap(), Ok(req));
+        assert_eq!(read_request(&mut Reader::new(&encoded), None).unwrap(), Ok(req));
     }
 
     #[test]
@@ -2067,8 +1989,6 @@ mod tests {
         assert_eq!(Request::parse(&run.render()).unwrap(), run);
         let stats = Request::Stats { id: 9 };
         assert_eq!(Request::parse(&stats.render()).unwrap(), stats);
-        let campaign = Request::Campaign { id: 1, seed: 0, quick: true, fuzz: 4 };
-        assert_eq!(Request::parse(&campaign.render()).unwrap(), campaign);
         let grid = Request::Grid {
             id: 8,
             request: RunRequest::program(&prog),
@@ -2087,7 +2007,6 @@ mod tests {
             Reply::Error { id: 4, message: "boom \"quoted\"".to_string() },
             Reply::Busy { id: 5 },
             Reply::Stats { id: 6, hits: 1, misses: 2, entries: 3 },
-            Reply::Campaign { id: 7, passed: false, checks: 12, render: "line1\nline2".to_string() },
         ] {
             assert_eq!(Reply::parse(&reply.render()).unwrap(), reply);
         }
@@ -2103,10 +2022,6 @@ mod tests {
             (
                 Reply::Stats { id: 6, hits: 1, misses: 2, entries: 3 },
                 r#"{"id":6,"stats":{"hits":1,"misses":2,"entries":3}}"#,
-            ),
-            (
-                Reply::Campaign { id: 7, passed: true, checks: 12, render: "ok\n".to_string() },
-                r#"{"id":7,"campaign":{"passed":true,"checks":12,"render":"ok\n"}}"#,
             ),
         ] {
             assert_eq!(reply.render(), line);

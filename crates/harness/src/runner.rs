@@ -5,8 +5,9 @@
 //!
 //! Memoization has one definition, [`Executor::execute`], which the
 //! `--store` runner and the `sdo-serve` daemon both run their batches
-//! through; a parameter grid has one expansion, [`expand_grid`]; and
-//! every client talks to a daemon through one [`Connection`].
+//! through, and which alone turns a request into its [`RunKey`]; a
+//! parameter grid has one expansion, [`expand_grid`]; and every client
+//! talks to a daemon through one [`Connection`].
 //!
 //! Whatever the backend, a batch returns results in request order and
 //! the hit/miss counters record how many simulations were actually
@@ -14,23 +15,29 @@
 //! hits, zero re-simulations".
 
 use crate::engine::JobPool;
+use crate::intern::ProgramTable;
 use crate::proto::{Reply, Request, BATCH_ERROR_ID};
 use crate::sim::{RunOutput, RunRequest, RunResult, SimError, Simulator};
 use crate::store::{KeyPrefix, ResultStore, RunKey};
 use crate::{SimConfig, Variant};
+use sdo_isa::Program;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
-/// The store-fronted batch executor: a simulator, an optional store and
-/// the hit/miss counters of everything it served.
+/// The store-fronted batch executor: a simulator, an optional store, the
+/// hit/miss counters of everything it served, and a bounded table of the
+/// programs it keyed or decoded (at most 16 MiB of images), each with
+/// the hash state after its part of the [`RunKey`] payload.
 #[derive(Debug)]
 pub struct Executor {
     sim: Simulator,
     store: Option<ResultStore>,
     hits: AtomicU64,
     misses: AtomicU64,
+    programs: Mutex<ProgramTable>,
 }
 
 /// Where one run's outcome comes from.
@@ -51,7 +58,8 @@ impl Executor {
     #[must_use]
     pub fn new(base: SimConfig, store: Option<ResultStore>) -> Self {
         let (hits, misses) = (AtomicU64::new(0), AtomicU64::new(0));
-        Executor { sim: Simulator::new(base), store, hits, misses }
+        let programs = Mutex::new(ProgramTable::new());
+        Executor { sim: Simulator::new(base), store, hits, misses, programs }
     }
 
     /// The simulator requests run on.
@@ -83,34 +91,78 @@ impl Executor {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The key `req` is memoized under, or `None` when its result cannot
-    /// be stored: a request carrying an observability probe, whose output
-    /// the store cannot hold. `prefix`, the [`KeyPrefix`] of the
-    /// request's first program when the caller holds it, saves hashing
-    /// that program again.
-    #[must_use]
-    pub fn key(&self, req: &RunRequest, prefix: Option<&KeyPrefix>) -> Option<RunKey> {
-        let base = *self.sim.config();
-        cacheable(req, base).then(|| match prefix {
-            Some(prefix) => prefix.key(req, base),
-            None => RunKey::of(req, base),
+    /// Parses one request line as [`Request::parse`] does, through the
+    /// executor's program table: a program the table holds is recognised
+    /// by its `data` bytes and taken instead of decoded, and a program
+    /// decoded afresh is held.
+    ///
+    /// # Errors
+    ///
+    /// Returns exactly the error [`Request::parse`] returns.
+    pub fn parse(&self, line: &str) -> Result<Request, String> {
+        Request::parse_interned(line, &mut self.programs())
+    }
+
+    /// The program table. A thread that panicked while holding it may
+    /// have left it half-updated, so it is then emptied, which is always
+    /// a valid table.
+    pub(crate) fn programs(&self) -> MutexGuard<'_, ProgramTable> {
+        self.programs.lock().unwrap_or_else(|poisoned| {
+            self.programs.clear_poison();
+            let mut table = poisoned.into_inner();
+            *table = ProgramTable::new();
+            table
         })
     }
 
-    /// Executes one batch of `(request, no_cache, key)` runs, each key
-    /// from [`key`](Self::key), and returns one outcome per run, in run
-    /// order, flagged `true` when it was served without simulating.
+    /// The key each run is memoized under, or `None` when its result
+    /// cannot be stored: a run carrying an observability probe, whose
+    /// output the store cannot hold.
     ///
-    /// A run with a key is, unless `no_cache`, looked up in the store.
-    /// Equal keys in one batch simulate once: the first is the
-    /// representative, the rest take its result as in-flight hits.
-    /// `no_cache` and keyless runs opt out and simulate individually. The
-    /// misses run through `simulate` on `pool`, and each fresh result is
-    /// saved under its key. A store failure is that run's outcome, as
-    /// `E`.
+    /// A key is hashed on from the [`KeyPrefix`] of the run's first
+    /// program: the previous run's while that program stays equal (a
+    /// grid's points and a suite kernel's variants are contiguous), else
+    /// the table's, computed and held when the table lacks it. A program
+    /// is thus hashed once while the table holds it, and otherwise (its
+    /// image is charged more than the whole table, or the batch's
+    /// programs overflow it) at most once per stretch of runs it starts.
+    pub(crate) fn keys(&self, runs: &[(&RunRequest, bool)]) -> Vec<Option<RunKey>> {
+        let base = *self.sim.config();
+        let mut table = self.programs();
+        let mut last: Option<(&Program, KeyPrefix)> = None;
+        runs.iter()
+            .map(|&(req, _)| {
+                if !cacheable(req, base) {
+                    return None;
+                }
+                let Some(first) = req.programs.first() else {
+                    return Some(RunKey::of(req, base));
+                };
+                if last.as_ref().is_none_or(|(held, _)| *held != first) {
+                    last = Some((first, table.prefix(first)));
+                }
+                last.as_ref().map(|(_, prefix)| prefix.key(req, base))
+            })
+            .collect()
+    }
+
+    /// Executes one batch of `(request, no_cache)` runs and returns one
+    /// outcome per run, in run order, flagged `true` when it was served
+    /// without simulating.
+    ///
+    /// Each run is keyed here unless it carries an observability probe,
+    /// whose output the store cannot hold. The key is hashed on from the
+    /// state after the run's first program, which the executor's table
+    /// keeps, so each distinct program is hashed once. A run with a key
+    /// is, unless `no_cache`, looked up in the store. Equal keys in one
+    /// batch simulate once: the first is the representative, the rest
+    /// take its result as in-flight hits. `no_cache` and keyless runs opt
+    /// out and simulate individually. The misses run through `simulate`
+    /// on `pool`, and each fresh result is saved under its key. A store
+    /// failure is that run's outcome, as `E`.
     pub fn execute<E>(
         &self,
-        runs: &[(&RunRequest, bool, Option<RunKey>)],
+        runs: &[(&RunRequest, bool)],
         pool: &JobPool,
         simulate: impl Fn(&RunRequest) -> Result<RunResult, E> + Sync,
     ) -> Vec<Result<(RunResult, bool), E>>
@@ -121,8 +173,9 @@ impl Executor {
         let mut seen: HashMap<RunKey, usize> = HashMap::new(); // key → position in `fresh`
         let sources: Vec<Source<E>> = runs
             .iter()
+            .zip(self.keys(runs))
             .enumerate()
-            .map(|(j, &(_, no_cache, key))| {
+            .map(|(j, (&(_, no_cache), key))| {
                 if let (Some(key), false) = (key, no_cache) {
                     if let Some(&pos) = seen.get(&key) {
                         self.tally(true);
@@ -399,8 +452,8 @@ impl Runner {
         match (&self.server, &self.exec.store) {
             (Some(path), _) => self.run_remote(reqs, path),
             (None, Some(_)) => {
-                let runs: Vec<(&RunRequest, bool, Option<RunKey>)> =
-                    reqs.iter().map(|req| (req, self.no_cache, self.exec.key(req, None))).collect();
+                let runs: Vec<(&RunRequest, bool)> =
+                    reqs.iter().map(|req| (req, self.no_cache)).collect();
                 self.exec
                     .execute(&runs, pool, simulate)
                     .into_iter()

@@ -186,7 +186,8 @@ fn compress(h: &mut [u32; 8], block: &[u8]) {
 /// simulator's base configuration is substituted in before hashing, so a
 /// request with no override and one overriding to the same configuration
 /// hash identically — they *are* the same simulation). The payload is
-/// hashed as it is written, a [`KeyPrefix`] and then the rest.
+/// hashed as it is written: the part its first program decides, then the
+/// rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunKey([u8; 32]);
 
@@ -220,17 +221,17 @@ impl fmt::Display for RunKey {
 /// The hash state after the part of a [`RunKey`]'s payload that only the
 /// request's first program decides, `sdo-runkey-v1\n{"programs":[` and
 /// that program's canonical encoding. Every key of a request starting
-/// with that program continues from it, so a daemon that keeps the state
-/// hashes only the rest of each request (about 1 KB), however large the
-/// program's image.
+/// with that program continues from it, so an executor that keeps the
+/// state hashes only the rest of each request (about 1 KB), however large
+/// the program's image.
 #[derive(Debug, Clone)]
-pub struct KeyPrefix(Sha256);
+pub(crate) struct KeyPrefix(Sha256);
 
 impl KeyPrefix {
     /// The state after the key payload's head for a request whose first
     /// program is `first` (`None`: a request with no programs).
     #[must_use]
-    pub fn of(first: Option<&Program>) -> KeyPrefix {
+    pub(crate) fn of(first: Option<&Program>) -> KeyPrefix {
         let mut hash = Sha256::new();
         hash.update(KEY_SCHEMA.as_bytes());
         hash.update(b"\n");
@@ -243,7 +244,7 @@ impl KeyPrefix {
     /// `base`. The prefix must be the one of `req`'s first program: the
     /// key hashes the rest of `req` after it, whatever it was made of.
     #[must_use]
-    pub fn key(&self, req: &RunRequest, base: SimConfig) -> RunKey {
+    pub(crate) fn key(&self, req: &RunRequest, base: SimConfig) -> RunKey {
         let mut hash = self.0.clone();
         let _ = proto::write_request_tail(req, Some(&req.effective_config(base)), &mut hash);
         RunKey(hash.finish())

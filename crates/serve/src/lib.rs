@@ -3,8 +3,8 @@
 //! A persistent daemon owning a warm [`JobPool`] and (optionally) a
 //! content-addressed [`ResultStore`], speaking the line-delimited JSON
 //! protocol from `sdo_harness::proto` (DESIGN.md §13) over stdio or a
-//! Unix socket. Every figure, campaign or ad-hoc run submitted to it is
-//! first looked up by [`RunKey`]; repeated requests are cache hits that
+//! Unix socket. Every figure or ad-hoc run submitted to it is first
+//! looked up by its `RunKey`; repeated requests are cache hits that
 //! return byte-identical [`RunResult`]s without executing a single
 //! simulation.
 //!
@@ -38,34 +38,31 @@
 //!
 //! Admitted runs, grid points included, execute through
 //! [`Executor::execute`], the executor the in-process `--store` runner
-//! uses too: store lookups, in-flight coalescing of equal keys, the
-//! misses on the warm pool, and a save for each fresh result.
+//! uses too: it keys each run, looks it up in the store, coalesces equal
+//! keys in flight, simulates the misses on the warm pool and saves each
+//! fresh result. The daemon computes no key of its own.
 //!
 //! ## Each distinct program decoded and hashed once
 //!
-//! The daemon keeps a bounded [`ProgramTable`] of the programs it
-//! decoded, each with the key prefix of its canonical encoding, and
-//! parses lines with [`Request::parse_interned`]. A line repeating a
-//! held program's `data` bytes takes the held program without decoding
-//! them, and its keys are finished from the held prefix over the rest of
-//! the request, so a repeated image costs one byte comparison instead of
-//! a decode and a hash. Every reply, store entry and key is the one a
-//! fresh daemon would produce.
+//! The daemon parses lines with [`Executor::parse`], through the table
+//! of programs the executor keys runs with. A line repeating a held
+//! program's `data` bytes takes the held program without decoding them,
+//! and the executor finishes its keys from the held program's hash state
+//! over the rest of the request, so a repeated image costs one byte
+//! comparison instead of a decode and a hash. Every reply, store entry
+//! and key is the one a fresh daemon would produce.
 
 #![warn(missing_docs)]
 
 use sdo_harness::engine::{panic_message, JobPool};
-use sdo_harness::intern::ProgramTable;
 use sdo_harness::proto::{Reply, Request, BATCH_ERROR_ID, BATCH_PAGES};
 use sdo_harness::runner::{expand_grid, Executor};
-use sdo_harness::store::{ResultStore, RunKey};
+use sdo_harness::store::ResultStore;
 use sdo_harness::{RunRequest, RunResult, SimConfig, SimError};
-use sdo_verify::{CampaignConfig, Checker};
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
 
 /// Bytes a socket connection is read in: a large request line (a
 /// 1 MiB image is a 1.3 MB line) arrives in a few dozen reads.
@@ -89,15 +86,14 @@ impl Default for ServeOptions {
     }
 }
 
-/// The daemon: a warm pool, the store-fronted executor with its
-/// hit/miss counters, and the table of programs it decoded.
+/// The daemon: a warm pool and the store-fronted executor, with its
+/// hit/miss counters and its table of programs.
 #[derive(Debug)]
 pub struct Server {
     exec: Executor,
     queue: usize,
     pool: JobPool,
     shutdown: AtomicBool,
-    programs: Mutex<ProgramTable>,
 }
 
 impl Server {
@@ -117,7 +113,6 @@ impl Server {
             queue: opts.queue.max(1),
             pool,
             shutdown: AtomicBool::new(false),
-            programs: Mutex::new(ProgramTable::new()),
         })
     }
 
@@ -162,7 +157,10 @@ impl Server {
             loop {
                 // Bytes, not a `String`: a line that is not UTF-8 is one
                 // bad request, answered in its slot, not a dead stream.
-                let mut line = Vec::new();
+                // The buffer starts no smaller than a socket read and
+                // doubles, then is cut to the line, so what it allocates
+                // follows the line's length, not how its bytes arrived.
+                let mut line = Vec::with_capacity(SOCKET_READ_BYTES);
                 if reader.read_until(b'\n', &mut line)? == 0 {
                     eof = true;
                     break;
@@ -172,6 +170,7 @@ impl Server {
                     break;
                 }
                 line.truncate(len);
+                line.shrink_to_fit();
                 lines.push(line);
             }
             if !lines.is_empty() {
@@ -226,39 +225,32 @@ impl Server {
         let parsed = lines.iter().map(|line| {
             std::str::from_utf8(line.as_ref())
                 .map_err(|e| format!("invalid UTF-8 at byte {}", e.valid_up_to()))
-                .and_then(|text| Request::parse_interned(text, &mut self.programs()))
+                .and_then(|text| self.exec.parse(text))
         });
 
         // `replies` gets exactly one entry per line — Shutdown lines
         // (which get no reply) hold a None that the final flatten drops —
         // so `Admitted.slot` can index by line number. `runs` holds the
-        // admitted runs, each grid expanded into its points, with their
-        // keys.
+        // admitted runs, each grid expanded into its points.
         let mut replies: Vec<Option<Reply>> = Vec::with_capacity(lines.len());
-        let mut runs: Vec<(RunRequest, bool, Option<RunKey>)> = Vec::new();
+        let mut runs: Vec<(RunRequest, bool)> = Vec::new();
         let mut admitted: Vec<Admitted> = Vec::new();
         let mut held_pages = 0usize;
         for (slot, req) in parsed.enumerate() {
-            let (id, request, no_cache, grid, prefix) = match req {
+            let (id, request, no_cache, grid) = match req {
                 Err(message) => {
                     replies.push(Some(Reply::Error { id: BATCH_ERROR_ID, message }));
                     continue;
                 }
-                Ok((Request::Run { id, request, no_cache }, prefix)) => {
-                    (id, request, no_cache, None, prefix)
+                Ok(Request::Run { id, request, no_cache }) => (id, request, no_cache, None),
+                Ok(Request::Grid { id, request, configs, variants, no_cache }) => {
+                    (id, request, no_cache, Some((configs, variants)))
                 }
-                Ok((Request::Grid { id, request, configs, variants, no_cache }, prefix)) => {
-                    (id, request, no_cache, Some((configs, variants)), prefix)
-                }
-                Ok((Request::Stats { id }, _)) => {
+                Ok(Request::Stats { id }) => {
                     replies.push(Some(self.stats_reply(id)));
                     continue;
                 }
-                Ok((Request::Campaign { id, seed, quick, fuzz }, _)) => {
-                    replies.push(Some(self.run_campaign(id, seed, quick, fuzz)));
-                    continue;
-                }
-                Ok((Request::Shutdown, _)) => {
+                Ok(Request::Shutdown) => {
                     self.shutdown.store(true, Ordering::Relaxed);
                     // No id, no reply — but the slot placeholder keeps
                     // line-number indexing sound for later run replies.
@@ -277,18 +269,15 @@ impl Server {
                 None => vec![request],
                 Some((configs, variants)) => expand_grid(&request, &configs, &variants),
             };
-            runs.extend(expanded.into_iter().map(|run| {
-                let key = self.exec.key(&run, prefix.as_ref());
-                (run, no_cache, key)
-            }));
+            runs.extend(expanded.into_iter().map(|run| (run, no_cache)));
             admitted.push(Admitted { slot, id, points });
             replies.push(None); // filled after execution
         }
 
         // Outcomes come back in run order, so each admitted request
         // takes the next one, or a grid the next `points`.
-        let batch: Vec<(&RunRequest, bool, Option<RunKey>)> =
-            runs.iter().map(|(request, no_cache, key)| (request, *no_cache, *key)).collect();
+        let batch: Vec<(&RunRequest, bool)> =
+            runs.iter().map(|(request, no_cache)| (request, *no_cache)).collect();
         let mut outcomes =
             self.exec.execute(&batch, &self.pool, |req| self.run_guarded(req)).into_iter();
         for Admitted { slot, id, points } in admitted {
@@ -354,18 +343,6 @@ impl Server {
         None
     }
 
-    /// The program table. A thread that panicked while holding it may
-    /// have left it half-updated, so it is then emptied, which is always
-    /// a valid table.
-    fn programs(&self) -> MutexGuard<'_, ProgramTable> {
-        self.programs.lock().unwrap_or_else(|poisoned| {
-            self.programs.clear_poison();
-            let mut table = poisoned.into_inner();
-            *table = ProgramTable::new();
-            table
-        })
-    }
-
     /// One simulation with the panic boundary drawn *inside* the worker
     /// closure: a panicking run yields an `Err` here instead of
     /// unwinding across the pool and killing the daemon.
@@ -386,33 +363,6 @@ impl Server {
             None => 0,
         };
         Reply::Stats { id, hits: self.hits(), misses: self.misses(), entries }
-    }
-
-    /// Runs a verification campaign on the daemon's warm pool. Campaign
-    /// runs carry in-process observability and never touch the store.
-    fn run_campaign(&self, id: u64, seed: u64, quick: bool, fuzz: u64) -> Reply {
-        let cfg = CampaignConfig {
-            seed,
-            quick,
-            fuzz_count: Some(fuzz as usize),
-            variants: None,
-        };
-        let checker = Checker::with_config(*self.exec.simulator().config());
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| cfg.run(&checker, &self.pool)));
-        match outcome {
-            Ok(Ok(result)) => Reply::Campaign {
-                id,
-                passed: result.passed(),
-                checks: result.outcomes.len() as u64,
-                render: result.render(),
-            },
-            Ok(Err(e)) => Reply::Error { id, message: e.to_string() },
-            Err(payload) => Reply::Error {
-                id,
-                message: format!("campaign panicked: {}", panic_message(&*payload)),
-            },
-        }
     }
 }
 

@@ -424,13 +424,8 @@ fn shutdown_line_before_run_lines_keeps_reply_slots_aligned() {
 
 #[test]
 fn stats_and_campaign_requests_are_answered_inline() {
-    // The campaign checker is calibrated for the paper's Table I machine,
-    // so this server runs the full-size base config.
-    let server = Server::new(
-        ServeOptions { store: Some(temp_dir("stats")), queue: 64, base: SimConfig::table_i() },
-        JobPool::new(2),
-    )
-    .unwrap();
+    let dir = temp_dir("stats");
+    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
     let prog = l1_resident(100, 1);
     let run = Request::Run { id: 0, request: RunRequest::program(&prog), no_cache: false };
     drive(&server, &batch(&[run]));
@@ -441,15 +436,17 @@ fn stats_and_campaign_requests_are_answered_inline() {
     };
     assert_eq!((hits, misses, entries), (0, 1, 1));
 
-    // A fuzz-free quick campaign on the daemon's warm pool.
-    let campaign = Request::Campaign { id: 2, seed: 7, quick: true, fuzz: 0 };
-    let replies = drive(&server, &batch(&[campaign]));
-    let Reply::Campaign { id: 2, passed, checks, render } = &replies[0] else {
-        panic!("expected a campaign verdict, got {:?}", replies[0]);
+    // The retired `campaign` op is an unknown op, answered in its slot,
+    // and the `stats` line after it is still answered.
+    let campaign = r#"{"op":"campaign","id":2,"seed":7,"quick":true,"fuzz":0}"#;
+    let replies = drive(&server, &format!("{campaign}\n{}\n\n", Request::Stats { id: 3 }.render()));
+    assert_eq!(replies.len(), 2, "one reply per line: {replies:?}");
+    let Reply::Error { id: BATCH_ERROR_ID, message } = &replies[0] else {
+        panic!("a campaign line must be a batch-level error, got {:?}", replies[0]);
     };
-    assert!(passed, "quick campaign must pass:\n{render}");
-    assert!(*checks > 0);
-    assert!(render.contains("PASS"));
+    assert_eq!(message, "unknown op 'campaign'");
+    assert!(matches!(replies[1], Reply::Stats { id: 3, .. }), "{:?}", replies[1]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A batch with a line that is not UTF-8 between two `stats` lines.

@@ -9,15 +9,11 @@
 //! starts.
 //!
 //! The campaign is deterministic: the same `--seed` produces the same
-//! report byte for byte, at any `--jobs` count.
-//!
-//! With `--server <sock>` the whole campaign is submitted as one
-//! protocol request to a running `sdo-serve` daemon, which executes it
-//! on its warm pool and streams the rendered verdict back.
+//! report byte for byte, at any `--jobs` count. Its runs carry
+//! in-process observability and are never cached, so `verify` takes no
+//! `--store`, `--server` or `--no-cache`.
 
 use sdo_harness::cli::{parse_variant, BinSpec, CommonArgs, CsvSupport};
-use sdo_harness::proto::{Reply, Request};
-use sdo_harness::runner::Connection;
 use sdo_harness::SimConfig;
 use sdo_verify::{CampaignConfig, Checker};
 
@@ -30,7 +26,7 @@ const SPEC: BinSpec = BinSpec {
     metrics: false,
     seed: true,
     no_skip: true,
-    client: true,
+    client: false,
     extra_options: &[
         ("--quick", "CI-sized campaign: fewer variants, Spectre only, two fuzz specs"),
         ("--fuzz <N>", "number of fuzz specs (first is the leak anchor; 0 disables fuzzing)"),
@@ -75,24 +71,6 @@ fn main() {
         cfg.variants = Some(variants);
     }
 
-    // Campaign runs carry in-process observability and are never cached,
-    // so the store flags are rejected rather than silently ignored.
-    if args.store.is_some() || args.no_cache {
-        SPEC.usage_error("--store/--no-cache have no effect here: campaign runs are never cached");
-    }
-    if let Some(sock) = &args.server {
-        if report_dir.is_some() || cfg.variants.is_some() {
-            SPEC.usage_error("--report and --variant require a local campaign, not --server");
-        }
-        let reply = submit_campaign(sock, &cfg);
-        let Some(Reply::Campaign { passed, checks, render, .. }) = reply else {
-            SPEC.runtime_error(&format!("unexpected reply to a campaign request: {reply:?}"));
-        };
-        print!("{render}");
-        eprintln!("campaign: {checks} checks via {sock}");
-        std::process::exit(i32::from(!passed));
-    }
-
     let checker = Checker::with_config(args.sim_config(SimConfig::table_i()));
     let result = cfg
         .run(&checker, &args.pool)
@@ -118,27 +96,4 @@ fn main() {
 fn parse_fuzz(v: &str) -> usize {
     v.parse()
         .unwrap_or_else(|_| SPEC.usage_error(&format!("--fuzz expects an unsigned integer, got '{v}'")))
-}
-
-/// Submits the campaign as one protocol request over the daemon's Unix
-/// socket and returns its terminal reply. Resubmits on `Busy` (the
-/// daemon's bounded-queue back-pressure).
-fn submit_campaign(sock: &str, cfg: &CampaignConfig) -> Option<Reply> {
-    let mut conn = Connection::open(sock).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
-    let msg = Request::Campaign {
-        id: 0,
-        seed: cfg.seed,
-        quick: cfg.quick,
-        fuzz: cfg.fuzz_total() as u64,
-    };
-    loop {
-        let replies = conn
-            .exchange(std::slice::from_ref(&msg))
-            .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
-        match replies.into_iter().next() {
-            Some(Reply::Busy { .. }) => continue,
-            Some(Reply::Error { message, .. }) => SPEC.runtime_error(&message),
-            reply => return reply,
-        }
-    }
 }

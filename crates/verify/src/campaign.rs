@@ -95,9 +95,7 @@ impl CampaignConfig {
     }
 
     /// The effective fuzz-spec count: the override, or the mode default
-    /// (2 quick, 8 full). Public so a remote submission (`verify
-    /// --server`) can resolve the default on the client and ship a plain
-    /// count over the wire.
+    /// (2 quick, 8 full).
     #[must_use]
     pub fn fuzz_total(&self) -> usize {
         self.fuzz_count.unwrap_or(if self.quick { 2 } else { 8 })
