@@ -13,9 +13,10 @@
 //! its canonical line carries. The daemon decodes lines through the same
 //! table: [`Request::parse_interned`](crate::proto::Request::parse_interned)
 //! compares a line's `data` array with a held program's canonical
-//! rendering as it reads it, and on an exact match takes the held
-//! program instead of decoding the array. So a repeated image is neither
-//! decoded nor hashed again.
+//! rendering as it reads it, chunk by chunk as the writer hands the
+//! rendering over, and on an exact match takes the held program instead
+//! of decoding the array. So a repeated image is neither decoded nor
+//! hashed again.
 //!
 //! A held program is exactly the one the line would decode to. Its
 //! `name` and `asm` strings are equal, so `parse_asm` would build the
@@ -33,8 +34,10 @@ use sdo_isa::{Program, MAX_PARSED_PAGES, PAGE_BYTES};
 use sdo_uarch::json::Reader;
 
 /// Programs held per `name` and `asm`. A line is compared with each of
-/// them, each comparison stopping where the line's bytes stop, so a line
-/// costs at most this many times its own length to recognise.
+/// them a chunk of the held program's rendering at a time, each
+/// comparison stopping at the first chunk that differs from the line or
+/// runs past its end, so a line costs at most this many times its own
+/// length plus one chunk per candidate to recognise.
 const IMAGES_PER_TEXT: usize = 4;
 
 /// A bounded table of programs with their key prefixes.

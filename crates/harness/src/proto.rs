@@ -19,7 +19,7 @@
 use crate::config::{SimConfig, Variant};
 use crate::intern::ProgramTable;
 use crate::sim::{RunRequest, RunResult};
-use sdo_uarch::json::{obj, put_u64, write_json_string, Reader, U64_DIGITS};
+use sdo_uarch::json::{digit_pair, obj, put_u64, write_json_string, Reader, U64_DIGITS};
 use std::fmt;
 // The JSON value and parser are the workspace's one codec,
 // `sdo_obs::json`, reached through `sdo-uarch`'s re-exports.
@@ -31,7 +31,7 @@ pub use sdo_uarch::json::{parse_json, Json};
 /// a legal request id (the daemon refuses `run` requests that claim it)
 /// and clients treat an `error` reply carrying it as batch-level.
 pub const BATCH_ERROR_ID: u64 = u64::MAX;
-use sdo_isa::{DataImage, Program, MAX_PARSED_PAGES, PAGE_SHIFT};
+use sdo_isa::{DataImage, Program, MAX_PARSED_PAGES, PAGE_BYTES, PAGE_SHIFT};
 use sdo_mem::{
     CacheLevel, CacheParams, DramParams, MemConfig, MemStats, TlbParams,
 };
@@ -436,27 +436,153 @@ fn write_program<W: fmt::Write>(program: &Program, out: &mut W) -> fmt::Result {
     )
 }
 
-/// Writes a data image as its `[addr,byte]` pairs in address order. Each
-/// pair, with the comma before it, is formatted in a stack buffer, two
-/// digits per division, and written at once.
+/// Writes a data image as its `[addr,byte]` pairs in address order
+/// (DESIGN.md §13). The image is walked page by page, and each page's
+/// base address is split at 10^4 once: an address is then the page's
+/// decimal prefix and four more digits (from the page's next multiple of
+/// 10^4 on, the next prefix's). The text reaches `out` in chunks of at
+/// most [`CHUNK`] bytes, one write each.
 pub(crate) fn write_data<W: fmt::Write>(data: &DataImage, out: &mut W) -> fmt::Result {
-    // `,[` + address + `,` + byte + `]`
-    const PAIR: usize = 2 + U64_DIGITS + 1 + 3 + 1;
-    out.write_char('[')?;
-    let mut buf = [0u8; PAIR];
-    for (i, (addr, byte)) in data.iter().enumerate() {
-        buf[PAIR - 1] = b']';
-        let mut at = put_u64(u64::from(byte), &mut buf[..PAIR - 1]) - 1;
-        buf[at] = b',';
-        at = put_u64(addr, &mut buf[..at]) - 1;
-        buf[at] = b'[';
-        if i > 0 {
-            at -= 1;
-            buf[at] = b',';
-        }
-        out.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)?;
+    let mut text = Chunks { out, buf: [0; CHUNK], len: 1 };
+    text.buf[0] = b'[';
+    for (number, page) in data.pages() {
+        let base = number << PAGE_SHIFT;
+        let (high, low) = (base / 10_000, (base % 10_000) as usize);
+        // `low` is a multiple of 16, the largest power of two dividing
+        // both 10^4 and the page size, so the split falls on a word.
+        let split = (10_000 - low).min(PAGE_BYTES) / 8;
+        let words = page.as_chunks::<8>().0;
+        text.run(&words[..split], high, low)?;
+        text.run(&words[split..], high + 1, 0)?;
     }
-    out.write_char(']')
+    text.finish()
+}
+
+/// Bytes of a data image's text a sink is handed in one write, at most.
+const CHUNK: usize = 16 << 10;
+
+/// The fixed-size head a pair's text starts with: `[` and up to
+/// [`U64_DIGITS`] digits of its address's prefix.
+const HEAD: usize = 1 + U64_DIGITS;
+
+/// The most bytes writing one pair touches: its head, then four digits
+/// and an eight-byte [`BYTE_TAILS`] entry after the head's text.
+const PAIR_ROOM: usize = HEAD + 4 + 8;
+
+/// The text after a pair's address for each byte value `b`, `,b],`, in
+/// the first bytes of eight, with its length.
+const BYTE_TAILS: [([u8; 8], usize); 256] = {
+    let mut tails = [([0; 8], 0); 256];
+    let mut b = 0;
+    while b < 256 {
+        let [tens, ones] = digit_pair(b % 100);
+        let digits = [b'0' + (b / 100) as u8, tens, ones];
+        // The hundreds and tens digits a shorter value drops.
+        let mut i = (b < 100) as usize + (b < 10) as usize;
+        let mut tail = [b','; 8];
+        let mut len = 1;
+        while i < 3 {
+            tail[len] = digits[i];
+            len += 1;
+            i += 1;
+        }
+        tail[len] = b']';
+        tails[b] = (tail, len + 2);
+        b += 1;
+    }
+    tails
+};
+
+/// A data image's text on its way to a sink, gathered in `buf`. The
+/// text always ends in the `[` that opens the array or in the `,` after
+/// a pair.
+struct Chunks<'a, W> {
+    out: &'a mut W,
+    buf: [u8; CHUNK],
+    len: usize,
+}
+
+impl<W: fmt::Write> Chunks<'_, W> {
+    /// Writes a pair for each non-zero byte of `words`. The first byte's
+    /// address is `high` * 10^4 + `low`, and the last's is below
+    /// (`high` + 1) * 10^4, so each address is `high`'s digits and four
+    /// more, or at most four when `high` is 0.
+    fn run(&mut self, words: &[[u8; 8]], high: u64, low: usize) -> fmt::Result {
+        if high == 0 {
+            return self.pairs::<false>(words, &[], low);
+        }
+        let mut digits = [0u8; U64_DIGITS];
+        let first = put_u64(high, &mut digits);
+        self.pairs::<true>(words, &digits[first..], low)
+    }
+
+    /// [`run`](Self::run)'s pairs, each address written as `prefix` and
+    /// four digits; without a prefix, the digits' leading zeros are
+    /// dropped.
+    fn pairs<const PREFIXED: bool>(
+        &mut self,
+        words: &[[u8; 8]],
+        prefix: &[u8],
+        low: usize,
+    ) -> fmt::Result {
+        let mut head = [0u8; HEAD];
+        head[0] = b'[';
+        let head_len = 1 + prefix.len();
+        head[1..head_len].copy_from_slice(prefix);
+        let mut len = self.len;
+        for (i, word) in words.iter().enumerate() {
+            let mut word = u64::from_le_bytes(*word);
+            while word != 0 {
+                // The lowest non-zero byte is the lowest address still to
+                // write.
+                let shift = word.trailing_zeros() & !7;
+                let byte = usize::from((word >> shift) as u8);
+                word &= !(0xff << shift);
+                let rest = low + 8 * i + (shift / 8) as usize;
+                let zeros = if PREFIXED {
+                    0
+                } else {
+                    usize::from(rest < 1000) + usize::from(rest < 100) + usize::from(rest < 10)
+                };
+                let [a, b] = digit_pair(rest / 100);
+                let [c, d] = digit_pair(rest % 100);
+                let digits = u32::from_le_bytes([a, b, c, d]) >> (8 * zeros);
+                if len + PAIR_ROOM > CHUNK {
+                    self.len = len;
+                    self.flush()?;
+                    len = 0;
+                }
+                let pair = &mut self.buf[len..len + PAIR_ROOM];
+                pair[..HEAD].copy_from_slice(&head);
+                pair[head_len..head_len + 4].copy_from_slice(&digits.to_le_bytes());
+                let at = head_len + 4 - zeros;
+                let (tail, tail_len) = &BYTE_TAILS[byte];
+                pair[at..at + 8].copy_from_slice(tail);
+                len += at + tail_len;
+            }
+        }
+        self.len = len;
+        Ok(())
+    }
+
+    /// Closes the array and writes the rest of the text.
+    fn finish(mut self) -> fmt::Result {
+        if self.buf[self.len - 1] == b',' {
+            self.buf[self.len - 1] = b']';
+        } else {
+            self.buf[self.len] = b']';
+            self.len += 1;
+        }
+        self.flush()
+    }
+
+    /// Hands the text gathered so far to the sink.
+    fn flush(&mut self) -> fmt::Result {
+        let text = std::str::from_utf8(&self.buf[..self.len]).map_err(|_| fmt::Error)?;
+        self.out.write_str(text)?;
+        self.len = 0;
+        Ok(())
+    }
 }
 
 /// Writes `,"key":value` for each field.
@@ -679,15 +805,19 @@ fn program_from_parts(
     let writes = data.unwrap_or_else(|| Err("missing field 'data'".to_string()))?;
     // The assembly's own bytes, then the listed writes in order: built
     // into one image in one pass, the image `set_byte` would leave. The
-    // sort is stable, so the build keeps each address's writes in order.
-    // An assembly that wrote no data leaves the listed writes as they
-    // are, so a large image is not copied once more.
+    // sort is stable, so the build keeps each address's writes in order;
+    // a canonical line's writes ascend already, and are not sorted (the
+    // sort would allocate scratch as large as them even then). An
+    // assembly that wrote no data leaves the listed writes as they are,
+    // so a large image is not copied once more.
     let mut writes: Vec<(u64, u8)> =
         if own_data { program.data().iter().chain(writes).collect() } else { writes };
-    writes.sort_by_key(|&(addr, _)| addr);
+    if !writes.is_sorted_by_key(|&(addr, _)| addr) {
+        writes.sort_by_key(|&(addr, _)| addr);
+    }
     let touched = writes.chunk_by(|a, b| a.0 >> PAGE_SHIFT == b.0 >> PAGE_SHIFT).count();
     charge(pages, touched, name)?;
-    *program.data_mut() = writes.into_iter().collect();
+    *program.data_mut() = DataImage::from_sorted(&writes);
     Ok((program, own_data))
 }
 
@@ -1337,9 +1467,10 @@ impl Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{rv32_workloads, sensitivity_kernel};
+    use crate::runner::Executor;
     use crate::sim::Simulator;
-    use crate::store::{sha256, RunKey, KEY_SCHEMA};
-    use sdo_isa::DataImage;
+    use crate::store::{sha256, RunKey, Sha256, KEY_SCHEMA};
     use sdo_mem::CacheLevel;
     use sdo_rng::SdoRng;
     use sdo_workloads::kernels::{self, l1_resident};
@@ -1518,6 +1649,194 @@ mod tests {
         let mut out = String::new();
         write(&mut out).unwrap();
         out
+    }
+
+    /// The per-pair data writer that the chunked [`write_data`] replaced,
+    /// kept as its reference: each pair, with the comma before it, is
+    /// formatted in a stack buffer, two digits per division, and written
+    /// on its own.
+    fn write_data_per_pair<W: fmt::Write>(data: &DataImage, out: &mut W) -> fmt::Result {
+        // `,[` + address + `,` + byte + `]`
+        const PAIR: usize = 2 + U64_DIGITS + 1 + 3 + 1;
+        out.write_char('[')?;
+        let mut buf = [0u8; PAIR];
+        for (i, (addr, byte)) in data.iter().enumerate() {
+            buf[PAIR - 1] = b']';
+            let mut at = put_u64(u64::from(byte), &mut buf[..PAIR - 1]) - 1;
+            buf[at] = b',';
+            at = put_u64(addr, &mut buf[..at]) - 1;
+            buf[at] = b'[';
+            if i > 0 {
+                at -= 1;
+                buf[at] = b',';
+            }
+            out.write_str(std::str::from_utf8(&buf[at..]).map_err(|_| fmt::Error)?)?;
+        }
+        out.write_char(']')
+    }
+
+    /// A sink that keeps the length of each write.
+    #[derive(Default)]
+    struct Writes(Vec<usize>);
+
+    impl fmt::Write for Writes {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0.push(s.len());
+            Ok(())
+        }
+    }
+
+    /// Checks [`write_data`] against the per-pair reference on `data`,
+    /// byte for byte: into a `String`, into the SHA-256 of a RunKey, and
+    /// as the daemon recognises a held image's text. Returns the lengths
+    /// of the writer's chunks.
+    fn check_writer(data: &DataImage, what: &str) -> Vec<usize> {
+        let want = written(|out| write_data_per_pair(data, out));
+        let got = written(|out| write_data(data, out));
+        if got != want {
+            let at = got.bytes().zip(want.bytes()).take_while(|(a, b)| a == b).count();
+            panic!("{what}: the text differs from the reference's at byte {at} of {}", want.len());
+        }
+        let mut hash = Sha256::new();
+        write_data(data, &mut hash).unwrap();
+        assert_eq!(hash.finish(), sha256(want.as_bytes()), "{what}: the digests differ");
+        let mut r = Reader::new(&want);
+        assert!(r.skip_if_rendered(2, |out| write_data(data, out)), "{what}: not recognised");
+        r.finish().unwrap();
+        let mut chunks = Writes::default();
+        write_data(data, &mut chunks).unwrap();
+        // Each chunk but the last is full up to the room of one pair.
+        let (last, full) = chunks.0.split_last().unwrap();
+        assert!(*last <= CHUNK, "{what}: chunks {:?}", chunks.0);
+        assert!(
+            full.iter().all(|&n| n <= CHUNK && n > CHUNK - PAIR_ROOM),
+            "{what}: {:?}",
+            chunks.0
+        );
+        chunks.0
+    }
+
+    /// A seeded image with bytes where the writer splits addresses:
+    /// below 10^4 (no prefix), on both sides of a power of ten from 10^4
+    /// up, on a page's first and last byte, on the top page up to
+    /// `u64::MAX`, and in dense runs, some of whose text is longer than
+    /// one chunk.
+    fn edge_image(rng: &mut SdoRng) -> DataImage {
+        let mut data = DataImage::new();
+        for _ in 0..rng.gen_range(1..6) {
+            let mut set = |addr: u64, rng: &mut SdoRng| data.set_byte(addr, rng.gen_range(1..=255));
+            match rng.gen_range(0..6) {
+                0 => {
+                    for _ in 0..rng.gen_range(1..40) {
+                        let addr = [0, rng.gen_range(0..100), rng.gen_range(0..10_000)];
+                        set(addr[rng.gen_range(0..3)], rng);
+                    }
+                }
+                1 => {
+                    let power = 10u64.pow(rng.gen_range(4..20));
+                    for addr in power - rng.gen_range(1..20)..power + rng.gen_range(1..20) {
+                        set(addr, rng);
+                    }
+                }
+                2 => {
+                    let base = rng.gen::<u64>() & !(PAGE_BYTES as u64 - 1);
+                    set(base, rng);
+                    set(base + PAGE_BYTES as u64 - 1, rng);
+                }
+                3 => {
+                    set(u64::MAX, rng);
+                    for _ in 0..rng.gen_range(0..30) {
+                        set(u64::MAX - rng.gen_range(0..PAGE_BYTES as u64), rng);
+                    }
+                }
+                4 => {
+                    // Zero bytes leave holes.
+                    let start: u64 = rng.gen();
+                    let len = if rng.gen_range(0..8) == 0 { 3000 } else { rng.gen_range(1..300) };
+                    for i in 0..len {
+                        data.set_byte(start.wrapping_add(i), rng.gen());
+                    }
+                }
+                _ => {
+                    for _ in 0..rng.gen_range(1..8) {
+                        set(rng.gen(), rng);
+                    }
+                }
+            }
+        }
+        data
+    }
+
+    #[test]
+    fn the_chunked_writer_matches_the_per_pair_reference() {
+        // Every in-tree program, and the `serve` benchmark's large
+        // shapes: `ptr_chase` over 256 KiB-1 MiB and `hash_lookup` over
+        // 64-256 KiB tables.
+        let workloads = suite().into_iter().chain(rv32_workloads()).chain([sensitivity_kernel()]);
+        let mut programs: Vec<Program> = workloads.map(|w| w.program().clone()).collect();
+        for kib in [256, 640, 1024] {
+            programs.push(kernels::ptr_chase(kib << 10, 100, 7));
+        }
+        for kib in [64, 160, 256] {
+            programs.push(kernels::hash_lookup((kib << 10) / 8, 100, 7));
+        }
+        for program in &programs {
+            check_writer(program.data(), program.name());
+        }
+        let mut every_byte = DataImage::new();
+        for b in 1..=255 {
+            every_byte.set_byte(9_900 + u64::from(b), b);
+        }
+        check_writer(&every_byte, "every byte value");
+        let mut rng = SdoRng::seed_from_u64(0xc4_a2c5);
+        let mut long = 0;
+        for case in 0..1200 {
+            long +=
+                usize::from(check_writer(&edge_image(&mut rng), &format!("case {case}")).len() > 1);
+        }
+        assert!(long >= 20, "only {long} images were longer than one chunk");
+    }
+
+    #[test]
+    fn held_lines_changed_or_cut_at_chunk_edges_are_decoded_afresh() {
+        let program = kernels::hash_lookup(1024, 100, 3);
+        let line = Request::Run { id: 1, request: RunRequest::program(&program), no_cache: false }
+            .render();
+        let exec = Executor::new(SimConfig::tiny(), None);
+        exec.parse(&line).unwrap();
+        let hits = exec.programs().hits();
+        exec.parse(&line).unwrap();
+        assert_eq!(exec.programs().hits(), hits + 1, "the held program's line is recognised");
+        let mut chunks = Writes::default();
+        write_data(program.data(), &mut chunks).unwrap();
+        assert!(chunks.0.len() >= 3, "chunks {:?}", chunks.0);
+        // Where each chunk of the line's data array ends; a byte past the
+        // array leaves it whole, and recognised.
+        let start = line.find("\"data\":[").unwrap() + "\"data\":".len();
+        let end = start + chunks.0.iter().sum::<usize>();
+        let edges = chunks.0.iter().scan(start, |edge, len| {
+            *edge += len;
+            Some(*edge)
+        });
+        let mut outcomes = [0; 2];
+        for edge in edges {
+            for at in [edge - 1, edge, edge + 1].into_iter().filter(|&at| at < end) {
+                let mut changed = line.clone().into_bytes();
+                changed[at] = match changed[at] {
+                    digit @ b'0'..=b'8' => digit + 1,
+                    b'9' => b'0',
+                    _ => b' ',
+                };
+                for variant in [String::from_utf8(changed).unwrap(), line[..at].to_string()] {
+                    let hits = exec.programs().hits();
+                    let got = exec.parse(&variant);
+                    assert_eq!(got, Request::parse(&variant), "byte {at}");
+                    assert_eq!(exec.programs().hits(), hits, "byte {at} was recognised");
+                    outcomes[usize::from(got.is_ok())] += 1;
+                }
+            }
+        }
+        assert!(outcomes.iter().all(|&n| n > 0), "errors and decoded lines: {outcomes:?}");
     }
 
     #[test]

@@ -246,7 +246,26 @@ impl FromIterator<(u64, u8)> for DataImage {
         let mut writes: Vec<(u64, u8)> = iter.into_iter().collect();
         // Stable, so the writes to one address keep their order and the
         // last one lands last when its page is filled from its run.
-        writes.sort_by_key(|&(addr, _)| addr);
+        // Sorted writes are left as they are: the sort would allocate
+        // scratch as large as them even then.
+        if !writes.is_sorted_by_key(|&(addr, _)| addr) {
+            writes.sort_by_key(|&(addr, _)| addr);
+        }
+        DataImage::from_sorted(&writes)
+    }
+}
+
+impl DataImage {
+    /// Builds an image from `(addr, byte)` writes in address order, as
+    /// [`FromIterator`] builds it from the same writes: the writes to
+    /// one address keep their order, so the last one wins.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the writes are not in address order.
+    #[must_use]
+    pub fn from_sorted(writes: &[(u64, u8)]) -> Self {
+        assert!(writes.is_sorted_by_key(|&(addr, _)| addr), "data writes out of address order");
         let mut pages = BTreeMap::new();
         let mut len = 0;
         for run in writes.chunk_by(|a, b| a.0 >> PAGE_SHIFT == b.0 >> PAGE_SHIFT) {

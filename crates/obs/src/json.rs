@@ -179,6 +179,16 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
     6061626364656667686970717273747576777879\
     8081828384858687888990919293949596979899";
 
+/// The two decimal digits of `n`, `"00"` through `"99"`.
+///
+/// # Panics
+///
+/// Panics if `n` is 100 or more.
+#[must_use]
+pub const fn digit_pair(n: usize) -> [u8; 2] {
+    [DIGIT_PAIRS[2 * n], DIGIT_PAIRS[2 * n + 1]]
+}
+
 /// Formats `n` in decimal at the end of `buf` and returns the index its
 /// first digit is at. `buf` must have room for [`U64_DIGITS`] digits,
 /// or for as many as `n` has.
@@ -189,14 +199,14 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
 pub fn put_u64(mut n: u64, buf: &mut [u8]) -> usize {
     let mut at = buf.len();
     while n >= 100 {
-        let pair = 2 * (n % 100) as usize;
+        let pair = (n % 100) as usize;
         n /= 100;
         at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        buf[at..at + 2].copy_from_slice(&digit_pair(pair));
     }
     if n >= 10 {
         at -= 2;
-        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[2 * n as usize..2 * n as usize + 2]);
+        buf[at..at + 2].copy_from_slice(&digit_pair(n as usize));
     } else {
         at -= 1;
         buf[at] = b'0' + n as u8;
