@@ -68,15 +68,6 @@ pub struct CallGraph {
     pub calls: BTreeMap<u64, BTreeSet<u64>>,
 }
 
-impl CallGraph {
-    /// The function owning µop `pc`, if any (entry of the first owner
-    /// in entry order).
-    #[must_use]
-    pub fn function_of(&self, pc: u64) -> Option<u64> {
-        self.functions.iter().find(|f| f.members.contains(&pc)).map(|f| f.entry)
-    }
-}
-
 /// Recovers the call graph of a lowered RV32 program from its
 /// translation provenance.
 #[must_use]

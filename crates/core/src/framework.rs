@@ -4,20 +4,27 @@
 //! `Obl-f(args)` in two steps:
 //!
 //! 1. design `N` *data-oblivious variants* `Obl-f_1 … Obl-f_N`, each with
-//!    signature `success?, presult ← Obl-f_i(args)` (Equation 1), obeying
-//!    Definition 1 (functional correctness) and Definition 2 (operand-
-//!    independent resource usage);
+//!    signature `success?, presult ← Obl-f_i(args)` (Equation 1, here
+//!    [`DoResult`]);
 //! 2. design a *DO predictor* `i ← predict(inp)` / `update((inp, actual i))`
 //!    (Equations 2–3) choosing which variant to execute, whose inputs are
 //!    untainted (public) information only — in this paper, the PC.
 //!
-//! [`SdoOperation`] is Figure 2 in executable form: `issue` is Part 1
-//! (predict, run the chosen variant, return the tainted `presult`), and
-//! `resolve` is Part 2 (once `args` is untainted: reveal `success?`,
-//! update the predictor on success, or report that a squash + re-issue is
-//! required on fail).
-
-use std::fmt;
+//! Every DO variant must uphold the two definitions of Section IV-A:
+//!
+//! * **Definition 1** (functional correctness) — on `success`,
+//!   `presult == f(args)`; on `fail`, `presult` is ⊥.
+//! * **Definition 2** (security) — execution creates the same hardware
+//!   resource interference for any two operand assignments. In a
+//!   software model this translates to: any *timing/occupancy* the
+//!   variant reports to the simulator must be independent of `args`.
+//!
+//! Figure 2 runs as the two SDO operations the pipeline issues: Obl-Ld,
+//! whose variants are the per-level lookups of
+//! [`OblLdFsm`](crate::oblld::OblLdFsm) and whose DO predictor is a
+//! [`LocationPredictor`](crate::predictor::LocationPredictor), and the FP
+//! operation, whose one variant is [`fp_do_execute`](crate::fp::fp_do_execute)
+//! under a static "predict normal" predictor.
 
 /// Result of executing one DO variant (Equation 1).
 ///
@@ -45,252 +52,14 @@ impl<R> DoResult<R> {
     }
 }
 
-/// One data-oblivious variant `Obl-f_i` of a transmitter `f`.
-///
-/// Implementations must uphold the two definitions of Section IV-A:
-///
-/// * **Definition 1** — on `success`, `presult == f(args)`; on `fail`,
-///   `presult` is ⊥.
-/// * **Definition 2** — execution creates the same hardware resource
-///   interference for any two operand assignments. In a software model
-///   this translates to: any *timing/occupancy* the variant reports to the
-///   simulator must be independent of `args`.
-pub trait DoVariant<A: ?Sized, R> {
-    /// Executes the variant on `args`.
-    fn execute(&mut self, args: &A) -> DoResult<R>;
-
-    /// Human-readable variant name (e.g. `"Obl-Ld2"`).
-    fn label(&self) -> &str;
-}
-
-/// The DO predictor of Section IV-B: selects which variant to run.
-///
-/// `predict`'s input and `update`'s timing must be functions of untainted
-/// data; under STT that holds for the PC, and updates are deferred until
-/// the transmitter's operands untaint (Figure 2, lines 11–16) — the
-/// *caller* (the pipeline) enforces the deferral, this trait just receives
-/// the calls.
-pub trait VariantPredictor {
-    /// Predicts the 0-based index of the variant to execute for this
-    /// (public) predictor input.
-    fn predict(&mut self, inp: u64) -> usize;
-
-    /// Updates predictor state once the outcome is untainted. `actual` is
-    /// the variant index that would have succeeded (if known).
-    fn update(&mut self, inp: u64, actual: usize);
-}
-
-/// A complete SDO operation `Obl-f` (Figure 2): `N` DO variants plus a DO
-/// predictor.
-///
-/// # Examples
-///
-/// The paper's floating-point example — two execution classes (fast =
-/// normal operands, slow = subnormal), one DO variant for the fast class,
-/// and a static "predict fast" predictor:
-///
-/// ```rust
-/// use sdo_core::framework::{DoResult, DoVariant, SdoOperation, VariantPredictor};
-///
-/// struct FastFp;
-/// impl DoVariant<(f64, f64), f64> for FastFp {
-///     fn execute(&mut self, &(a, b): &(f64, f64)) -> DoResult<f64> {
-///         if a.is_subnormal() || b.is_subnormal() {
-///             DoResult::fail() // would take the slow path: not covered
-///         } else {
-///             DoResult::success(a * b)
-///         }
-///     }
-///     fn label(&self) -> &str { "fmul-fast" }
-/// }
-///
-/// struct AlwaysFirst;
-/// impl VariantPredictor for AlwaysFirst {
-///     fn predict(&mut self, _inp: u64) -> usize { 0 }
-///     fn update(&mut self, _inp: u64, _actual: usize) {}
-/// }
-///
-/// let mut op = SdoOperation::new(vec![Box::new(FastFp)], Box::new(AlwaysFirst));
-/// let (idx, r) = op.issue(0x400, &(2.0, 3.0));
-/// assert_eq!((idx, r.presult), (0, Some(6.0)));
-/// assert!(!op.resolve(0x400, idx, r.success, None), "no squash needed");
-///
-/// let (_, r) = op.issue(0x400, &(f64::MIN_POSITIVE / 2.0, 3.0));
-/// assert!(!r.success, "subnormal input fails the fast variant");
-/// ```
-pub struct SdoOperation<A: ?Sized, R> {
-    variants: Vec<Box<dyn DoVariant<A, R>>>,
-    predictor: Box<dyn VariantPredictor>,
-}
-
-impl<A: ?Sized, R> fmt::Debug for SdoOperation<A, R> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SdoOperation")
-            .field("variants", &self.variants.iter().map(|v| v.label().to_owned()).collect::<Vec<_>>())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<A: ?Sized, R> SdoOperation<A, R> {
-    /// Builds an SDO operation from its variants and predictor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `variants` is empty (N ≥ 1 is required).
-    #[must_use]
-    pub fn new(
-        variants: Vec<Box<dyn DoVariant<A, R>>>,
-        predictor: Box<dyn VariantPredictor>,
-    ) -> Self {
-        assert!(!variants.is_empty(), "an SDO operation needs at least one DO variant");
-        SdoOperation { variants, predictor }
-    }
-
-    /// Number of DO variants (`N`).
-    #[must_use]
-    pub fn num_variants(&self) -> usize {
-        self.variants.len()
-    }
-
-    /// **Part 1 of Figure 2** — on issue with tainted `args`: predict a
-    /// variant from public input `inp` (e.g. the PC) and execute it.
-    /// Returns the chosen index and the (tainted) result, which the caller
-    /// forwards to dependents unconditionally.
-    pub fn issue(&mut self, inp: u64, args: &A) -> (usize, DoResult<R>) {
-        let idx = self.predictor.predict(inp).min(self.variants.len() - 1);
-        let result = self.variants[idx].execute(args);
-        (idx, result)
-    }
-
-    /// **Part 2 of Figure 2** — when `args` becomes untainted, `success?`
-    /// may be revealed. On success the predictor is updated; on fail the
-    /// caller must squash starting at the transmitter and re-issue it
-    /// non-obliviously (the optional `actual` index, if known, still
-    /// trains the predictor).
-    ///
-    /// Returns `true` iff a squash + re-issue is required.
-    pub fn resolve(&mut self, inp: u64, chosen: usize, success: bool, actual: Option<usize>) -> bool {
-        if success {
-            self.predictor.update(inp, chosen);
-            false
-        } else {
-            if let Some(actual) = actual {
-                self.predictor.update(inp, actual);
-            }
-            true
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
-    use std::rc::Rc;
-
-    /// A variant that succeeds iff the argument is below a threshold.
-    struct Below(u64);
-    impl DoVariant<u64, u64> for Below {
-        fn execute(&mut self, args: &u64) -> DoResult<u64> {
-            if *args < self.0 {
-                DoResult::success(args * 2)
-            } else {
-                DoResult::fail()
-            }
-        }
-        fn label(&self) -> &str {
-            "below"
-        }
-    }
-
-    struct CountingPredictor {
-        next: usize,
-        updates: Rc<Cell<usize>>,
-    }
-    impl VariantPredictor for CountingPredictor {
-        fn predict(&mut self, _inp: u64) -> usize {
-            self.next
-        }
-        fn update(&mut self, _inp: u64, _actual: usize) {
-            self.updates.set(self.updates.get() + 1);
-        }
-    }
-
-    fn op_with(next: usize) -> (SdoOperation<u64, u64>, Rc<Cell<usize>>) {
-        let updates = Rc::new(Cell::new(0));
-        let pred = CountingPredictor { next, updates: Rc::clone(&updates) };
-        let op = SdoOperation::new(
-            vec![Box::new(Below(10)), Box::new(Below(100))],
-            Box::new(pred),
-        );
-        (op, updates)
-    }
-
-    #[test]
-    fn issue_runs_predicted_variant() {
-        let (mut op, _) = op_with(0);
-        let (idx, r) = op.issue(0, &5);
-        assert_eq!(idx, 0);
-        assert_eq!(r, DoResult::success(10));
-        let (_, r) = op.issue(0, &50);
-        assert_eq!(r, DoResult::fail(), "variant 0 cannot cover 50");
-    }
-
-    #[test]
-    fn second_variant_covers_more() {
-        let (mut op, _) = op_with(1);
-        let (idx, r) = op.issue(0, &50);
-        assert_eq!(idx, 1);
-        assert_eq!(r, DoResult::success(100));
-    }
-
-    #[test]
-    fn prediction_index_clamped() {
-        let (mut op, _) = op_with(99);
-        let (idx, _) = op.issue(0, &5);
-        assert_eq!(idx, 1, "out-of-range prediction clamps to N-1");
-    }
-
-    #[test]
-    fn resolve_success_updates_predictor() {
-        let (mut op, updates) = op_with(0);
-        let squash = op.resolve(0, 0, true, None);
-        assert!(!squash);
-        assert_eq!(updates.get(), 1);
-    }
-
-    #[test]
-    fn resolve_fail_requires_squash() {
-        let (mut op, updates) = op_with(0);
-        let squash = op.resolve(0, 0, false, None);
-        assert!(squash);
-        assert_eq!(updates.get(), 0, "no update when the correct class is unknown");
-        // With the actual class known (e.g. from validation), update.
-        assert!(op.resolve(0, 0, false, Some(1)));
-        assert_eq!(updates.get(), 1);
-    }
 
     #[test]
     fn do_result_constructors() {
         assert_eq!(DoResult::success(7).presult, Some(7));
         assert_eq!(DoResult::<u64>::fail().presult, None);
         assert!(!DoResult::<u64>::fail().success);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one DO variant")]
-    fn empty_variant_list_panics() {
-        let updates = Rc::new(Cell::new(0));
-        let _ = SdoOperation::<u64, u64>::new(
-            vec![],
-            Box::new(CountingPredictor { next: 0, updates }),
-        );
-    }
-
-    #[test]
-    fn debug_lists_variant_labels() {
-        let (op, _) = op_with(0);
-        let dbg = format!("{op:?}");
-        assert!(dbg.contains("below"));
     }
 }

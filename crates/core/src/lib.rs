@@ -4,10 +4,12 @@
 //! Mobilizing Safe Prediction For Safe and Efficient Speculative
 //! Execution"* (ISCA 2020), as a reusable library:
 //!
-//! * [`framework`] — the general SDO construction of Section IV: N
-//!   *data-oblivious variants* of a transmitter (Definition 1: functional
-//!   correctness; Definition 2: operand-independent resource usage) plus a
-//!   *DO predictor* choosing which variant to execute (Figure 2).
+//! * [`framework`] — the general SDO construction of Section IV: a DO
+//!   variant's `success?, presult` result ([`DoResult`], Equation 1) and
+//!   the contract every variant obeys (Definition 1: functional
+//!   correctness; Definition 2: operand-independent resource usage).
+//!   Figure 2's variants-plus-predictor construction is the Obl-Ld and FP
+//!   operations below.
 //! * [`predictor`] — location predictors for the Obl-Ld operation
 //!   (Section V-D): the static L1/L2/L3 predictors, the *greedy* and
 //!   *loop* predictors, the *hybrid* chooser between them, and the
@@ -67,7 +69,7 @@ pub mod predictor;
 pub mod security;
 
 pub use fp::{fp_do_execute, FpClass};
-pub use framework::{DoResult, DoVariant, SdoOperation, VariantPredictor};
+pub use framework::DoResult;
 pub use oblld::{OblAction, OblEvent, OblLdFsm, WaitBuffer};
 pub use predictor::{
     GreedyPredictor, HybridPredictor, LocationPredictor, LoopPredictor, PatternPredictor,

@@ -7,17 +7,18 @@
 //! 4. **DRAM predictions**: allow (revert to delay) vs clamp to L3
 //!    (force a fail + squash) (Section VI-B).
 //!
-//! Each ablation prints its comparison table. They run the suite
-//! kernels at reduced trip counts, so the whole sweep completes in
-//! minutes; the pairwise runs honor `--jobs N` / `SDO_JOBS` via the
-//! shared worker pool.
+//! Each ablation prints its comparison table. The simulated ones are
+//! batches of [`RunRequest`]s whose SDO override replaces their
+//! variant's own settings, run by the shared [`Runner`] on the suite
+//! kernels at reduced trip counts, so `--jobs N` / `SDO_JOBS`,
+//! `--no-skip`, `--store`, `--server` and `--no-cache` work as they do
+//! on the figure bins. The cache summary goes to stderr.
 
 use sdo_core::predictor::{GreedyPredictor, LocationPredictor};
 use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
 use sdo_harness::engine::JobPool;
-use sdo_harness::SimConfig;
-use sdo_mem::{CacheLevel, MemorySystem};
-use sdo_uarch::{AttackModel, Core, PredictorKind, Protection, SdoConfig, SecurityConfig};
+use sdo_harness::{AttackModel, PredictorKind, RunRequest, Runner, SdoConfig, SimConfig, Variant};
+use sdo_mem::CacheLevel;
 use sdo_workloads::kernels::{
     fp_subnormal, hash_lookup, l1_resident, matmul_blocked, mix_branchy, phase_shift, ptr_chase,
     stencil, stream, stride, Workload,
@@ -43,35 +44,35 @@ fn quick_suite() -> Vec<Workload> {
     ]
 }
 
-/// Runs one workload under a custom SDO configuration (beyond Table II).
-fn run_custom(w: &Workload, sdo: SdoConfig, attack: AttackModel) -> u64 {
-    let cfg = SimConfig::table_i();
-    let mut mem = MemorySystem::new(cfg.mem, 1);
-    mem.load_image(w.program().data());
-    for &(start, bytes, level) in w.prewarm_ranges() {
-        mem.prewarm(0, start, bytes, level);
-    }
-    let sec = SecurityConfig { protection: Protection::Sdo(sdo), attack };
-    let mut core = Core::new(0, cfg.core, sec, w.program().clone());
-    core.run(&mut mem, cfg.max_cycles).expect("kernel completes");
-    core.now()
+/// The cycles of each request, run as one batch.
+fn cycles(runner: &Runner, pool: &JobPool, reqs: &[RunRequest]) -> Vec<u64> {
+    let results =
+        runner.run_batch(reqs, pool).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
+    results.iter().map(|r| r.cycles).collect()
 }
 
-fn ablation_early_forward(kernels: &[Workload], pool: &JobPool) {
+/// The kernel of `kernels` named `name`.
+fn kernel<'a>(kernels: &'a [Workload], name: &str) -> &'a Workload {
+    kernels.iter().find(|w| w.name() == name).expect("kernel")
+}
+
+fn ablation_early_forward(kernels: &[Workload], runner: &Runner, pool: &JobPool) {
     println!("\nABLATION: early forwarding from the wait buffer (Section V-C2)");
     println!("{:14} {:>12} {:>12} {:>8}", "kernel", "early-fwd on", "off", "delta");
     let names = ["hash_lookup", "phase_shift", "stream"];
-    let jobs: Vec<(&Workload, bool)> = names
+    let reqs: Vec<RunRequest> = names
         .iter()
-        .map(|name| kernels.iter().find(|w| w.name() == *name).expect("kernel"))
-        .flat_map(|w| [(w, true), (w, false)])
+        .flat_map(|name| {
+            [true, false].map(|early_forward| {
+                let sdo = SdoConfig {
+                    early_forward,
+                    ..SdoConfig::with_predictor(PredictorKind::Static(CacheLevel::L3))
+                };
+                RunRequest::workload(kernel(kernels, name)).variant(Variant::StaticL3).sdo(sdo)
+            })
+        })
         .collect();
-    let cycles = pool.run(&jobs, |_, &(w, early)| {
-        let mut sdo = SdoConfig::with_predictor(PredictorKind::Static(CacheLevel::L3));
-        sdo.early_forward = early;
-        run_custom(w, sdo, AttackModel::Spectre)
-    });
-    for (pair, name) in cycles.chunks(2).zip(names) {
+    for (pair, name) in cycles(runner, pool, &reqs).chunks(2).zip(names) {
         let (on, off) = (pair[0], pair[1]);
         println!(
             "{:14} {:>12} {:>12} {:>7.1}%",
@@ -83,21 +84,23 @@ fn ablation_early_forward(kernels: &[Workload], pool: &JobPool) {
     }
 }
 
-fn ablation_hybrid_parts(kernels: &[Workload], pool: &JobPool) {
+fn ablation_hybrid_parts(kernels: &[Workload], runner: &Runner, pool: &JobPool) {
     println!("\nABLATION: hybrid predictor components (Section V-D)");
     println!("{:14} {:>10} {:>10} {:>10} {:>10}", "kernel", "greedy", "loop", "hybrid", "pattern");
     const KINDS: [PredictorKind; 4] =
         [PredictorKind::Greedy, PredictorKind::Loop, PredictorKind::Hybrid, PredictorKind::Pattern];
     let names = ["stream", "phase_shift", "hash_lookup"];
-    let jobs: Vec<(&Workload, PredictorKind)> = names
+    let reqs: Vec<RunRequest> = names
         .iter()
-        .map(|name| kernels.iter().find(|w| w.name() == *name).expect("kernel"))
-        .flat_map(|w| KINDS.map(|kind| (w, kind)))
+        .flat_map(|name| {
+            KINDS.map(|kind| {
+                RunRequest::workload(kernel(kernels, name))
+                    .variant(Variant::Hybrid)
+                    .sdo(SdoConfig::with_predictor(kind))
+            })
+        })
         .collect();
-    let cycles = pool.run(&jobs, |_, &(w, kind)| {
-        run_custom(w, SdoConfig::with_predictor(kind), AttackModel::Spectre)
-    });
-    for (row, name) in cycles.chunks(KINDS.len()).zip(names) {
+    for (row, name) in cycles(runner, pool, &reqs).chunks(KINDS.len()).zip(names) {
         let mut line = format!("{name:14}");
         for c in row {
             line.push_str(&format!(" {c:>10}"));
@@ -131,29 +134,27 @@ fn ablation_greedy_window() {
     }
 }
 
-fn ablation_dram_prediction(kernels: &[Workload], pool: &JobPool) {
+fn ablation_dram_prediction(kernels: &[Workload], runner: &Runner, pool: &JobPool) {
     println!("\nABLATION: DRAM predictions — delay (paper) vs clamp-to-L3 (Section VI-B)");
     println!("{:14} {:>12} {:>12}", "kernel", "delay", "clamp-to-L3");
     let names = ["hash_lookup", "ptr_chase"];
     // Strip the warm-start hints: DRAM-resident data is the point here.
-    let cold: Vec<Workload> = names
+    let reqs: Vec<RunRequest> = names
         .iter()
-        .map(|name| {
-            kernels
-                .iter()
-                .find(|w| w.name() == *name)
-                .map(|w| Workload::new(w.name(), w.program().clone()))
-                .expect("kernel")
+        .flat_map(|name| {
+            [true, false].map(|allow_dram_prediction| {
+                let sdo = SdoConfig {
+                    allow_dram_prediction,
+                    ..SdoConfig::with_predictor(PredictorKind::Hybrid)
+                };
+                RunRequest::program(kernel(kernels, name).program())
+                    .variant(Variant::Hybrid)
+                    .attack(AttackModel::Futuristic)
+                    .sdo(sdo)
+            })
         })
         .collect();
-    let jobs: Vec<(&Workload, bool)> =
-        cold.iter().flat_map(|w| [(w, true), (w, false)]).collect();
-    let cycles = pool.run(&jobs, |_, &(w, allow)| {
-        let mut sdo = SdoConfig::with_predictor(PredictorKind::Hybrid);
-        sdo.allow_dram_prediction = allow;
-        run_custom(w, sdo, AttackModel::Futuristic)
-    });
-    for (pair, name) in cycles.chunks(2).zip(names) {
+    for (pair, name) in cycles(runner, pool, &reqs).chunks(2).zip(names) {
         println!("{name:14} {:>12} {:>12}", pair[0], pair[1]);
     }
 }
@@ -166,26 +167,27 @@ const SPEC: BinSpec = BinSpec {
     csv: CsvSupport::None,
     metrics: false,
     seed: false,
-    no_skip: false,
-    client: false,
+    no_skip: true,
+    client: true,
     extra_options: &[],
 };
 
 fn main() {
     let args = CommonArgs::parse(&SPEC);
     args.reject_rest(&SPEC);
-    let pool = args.pool;
+    let runner = args.runner(&SPEC, SimConfig::table_i());
     let kernels = quick_suite();
-    ablation_early_forward(&kernels, &pool);
-    ablation_hybrid_parts(&kernels, &pool);
+    ablation_early_forward(&kernels, &runner, &args.pool);
+    ablation_hybrid_parts(&kernels, &runner, &args.pool);
     ablation_greedy_window();
-    ablation_dram_prediction(&kernels, &pool);
+    ablation_dram_prediction(&kernels, &runner, &args.pool);
+    args.report_cache(&runner);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdo_harness::{RunRequest, Simulator};
+    use sdo_harness::Simulator;
 
     #[test]
     fn quick_suite_is_complete_and_fast() {

@@ -56,4 +56,4 @@ pub use engine::JobPool;
 pub use runner::Runner;
 pub use sim::{RunOutput, RunRequest, RunResult, SimError, Simulator};
 pub use store::{ResultStore, RunKey};
-pub use sdo_uarch::AttackModel;
+pub use sdo_uarch::{AttackModel, PredictorKind, SdoConfig};

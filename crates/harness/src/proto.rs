@@ -36,7 +36,8 @@ use sdo_mem::{
     CacheLevel, CacheParams, DramParams, MemConfig, MemStats, TlbParams,
 };
 use sdo_uarch::{
-    AttackModel, CoreConfig, CoreStats, FuPool, Latencies, OblStats, ObsConfig, SquashCounts,
+    AttackModel, CoreConfig, CoreStats, FuPool, Latencies, OblStats, ObsConfig, PredictorKind,
+    SdoConfig, SquashCounts,
 };
 
 /// The most data-image pages (64 MiB) the run requests a daemon admits
@@ -344,6 +345,50 @@ pub fn level_from_slug(slug: &str) -> Result<CacheLevel, String> {
     }
 }
 
+/// The location predictor's wire name: `static_` and a [`level_slug`],
+/// or `greedy`/`loop`/`hybrid`/`pattern`/`perfect`.
+fn predictor_slug(kind: PredictorKind) -> String {
+    match kind {
+        PredictorKind::Static(level) => format!("static_{}", level_slug(level)),
+        PredictorKind::Greedy => "greedy".to_string(),
+        PredictorKind::Loop => "loop".to_string(),
+        PredictorKind::Hybrid => "hybrid".to_string(),
+        PredictorKind::Pattern => "pattern".to_string(),
+        PredictorKind::Perfect => "perfect".to_string(),
+    }
+}
+
+/// Decodes a location predictor from [`predictor_slug`]'s form.
+fn predictor_from_slug(slug: &str) -> Result<PredictorKind, String> {
+    use PredictorKind::{Greedy, Hybrid, Loop, Pattern, Perfect, Static};
+    let levels = [CacheLevel::L1, CacheLevel::L2, CacheLevel::L3, CacheLevel::Dram];
+    [Greedy, Loop, Hybrid, Pattern, Perfect]
+        .into_iter()
+        .chain(levels.map(Static))
+        .find(|&kind| predictor_slug(kind) == slug)
+        .ok_or_else(|| format!("unknown predictor slug '{slug}'"))
+}
+
+/// Encodes a request's SDO override.
+fn sdo_to_json(sdo: &SdoConfig) -> Json {
+    // Exhaustive, as `config_to_json` is: a new knob must reach the key.
+    let SdoConfig { predictor, early_forward, allow_dram_prediction } = *sdo;
+    obj(vec![
+        ("predictor", Json::Str(predictor_slug(predictor))),
+        ("early_forward", Json::Bool(early_forward)),
+        ("allow_dram_prediction", Json::Bool(allow_dram_prediction)),
+    ])
+}
+
+/// Decodes [`sdo_to_json`]'s representation.
+fn sdo_from_json(v: &Json) -> Result<SdoConfig, String> {
+    Ok(SdoConfig {
+        predictor: predictor_from_slug(v.str_field("predictor")?)?,
+        early_forward: v.bool_field("early_forward")?,
+        allow_dram_prediction: v.bool_field("allow_dram_prediction")?,
+    })
+}
+
 // ---------------------------------------------------------------------------
 // RunRequest codec
 // ---------------------------------------------------------------------------
@@ -357,18 +402,20 @@ pub fn level_from_slug(slug: &str) -> Result<CacheLevel, String> {
 // array pair by pair. Every other field is written and read as a small
 // `Json` value, decoded by the typed decoders above.
 
-/// Writes the canonical encoding of `req`, with `config` encoded in
-/// place of the request's own `config` field. These bytes are both the
-/// wire form and what the [`RunKey`](crate::store::RunKey) hashes (with
-/// the effective configuration, substituted here without cloning the
+/// Writes the canonical encoding of `req`, with `config` and `sdo`
+/// encoded in place of the request's own fields of those names. These
+/// bytes are both the wire form and what the
+/// [`RunKey`](crate::store::RunKey) hashes (with the effective
+/// configuration and SDO override, substituted here without cloning the
 /// request): [`write_request_head`], then [`write_request_tail`].
 fn write_request<W: fmt::Write>(
     req: &RunRequest,
     config: Option<&SimConfig>,
+    sdo: Option<&SdoConfig>,
     out: &mut W,
 ) -> fmt::Result {
     write_request_head(req.programs.first(), out)?;
-    write_request_tail(req, config, out)
+    write_request_tail(req, config, sdo, out)
 }
 
 /// Writes the head of a request's encoding that only its first program
@@ -383,14 +430,17 @@ pub(crate) fn write_request_head<W: fmt::Write>(
 
 /// Writes the rest of a request's encoding after
 /// [`write_request_head`]: the later programs, then every other field.
+/// An SDO override is written last, and only when `sdo` is set, so a
+/// request without one encodes as it did before the field existed.
 pub(crate) fn write_request_tail<W: fmt::Write>(
     req: &RunRequest,
     config: Option<&SimConfig>,
+    sdo: Option<&SdoConfig>,
     out: &mut W,
 ) -> fmt::Result {
     // Exhaustive: a new RunRequest field must be added here (and thus to
     // the RunKey) before this compiles again.
-    let RunRequest { programs, prewarm, variant, attack, config: _, seed, record } = req;
+    let RunRequest { programs, prewarm, variant, attack, config: _, sdo: _, seed, record } = req;
     for program in programs.iter().skip(1) {
         out.write_char(',')?;
         write_program(program, out)?;
@@ -417,6 +467,9 @@ pub(crate) fn write_request_tail<W: fmt::Write>(
             ("record", Json::Bool(*record)),
         ],
     )?;
+    if let Some(sdo) = sdo {
+        write_fields(out, vec![("sdo", sdo_to_json(sdo))])?;
+    }
     out.write_char('}')
 }
 
@@ -631,7 +684,9 @@ fn write_message_with_request(
     write_object(
         out,
         vec![("op", Json::Str(op.to_string())), ("id", Json::UInt(id))],
-        ("request", |out: &mut String| write_request(request, request.config.as_ref(), out)),
+        ("request", |out: &mut String| {
+            write_request(request, request.config.as_ref(), request.sdo.as_ref(), out)
+        }),
         tail,
     )
 }
@@ -659,7 +714,7 @@ fn read_request(r: &mut Reader, mut table: Option<&mut ProgramTable>) -> Decoded
                     read_program(r, &mut pages, table.as_deref_mut())
                 })?);
             }
-            "prewarm" | "variant" | "attack" | "config" | "seed" | "record" => {
+            "prewarm" | "variant" | "attack" | "config" | "seed" | "record" | "sdo" => {
                 fields.push((key, r.value()?));
             }
             _ => r.skip()?,
@@ -706,6 +761,10 @@ fn request_from_parts(
         config,
         seed: v.u64_field("seed")?,
         record: v.bool_field("record")?,
+        sdo: match v.get("sdo") {
+            None => None,
+            Some(_) => Some(sdo_from_json(v.obj_field("sdo")?)?),
+        },
     })
 }
 
@@ -1519,11 +1578,16 @@ mod tests {
     }
 
     fn request_to_json(req: &RunRequest) -> Json {
-        request_to_json_with_config(req, req.config.as_ref())
+        request_to_json_with(req, req.config.as_ref(), req.sdo.as_ref())
     }
 
-    fn request_to_json_with_config(req: &RunRequest, config: Option<&SimConfig>) -> Json {
-        let RunRequest { programs, prewarm, variant, attack, config: _, seed, record } = req;
+    fn request_to_json_with(
+        req: &RunRequest,
+        config: Option<&SimConfig>,
+        sdo: Option<&SdoConfig>,
+    ) -> Json {
+        let RunRequest { programs, prewarm, variant, attack, config: _, sdo: _, seed, record } =
+            req;
         let programs_json: Vec<Json> = programs.iter().map(program_to_json).collect();
         let prewarm_json: Vec<Json> = prewarm
             .iter()
@@ -1535,7 +1599,7 @@ mod tests {
                 ])
             })
             .collect();
-        obj(vec![
+        let mut fields = vec![
             ("programs", Json::Arr(programs_json)),
             ("prewarm", Json::Arr(prewarm_json)),
             ("variant", Json::Str(variant.slug().to_string())),
@@ -1543,7 +1607,11 @@ mod tests {
             ("config", config.map_or(Json::Null, config_to_json)),
             ("seed", Json::UInt(*seed)),
             ("record", Json::Bool(*record)),
-        ])
+        ];
+        if let Some(sdo) = sdo {
+            fields.push(("sdo", sdo_to_json(sdo)));
+        }
+        obj(fields)
     }
 
     fn request_from_json(v: &Json) -> Result<RunRequest, String> {
@@ -1576,6 +1644,10 @@ mod tests {
             config,
             seed: v.u64_field("seed")?,
             record: v.bool_field("record")?,
+            sdo: match v.get("sdo") {
+                None => None,
+                Some(_) => Some(sdo_from_json(v.obj_field("sdo")?)?),
+            },
         })
     }
 
@@ -1946,6 +2018,27 @@ mod tests {
         cfg
     }
 
+    /// Every location predictor, each static level included.
+    const PREDICTORS: [PredictorKind; 9] = [
+        PredictorKind::Static(CacheLevel::L1),
+        PredictorKind::Static(CacheLevel::L2),
+        PredictorKind::Static(CacheLevel::L3),
+        PredictorKind::Static(CacheLevel::Dram),
+        PredictorKind::Greedy,
+        PredictorKind::Loop,
+        PredictorKind::Hybrid,
+        PredictorKind::Pattern,
+        PredictorKind::Perfect,
+    ];
+
+    fn random_sdo(rng: &mut SdoRng) -> SdoConfig {
+        SdoConfig {
+            predictor: PREDICTORS[rng.gen_range(0..PREDICTORS.len())],
+            early_forward: rng.gen(),
+            allow_dram_prediction: rng.gen(),
+        }
+    }
+
     fn random_request(rng: &mut SdoRng) -> RunRequest {
         const LEVELS: [CacheLevel; 4] =
             [CacheLevel::L1, CacheLevel::L2, CacheLevel::L3, CacheLevel::Dram];
@@ -1957,6 +2050,7 @@ mod tests {
             variant: Variant::ALL[rng.gen_range(0..Variant::ALL.len())],
             attack: if rng.gen() { AttackModel::Spectre } else { AttackModel::Futuristic },
             config: rng.gen_bool(0.5).then(|| random_config(rng)),
+            sdo: rng.gen_bool(0.5).then(|| random_sdo(rng)),
             seed: [0, u64::MAX, rng.gen()][rng.gen_range(0..3)],
             record: rng.gen(),
         }
@@ -1985,7 +2079,8 @@ mod tests {
             assert_eq!(Request::parse(&line), Ok(msg), "case {case}: no round trip");
             let base = random_config(&mut rng);
             let mut payload = format!("{KEY_SCHEMA}\n");
-            request_to_json_with_config(&request, Some(&request.effective_config(base)))
+            let (config, sdo) = (request.effective_config(base), request.effective_sdo());
+            request_to_json_with(&request, Some(&config), sdo.as_ref())
                 .write(&mut payload)
                 .unwrap();
             let digest: String =
@@ -1996,8 +2091,9 @@ mod tests {
 
     /// Request lines as clients send them: the 344,429-byte large-image
     /// request of `runkey_golden.rs`, small runs (one warmed, one
-    /// multi-core), a grid, a line of the retired `campaign` op, and a
-    /// `stats` line whose junk `request` arrives before its `op`.
+    /// multi-core, one with an SDO override), a grid, a line of the
+    /// retired `campaign` op, and a `stats` line whose junk `request`
+    /// arrives before its `op`.
     fn recorded_lines() -> Vec<String> {
         let large = Request::Run {
             id: 0,
@@ -2027,6 +2123,14 @@ mod tests {
             Request::Run {
                 id: 5,
                 request: RunRequest::multi(&[prog.clone(), l1_resident(20, 2)]),
+                no_cache: false,
+            },
+            Request::Run {
+                id: 6,
+                request: RunRequest::program(&prog).variant(Variant::StaticL3).sdo(SdoConfig {
+                    early_forward: false,
+                    ..SdoConfig::with_predictor(PredictorKind::Static(CacheLevel::L3))
+                }),
                 no_cache: false,
             },
             Request::Grid {
@@ -2279,7 +2383,8 @@ mod tests {
             .attack(AttackModel::Futuristic)
             .config(SimConfig::tiny())
             .seed(7);
-        let encoded = written(|out| write_request(&req, req.config.as_ref(), out));
+        let encoded =
+            written(|out| write_request(&req, req.config.as_ref(), req.sdo.as_ref(), out));
         assert_eq!(encoded, request_to_json(&req).render());
         assert_eq!(read_request(&mut Reader::new(&encoded), None).unwrap(), Ok(req));
     }
@@ -2316,6 +2421,20 @@ mod tests {
             no_cache: true,
         };
         assert_eq!(Request::parse(&grid.render()).unwrap(), grid);
+        // An SDO override with every predictor and both flags.
+        for predictor in PREDICTORS {
+            for (early_forward, allow_dram_prediction) in
+                [(false, false), (false, true), (true, false), (true, true)]
+            {
+                let sdo = SdoConfig { predictor, early_forward, allow_dram_prediction };
+                let run = Request::Run {
+                    id: 7,
+                    request: RunRequest::program(&prog).variant(Variant::Hybrid).sdo(sdo),
+                    no_cache: false,
+                };
+                assert_eq!(Request::parse(&run.render()).unwrap(), run, "{sdo:?}");
+            }
+        }
         assert_eq!(Request::parse(&Request::Shutdown.render()).unwrap(), Request::Shutdown);
 
         let sim = Simulator::new(SimConfig::tiny());
@@ -2355,5 +2474,27 @@ mod tests {
         assert!(Request::parse("not json").is_err());
         assert!(Request::parse("{\"op\":\"launch_missiles\"}").unwrap_err().contains("unknown op"));
         assert!(Request::parse("{\"op\":\"run\",\"id\":1}").unwrap_err().contains("request"));
+        // A bad SDO override: an unknown predictor, or not an object.
+        let run = Request::Run {
+            id: 1,
+            request: RunRequest::program(&l1_resident(10, 1))
+                .variant(Variant::Hybrid)
+                .sdo(SdoConfig::with_predictor(PredictorKind::Static(CacheLevel::L2))),
+            no_cache: false,
+        }
+        .render();
+        let sdo =
+            r#""sdo":{"predictor":"static_l2","early_forward":true,"allow_dram_prediction":true}"#;
+        assert!(run.contains(sdo), "{run}");
+        for (to, error) in [
+            (sdo.replace("static_l2", "static_l4"), "unknown predictor slug 'static_l4'"),
+            (sdo.replace("static_l2", "oracle"), "unknown predictor slug 'oracle'"),
+            (r#""sdo":[]"#.to_string(), "field 'sdo' is not an object"),
+            (r#""sdo":null"#.to_string(), "field 'sdo' is not an object"),
+            (r#""sdo":"hybrid""#.to_string(), "field 'sdo' is not an object"),
+        ] {
+            let line = run.replacen(sdo, &to, 1);
+            assert_eq!(Request::parse(&line), Err(error.to_string()), "{line}");
+        }
     }
 }

@@ -11,7 +11,10 @@
 use crate::config::{SimConfig, Variant};
 use sdo_isa::Program;
 use sdo_mem::{CacheLevel, MemStats, MemorySystem};
-use sdo_uarch::{AttackModel, Core, CoreStats, MetricsSnapshot, PipelineObs};
+use sdo_uarch::{
+    AttackModel, Core, CoreStats, MetricsSnapshot, PipelineObs, Protection, SdoConfig,
+    SecurityConfig,
+};
 use std::error::Error;
 use std::fmt;
 
@@ -47,8 +50,8 @@ impl fmt::Display for SimError {
 impl Error for SimError {}
 
 /// The one canonical description of a simulation: program(s), optional
-/// machine-configuration override, variant, attack model, seed, and
-/// whether to record the committed-PC stream.
+/// machine-configuration override, variant, attack model, optional SDO
+/// override, seed, and whether to record the committed-PC stream.
 ///
 /// Build one with [`RunRequest::program`], [`RunRequest::workload`], or
 /// [`RunRequest::multi`] and chain the setters:
@@ -82,6 +85,10 @@ pub struct RunRequest {
     /// configuration (sensitivity sweeps set this per request so a grid
     /// of configurations is one batch).
     pub config: Option<SimConfig>,
+    /// SDO override: replaces an SDO variant's own predictor, early
+    /// forwarding and DRAM policy (the ablations set this per request);
+    /// a non-SDO variant ignores it. See [`RunRequest::security`].
+    pub sdo: Option<SdoConfig>,
     /// Workload-generation seed. The simulator itself is deterministic —
     /// the seed never perturbs execution — but it is part of the
     /// [`RunKey`](crate::store::RunKey) so independently-generated
@@ -101,6 +108,7 @@ impl RunRequest {
             variant: Variant::Unsafe,
             attack: AttackModel::Spectre,
             config: None,
+            sdo: None,
             seed: 0,
             record: false,
         }
@@ -151,6 +159,13 @@ impl RunRequest {
         self
     }
 
+    /// Overrides an SDO variant's own settings for this request.
+    #[must_use]
+    pub fn sdo(mut self, sdo: SdoConfig) -> Self {
+        self.sdo = Some(sdo);
+        self
+    }
+
     /// Sets the workload-generation seed (cache-key disambiguation only).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -177,6 +192,30 @@ impl RunRequest {
     #[must_use]
     pub fn effective_config(&self, base: SimConfig) -> SimConfig {
         self.config.unwrap_or(base)
+    }
+
+    /// The SDO override that changes this run: the `sdo` field on an SDO
+    /// variant whose own settings it does not equal, else `None`. The
+    /// [`RunKey`](crate::store::RunKey) hashes this, so an override that
+    /// does nothing keys as no override.
+    #[must_use]
+    pub(crate) fn effective_sdo(&self) -> Option<SdoConfig> {
+        match self.variant.security(self.attack).protection {
+            Protection::Sdo(own) => self.sdo.filter(|&sdo| sdo != own),
+            Protection::Unsafe | Protection::Stt { .. } => None,
+        }
+    }
+
+    /// The security configuration this request runs under: its variant's
+    /// under its attack model, with an SDO variant's own settings
+    /// replaced by the [`sdo`](RunRequest::sdo) override when one is set.
+    #[must_use]
+    pub fn security(&self) -> SecurityConfig {
+        let mut sec = self.variant.security(self.attack);
+        if let Some(sdo) = self.effective_sdo() {
+            sec.protection = Protection::Sdo(sdo);
+        }
+        sec
     }
 }
 
@@ -233,12 +272,15 @@ impl RunResult {
     }
 }
 
-/// Everything a simulation produced: per-core results, the final memory
-/// system (covert-channel receivers inspect cache residency), and the
-/// committed-PC stream when the request asked for it.
+/// Everything a simulation produced: per-core results, each core's final
+/// architectural registers (the interpreter differential compares them),
+/// the final memory system (covert-channel receivers inspect cache
+/// residency), and the committed-PC stream when the request asked for it.
 #[derive(Debug)]
 pub struct RunOutput {
     results: Vec<RunResult>,
+    /// Per core: committed integer registers, then FP bit patterns.
+    regs: Vec<([u64; 32], [u64; 32])>,
     mem: MemorySystem,
     commit_pcs: Option<Vec<u64>>,
 }
@@ -267,10 +309,25 @@ impl RunOutput {
         &self.results
     }
 
-    /// Consumes the output, returning the per-core results.
+    /// Core `core`'s committed integer registers at the end of the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request ran fewer than `core + 1` cores.
     #[must_use]
-    pub fn into_results(self) -> Vec<RunResult> {
-        self.results
+    pub fn int_regs(&self, core: usize) -> [u64; 32] {
+        self.regs[core].0
+    }
+
+    /// Core `core`'s committed FP register bit patterns at the end of the
+    /// run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the request ran fewer than `core + 1` cores.
+    #[must_use]
+    pub fn fp_regs(&self, core: usize) -> [u64; 32] {
+        self.regs[core].1
     }
 
     /// The memory system as the run left it.
@@ -324,52 +381,13 @@ impl Simulator {
     /// tiles.
     pub fn run(&self, req: &RunRequest) -> Result<RunOutput, SimError> {
         let cfg = req.effective_config(self.cfg);
-        assert!(!req.programs.is_empty(), "request needs at least one program");
-        if req.programs.len() == 1 {
-            Self::run_single(&cfg, req)
-        } else {
-            Self::run_lockstep(&cfg, req)
-        }
-    }
-
-    fn run_single(cfg: &SimConfig, req: &RunRequest) -> Result<RunOutput, SimError> {
-        let program = &req.programs[0];
-        let mut mem = MemorySystem::new(cfg.mem, 1);
-        mem.load_image(program.data());
-        for &(start, bytes, level) in &req.prewarm {
-            mem.prewarm(0, start, bytes, level);
-        }
-        let mut core = Core::new(0, cfg.core, req.variant.security(req.attack), program.clone());
-        core.enable_obs(cfg.obs, cfg.mem.l1.mshrs as usize);
-        core.set_fast_forward(cfg.fast_forward);
-        if req.record {
-            core.record_commits();
-        }
-        core.run(&mut mem, cfg.max_cycles).map_err(|_| SimError::Hang {
-            max_cycles: cfg.max_cycles,
-            workload: program.name().to_string(),
-        })?;
-        let commit_pcs = core.commit_pcs().map(<[u64]>::to_vec);
-        let result = RunResult {
-            workload: program.name().to_string(),
-            variant: req.variant,
-            attack: req.attack,
-            cycles: core.now(),
-            core: *core.stats(),
-            mem: *mem.stats(),
-            obs: core.take_obs(),
-            skipped_cycles: core.skipped_cycles(),
-        };
-        Ok(RunOutput { results: vec![result], mem, commit_pcs })
-    }
-
-    fn run_lockstep(cfg: &SimConfig, req: &RunRequest) -> Result<RunOutput, SimError> {
         let programs = &req.programs;
+        assert!(!programs.is_empty(), "request needs at least one program");
         let mut mem = MemorySystem::new(cfg.mem, programs.len());
         for p in programs {
             mem.load_image(p.data());
         }
-        let sec = req.variant.security(req.attack);
+        let sec = req.security();
         let mut cores: Vec<Core> = programs
             .iter()
             .enumerate()
@@ -379,20 +397,36 @@ impl Simulator {
                 c
             })
             .collect();
-        let mut elapsed = 0u64;
-        while cores.iter().any(|c| !c.halted()) {
-            if elapsed >= cfg.max_cycles {
-                let stuck = cores.iter().position(|c| !c.halted()).expect("someone is stuck");
-                return Err(SimError::Hang {
-                    max_cycles: cfg.max_cycles,
-                    workload: programs[stuck].name().to_string(),
-                });
+        let hang = |stuck: usize| SimError::Hang {
+            max_cycles: cfg.max_cycles,
+            workload: programs[stuck].name().to_string(),
+        };
+        match cores.as_mut_slice() {
+            [core] => {
+                for &(start, bytes, level) in &req.prewarm {
+                    mem.prewarm(0, start, bytes, level);
+                }
+                core.set_fast_forward(cfg.fast_forward);
+                if req.record {
+                    core.record_commits();
+                }
+                core.run(&mut mem, cfg.max_cycles).map_err(|_| hang(0))?;
             }
-            for core in &mut cores {
-                core.tick(&mut mem);
+            cores => {
+                let mut elapsed = 0u64;
+                while let Some(stuck) = cores.iter().position(|c| !c.halted()) {
+                    if elapsed >= cfg.max_cycles {
+                        return Err(hang(stuck));
+                    }
+                    for core in cores.iter_mut() {
+                        core.tick(&mut mem);
+                    }
+                    elapsed += 1;
+                }
             }
-            elapsed += 1;
         }
+        let commit_pcs = cores[0].commit_pcs().map(<[u64]>::to_vec);
+        let regs = cores.iter().map(|core| (core.arch_int(), core.arch_fp())).collect();
         let results = cores
             .iter_mut()
             .zip(programs)
@@ -404,10 +438,10 @@ impl Simulator {
                 core: *core.stats(),
                 mem: *mem.stats(),
                 obs: core.take_obs(),
-                skipped_cycles: 0,
+                skipped_cycles: core.skipped_cycles(),
             })
             .collect();
-        Ok(RunOutput { results, mem, commit_pcs: None })
+        Ok(RunOutput { results, regs, mem, commit_pcs })
     }
 }
 

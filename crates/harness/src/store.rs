@@ -185,9 +185,11 @@ fn compress(h: &mut [u32; 8], block: &[u8]) {
 /// request encoding with the configuration fully resolved (the
 /// simulator's base configuration is substituted in before hashing, so a
 /// request with no override and one overriding to the same configuration
-/// hash identically — they *are* the same simulation). The payload is
-/// hashed as it is written: the part its first program decides, then the
-/// rest.
+/// hash identically — they *are* the same simulation). The SDO override
+/// is resolved the same way: it is hashed only on an SDO variant whose
+/// own settings it does not equal, so an override that changes nothing
+/// keys as none. The payload is hashed as it is written: the part its
+/// first program decides, then the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunKey([u8; 32]);
 
@@ -246,7 +248,8 @@ impl KeyPrefix {
     #[must_use]
     pub(crate) fn key(&self, req: &RunRequest, base: SimConfig) -> RunKey {
         let mut hash = self.0.clone();
-        let _ = proto::write_request_tail(req, Some(&req.effective_config(base)), &mut hash);
+        let (config, sdo) = (req.effective_config(base), req.effective_sdo());
+        let _ = proto::write_request_tail(req, Some(&config), sdo.as_ref(), &mut hash);
         RunKey(hash.finish())
     }
 }

@@ -1,7 +1,7 @@
 //! In-tree repo lint: mechanical source checks the compiler does not
 //! enforce, run as a tier-1 test (and in CI next to clippy).
 //!
-//! Four rules, all budgeted by `lint_allowlist.txt`:
+//! Five rules, all budgeted by `lint_allowlist.txt`:
 //!
 //! * **no-unwrap** — `.unwrap()` / `.expect(` outside `#[cfg(test)]`
 //!   in the hot-path modules (`uarch::core`, `mem::cache`,
@@ -41,10 +41,17 @@
 //! the code or consciously raise the budget in review), and beating
 //! it fails too (lower the budget so the improvement sticks).
 //!
-//! One more check has no budget: every `cargo … -p <package>` command
-//! in the docs and the CI workflow ([`DOC_COMMAND_FILES`]) names a
-//! package under `crates/`, and the `--bin`/`--bench` target it names
-//! exists there.
+//! Two more checks have no budget:
+//!
+//! * every `cargo … -p <package>` command in the docs and the CI
+//!   workflow ([`DOC_COMMAND_FILES`]) names a package under `crates/`,
+//!   and the `--bin`/`--bench` target it names exists there;
+//! * **one-driver** — no `Core::new(` in any workspace `.rs` file
+//!   (`crates/*/{src,tests}`, `tests/`, `examples/`, `src/`) outside
+//!   `sdo-uarch` and [`DRIVER`]: every simulation goes through
+//!   `Simulator::run`, so a run built by hand is one that `--store`,
+//!   `--server` and the driver's instrumentation never see. (The
+//!   benchmark in `benchmark/` is its own package and is not scanned.)
 
 use std::path::{Path, PathBuf};
 
@@ -134,6 +141,14 @@ const DOC_COMMAND_FILES: &[&str] = &[
 ];
 
 const ALLOWLIST: &str = include_str!("lint_allowlist.txt");
+
+/// The one file outside `sdo-uarch` that builds cores: the harness's
+/// simulation driver.
+const DRIVER: &str = "crates/harness/src/sim.rs";
+
+/// The call the one-driver rule looks for, spelled in two pieces so
+/// that this file does not match it.
+const CORE_NEW: &str = concat!("Core::", "new(");
 
 fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).ancestors().nth(2).expect("workspace root").into()
@@ -373,6 +388,54 @@ fn doc_commands_name_real_targets() {
         }
     }
     assert!(failures.is_empty(), "\n{}", failures.join("\n"));
+}
+
+/// The `.rs` files under `dir`, recursively (none if it is missing).
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return };
+    for entry in entries {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn only_the_driver_builds_cores() {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in ["tests", "examples", "src"] {
+        rust_files(&root.join(dir), &mut files);
+    }
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        let krate = entry.expect("crates/ entry").path();
+        if !krate.ends_with("uarch") {
+            rust_files(&krate.join("src"), &mut files);
+            rust_files(&krate.join("tests"), &mut files);
+        }
+    }
+    assert!(files.iter().any(|f| f.ends_with(DRIVER)), "{DRIVER} not scanned");
+    let mut failures = Vec::new();
+    for file in &files {
+        let path = file.strip_prefix(&root).expect("under the root").to_string_lossy();
+        if path == DRIVER {
+            continue;
+        }
+        let text = std::fs::read_to_string(file).expect("source file");
+        for (i, line) in text.lines().enumerate() {
+            if !line.trim_start().starts_with("//") && line.contains(CORE_NEW) {
+                failures.push(format!("{path}:{}: `{CORE_NEW}` outside {DRIVER}", i + 1));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "\n{}\nbuild a RunRequest and run it through Simulator::run (or a Runner)",
+        failures.join("\n")
+    );
 }
 
 #[test]

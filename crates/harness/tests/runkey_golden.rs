@@ -12,7 +12,7 @@ use sdo_harness::proto::Request;
 use sdo_harness::store::{sha256, RunKey};
 use sdo_harness::{JobPool, Runner, RunRequest, SimConfig, Variant};
 use sdo_mem::CacheLevel;
-use sdo_uarch::AttackModel;
+use sdo_uarch::{AttackModel, PredictorKind, SdoConfig};
 use sdo_workloads::kernels::{self, l1_resident};
 
 fn fixed_request() -> (sdo_isa::Program, SimConfig) {
@@ -88,6 +88,13 @@ fn runkey_hashes_the_effective_config() {
     assert_eq!(RunKey::of(&implicit, base), RunKey::of(&explicit, base));
     // ...and an override that *differs* from the base diverges.
     assert_ne!(RunKey::of(&implicit, base), RunKey::of(&implicit, SimConfig::tiny()));
+    // An SDO override keys as none when it changes nothing: equal to the
+    // variant's own settings, or on a variant without SDO.
+    let own = implicit.clone().sdo(SdoConfig::with_predictor(PredictorKind::Hybrid));
+    assert_eq!(RunKey::of(&own, base), RunKey::of(&implicit, base));
+    let unsafe_run = RunRequest::program(&prog).variant(Variant::Unsafe);
+    let ignored = unsafe_run.clone().sdo(SdoConfig::with_predictor(PredictorKind::Loop));
+    assert_eq!(RunKey::of(&ignored, base), RunKey::of(&unsafe_run, base));
 }
 
 /// Every layer of the machine description reaches the key. One
@@ -185,6 +192,21 @@ fn runkey_diverges_on_every_request_knob() {
         ),
         ("seed", RunRequest::program(&prog).variant(Variant::Hybrid).seed(8)),
         ("program", RunRequest::program(&other_prog).variant(Variant::Hybrid).seed(7)),
+        ("sdo.predictor", req.clone().sdo(SdoConfig::with_predictor(PredictorKind::Greedy))),
+        (
+            "sdo.early_forward",
+            req.clone().sdo(SdoConfig {
+                early_forward: false,
+                ..SdoConfig::with_predictor(PredictorKind::Hybrid)
+            }),
+        ),
+        (
+            "sdo.allow_dram_prediction",
+            req.clone().sdo(SdoConfig {
+                allow_dram_prediction: false,
+                ..SdoConfig::with_predictor(PredictorKind::Hybrid)
+            }),
+        ),
     ];
     for (name, other) in variants {
         assert_ne!(RunKey::of(&other, base), key, "changing {name} must change the key");

@@ -135,12 +135,6 @@ impl<'p> Interpreter<'p> {
         f64::from_bits(self.fregs[r.index()])
     }
 
-    /// Reads an FP register's raw bits.
-    #[must_use]
-    pub fn freg_bits(&self, r: FReg) -> u64 {
-        self.fregs[r.index()]
-    }
-
     /// Writes an integer register (writes to r0 are discarded). Intended
     /// for test setup.
     pub fn set_reg(&mut self, r: Reg, value: u64) {

@@ -220,13 +220,6 @@ impl CacheArray {
         self.slots.iter().filter(|s| s.state.is_valid()).count()
     }
 
-    /// Total line slots (sets × ways) — the denominator for a residency
-    /// ratio over [`CacheArray::resident_lines`].
-    #[must_use]
-    pub fn capacity_lines(&self) -> usize {
-        self.slots.len()
-    }
-
     /// All resident line addresses (unordered); for tests and debugging.
     pub fn lines(&self) -> impl Iterator<Item = (Addr, Mesi)> + '_ {
         self.slots.iter().filter(|s| s.state.is_valid()).map(|s| (s.tag, s.state))
@@ -260,13 +253,6 @@ impl CacheArray {
             *b = start + self.bank_occupancy;
         }
         start
-    }
-
-    /// The earliest cycle at which the bank serving `addr` is free (for
-    /// inspection in tests).
-    #[must_use]
-    pub fn bank_free_at(&self, addr: Addr) -> Cycle {
-        self.bank_busy[self.bank_of(addr)]
     }
 }
 

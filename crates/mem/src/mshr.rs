@@ -41,10 +41,6 @@ pub struct MshrFile {
     /// straight to live entries (or the first free one) instead of
     /// walking the whole file.
     occupied: u64,
-    /// High-water mark of simultaneously live registers, maintained at
-    /// allocation time (observability: how close the file came to the
-    /// full stall / Obl-Ld reject condition).
-    peak: usize,
 }
 
 /// Iterates the indices of the set bits of `mask`, ascending.
@@ -75,7 +71,6 @@ impl MshrFile {
                 capacity as usize
             ],
             occupied: 0,
-            peak: 0,
         }
     }
 
@@ -114,16 +109,6 @@ impl MshrFile {
     fn fill(&mut self, i: usize, entry: Entry) {
         self.entries[i] = entry;
         self.occupied |= 1 << i;
-        // Every alloc path reaps expired entries before filling, so the
-        // popcount is the live register count.
-        self.peak = self.peak.max(self.occupied.count_ones() as usize);
-    }
-
-    /// High-water mark of simultaneously occupied registers over the
-    /// file's lifetime.
-    #[must_use]
-    pub fn peak_in_use(&self) -> usize {
-        self.peak
     }
 
     /// Allocates an entry for a normal miss on `addr`'s line, or merges
@@ -292,20 +277,6 @@ mod tests {
     #[test]
     fn capacity_reported() {
         assert_eq!(MshrFile::new(16).capacity(), 16);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_not_current() {
-        let mut m = MshrFile::new(4);
-        assert_eq!(m.peak_in_use(), 0);
-        m.alloc_or_merge(0x00, 0, 10).unwrap();
-        m.alloc_or_merge(0x40, 0, 10).unwrap();
-        m.alloc_or_merge(0x80, 0, 10).unwrap();
-        assert_eq!(m.peak_in_use(), 3);
-        // After the entries expire, occupancy drops but the peak holds.
-        m.alloc_or_merge(0xc0, 20, 30).unwrap();
-        assert_eq!(m.in_use(20), 1);
-        assert_eq!(m.peak_in_use(), 3);
     }
 
     #[test]

@@ -318,12 +318,6 @@ impl MemorySystem {
         self.l1_mshr[core].in_use(now)
     }
 
-    /// High-water mark of `core`'s L1 MSHR file over the run.
-    #[must_use]
-    pub fn mshr_peak(&self, core: usize) -> usize {
-        self.l1_mshr[core].peak_in_use()
-    }
-
     /// Earliest cycle strictly after `now` at which the memory system's
     /// timing state changes on its own: an in-flight miss completes in any
     /// MSHR file (L1/L2 per core, L3 per tile) or a busy DRAM bank frees.

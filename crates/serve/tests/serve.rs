@@ -6,10 +6,11 @@
 
 use sdo_harness::proto::{result_to_json, Reply, Request, BATCH_ERROR_ID, BATCH_PAGES};
 use sdo_harness::{
-    JobPool, ResultStore, RunKey, RunRequest, RunResult, Runner, SimConfig, Variant,
+    JobPool, PredictorKind, ResultStore, RunKey, RunRequest, RunResult, Runner, SdoConfig,
+    SimConfig, Simulator, Variant,
 };
 use sdo_serve::{ServeOptions, Server};
-use sdo_workloads::kernels::l1_resident;
+use sdo_workloads::kernels::{hash_lookup, l1_resident};
 use std::io::Cursor;
 
 fn temp_dir(tag: &str) -> String {
@@ -49,14 +50,18 @@ fn run_requests_hit_the_store_on_the_second_pass() {
     let dir = temp_dir("hits");
     let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
     let prog = l1_resident(120, 1);
+    // Every Table II variant, then a kernel whose timing the loop
+    // predictor alone changes, run as Hybrid with an SDO override.
+    let hashes = hash_lookup(1 << 10, 100, 5);
+    let overridden = RunRequest::program(&hashes)
+        .variant(Variant::Hybrid)
+        .sdo(SdoConfig::with_predictor(PredictorKind::Loop));
     let reqs: Vec<Request> = Variant::ALL
         .iter()
+        .map(|&v| RunRequest::program(&prog).variant(v))
+        .chain([overridden.clone()])
         .enumerate()
-        .map(|(i, &v)| Request::Run {
-            id: i as u64,
-            request: RunRequest::program(&prog).variant(v),
-            no_cache: false,
-        })
+        .map(|(i, request)| Request::Run { id: i as u64, request, no_cache: false })
         .collect();
 
     let cold = drive(&server, &batch(&reqs));
@@ -69,6 +74,13 @@ fn run_requests_hit_the_store_on_the_second_pass() {
         assert!(!cached, "first pass simulates");
     }
     assert_eq!(server.misses(), reqs.len() as u64);
+    // The daemon ran the override, as a local run does.
+    let sim = Simulator::new(SimConfig::tiny());
+    let local = sim.run(&overridden).unwrap().into_result();
+    let Some(Reply::Result { result, .. }) = cold.last() else { panic!("expected a result") };
+    assert_eq!(*result, local, "the daemon honors the SDO override");
+    let plain = sim.run(&RunRequest::program(&hashes).variant(Variant::Hybrid)).unwrap();
+    assert_ne!(plain.result().cycles, local.cycles, "the override changes the run");
 
     let warm = drive(&server, &batch(&reqs));
     for (c, w) in cold.iter().zip(&warm) {

@@ -4,7 +4,7 @@
 //!
 //! * [`isa`] — the mini-ISA, assembler and golden-model interpreter,
 //! * [`mem`] — the cache/memory hierarchy with data-oblivious lookups,
-//! * [`sdo`] — the SDO framework: DO variants, location predictors, Obl-Ld,
+//! * [`sdo`] — SDO: the DO-variant result, location predictors, Obl-Ld,
 //! * [`uarch`] — the speculative out-of-order core with STT and SDO,
 //! * [`workloads`] — SPEC17-like kernels and the Spectre V1 attack,
 //! * [`harness`] — experiment runners for the paper's tables and figures,

@@ -1,22 +1,16 @@
 //! Design-choice assertions behind the paper's optimizations: these are
 //! the claims the `ablations` bin quantifies, enforced as inequalities.
 
-use sdo_sim::harness::SimConfig;
-use sdo_sim::mem::{CacheLevel, MemorySystem};
-use sdo_sim::uarch::{AttackModel, Core, PredictorKind, Protection, SdoConfig, SecurityConfig};
+use sdo_sim::harness::{RunRequest, SimConfig, Simulator, Variant};
+use sdo_sim::mem::CacheLevel;
+use sdo_sim::uarch::{AttackModel, PredictorKind, SdoConfig};
 use sdo_sim::workloads::kernels::{hash_lookup, Workload};
 
+/// Cycles of `w` on the Table I machine under STT+SDO with `sdo` in
+/// place of the variant's own settings.
 fn run_custom(w: &Workload, sdo: SdoConfig, attack: AttackModel) -> u64 {
-    let cfg = SimConfig::table_i();
-    let mut mem = MemorySystem::new(cfg.mem, 1);
-    mem.load_image(w.program().data());
-    for &(start, bytes, level) in w.prewarm_ranges() {
-        mem.prewarm(0, start, bytes, level);
-    }
-    let sec = SecurityConfig { protection: Protection::Sdo(sdo), attack };
-    let mut core = Core::new(0, cfg.core, sec, w.program().clone());
-    core.run(&mut mem, cfg.max_cycles).expect("kernel completes");
-    core.now()
+    let req = RunRequest::workload(w).variant(Variant::Hybrid).attack(attack).sdo(sdo);
+    Simulator::new(SimConfig::table_i()).run(&req).expect("kernel completes").result().cycles
 }
 
 fn probe_kernel() -> Workload {

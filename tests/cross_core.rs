@@ -4,26 +4,30 @@
 //! transmit load pulled into the (shared, inclusive) L3 answers faster
 //! than DRAM — leaking the secret across cores on the Unsafe baseline.
 
-use sdo_sim::harness::{SimConfig, Variant};
-use sdo_sim::mem::MemorySystem;
-use sdo_sim::uarch::{AttackModel, Core};
+use sdo_sim::harness::{RunRequest, SimConfig, Simulator, Variant};
+use sdo_sim::isa::Assembler;
+use sdo_sim::uarch::AttackModel;
 use sdo_sim::workloads::spectre_v1_victim;
 
-/// Runs the victim on core 0 of a 2-core system, then timing-probes the
-/// probe array from core 1. Returns the byte values whose lines answered
-/// faster than a DRAM access (excluding the trained byte).
+/// Runs the victim on core 0 of a 2-core system (core 1 halts at once),
+/// then timing-probes the probe array from core 1. Returns the byte
+/// values whose lines answered faster than a DRAM access (excluding the
+/// trained byte).
 fn cross_core_recovered(variant: Variant, attack: AttackModel) -> Vec<u8> {
     let scenario = spectre_v1_victim();
     let cfg = SimConfig::table_i();
-    let mut mem = MemorySystem::new(cfg.mem, 2);
-    mem.load_image(scenario.program.data());
-    let mut victim = Core::new(0, cfg.core, variant.security(attack), scenario.program.clone());
-    victim.run(&mut mem, cfg.max_cycles).expect("victim halts");
+    let mut idle = Assembler::named("idle");
+    idle.halt();
+    let programs = [scenario.program.clone(), idle.finish().expect("idle assembles")];
+    let out = Simulator::new(cfg)
+        .run(&RunRequest::multi(&programs).variant(variant).attack(attack))
+        .expect("victim halts");
+    let mut mem = out.memory().clone();
 
     // Attacker on core 1: time one load per probe line. Anything faster
     // than the fastest possible DRAM round trip must have been on chip.
     let dram_floor = cfg.mem.dram.row_hit_latency;
-    let mut t = victim.now() + 1000;
+    let mut t = out.results()[0].cycles + 1000;
     let mut recovered = Vec::new();
     for b in 0..=255u8 {
         let r = mem.load(1, scenario.probe_addr(b), t);

@@ -3,38 +3,44 @@
 //! configuration — protections change timing, never function.
 
 use sdo_rng::SdoRng;
-use sdo_sim::harness::{SimConfig, Variant};
+use sdo_sim::harness::{RunOutput, RunRequest, SimConfig, SimError, Simulator, Variant};
 use sdo_sim::isa::{Interpreter, Program};
-use sdo_sim::mem::MemorySystem;
-use sdo_sim::uarch::{AttackModel, Core};
+use sdo_sim::uarch::AttackModel;
 use sdo_sim::workloads::random::random_program;
+
+/// Runs `prog` on `cfg` stepped cycle by cycle (no fast-forward).
+fn run(
+    prog: &Program,
+    cfg: &SimConfig,
+    variant: Variant,
+    attack: AttackModel,
+) -> Result<RunOutput, SimError> {
+    let req = RunRequest::program(prog).variant(variant).attack(attack);
+    Simulator::new(cfg.with_fast_forward(false)).run(&req)
+}
 
 fn check_program(prog: &Program, cfg: &SimConfig) {
     let mut golden = Interpreter::new(prog);
     golden.run(20_000_000).expect("golden model halts");
     for attack in AttackModel::ALL {
         for variant in Variant::ALL {
-            let sec = variant.security(attack);
-            let mut mem = MemorySystem::new(cfg.mem, 1);
-            mem.load_image(prog.data());
-            let mut core = Core::new(0, cfg.core, sec, prog.clone());
-            core.run(&mut mem, cfg.max_cycles)
+            let out = run(prog, cfg, variant, attack)
                 .unwrap_or_else(|e| panic!("{} under {variant}/{attack}: {e}", prog.name()));
             assert_eq!(
-                core.arch_int(),
+                out.int_regs(0),
                 golden.int_regs(),
                 "integer state diverged: {} under {variant}/{attack}",
                 prog.name()
             );
             assert_eq!(
-                core.arch_fp(),
+                out.fp_regs(0),
                 golden.fp_regs(),
                 "fp state diverged: {} under {variant}/{attack}",
                 prog.name()
             );
             for (addr, byte) in golden.mem_snapshot() {
                 assert_eq!(
-                    mem.backing().read_byte(addr),
+                    out.memory().backing().read_byte(addr),
                     byte,
                     "memory diverged at {addr:#x}: {} under {variant}/{attack}",
                     prog.name()
@@ -73,14 +79,10 @@ fn prop_sdo_hybrid_futuristic_is_functionally_transparent() {
         let mut golden = Interpreter::new(&prog);
         golden.run(20_000_000).expect("golden halts");
 
-        let cfg = SimConfig::tiny();
-        let sec = Variant::Hybrid.security(AttackModel::Futuristic);
-        let mut mem = MemorySystem::new(cfg.mem, 1);
-        mem.load_image(prog.data());
-        let mut core = Core::new(0, cfg.core, sec, prog.clone());
-        core.run(&mut mem, cfg.max_cycles).expect("halts");
-        assert_eq!(core.arch_int(), golden.int_regs(), "seed {seed}");
-        assert_eq!(core.arch_fp(), golden.fp_regs(), "seed {seed}");
+        let out = run(&prog, &SimConfig::tiny(), Variant::Hybrid, AttackModel::Futuristic)
+            .expect("halts");
+        assert_eq!(out.int_regs(0), golden.int_regs(), "seed {seed}");
+        assert_eq!(out.fp_regs(0), golden.fp_regs(), "seed {seed}");
     }
 }
 
@@ -95,12 +97,8 @@ fn prop_commit_counts_invariant_across_variants() {
         let cfg = SimConfig::tiny();
         let mut counts = Vec::new();
         for variant in [Variant::Unsafe, Variant::SttLdFp, Variant::StaticL1, Variant::Hybrid] {
-            let mut mem = MemorySystem::new(cfg.mem, 1);
-            mem.load_image(prog.data());
-            let mut core =
-                Core::new(0, cfg.core, variant.security(AttackModel::Spectre), prog.clone());
-            core.run(&mut mem, cfg.max_cycles).expect("halts");
-            counts.push(core.stats().committed);
+            let out = run(&prog, &cfg, variant, AttackModel::Spectre).expect("halts");
+            counts.push(out.result().core.committed);
         }
         assert!(counts.windows(2).all(|w| w[0] == w[1]), "seed {seed}: commit counts {counts:?}");
     }

@@ -2,10 +2,9 @@
 //! hierarchy, exercising the MESI directory, invalidation delivery and
 //! the deferred consistency-squash path (Section V-C1).
 
-use sdo_sim::harness::{SimConfig, Variant};
+use sdo_sim::harness::{RunOutput, RunRequest, SimConfig, SimError, Simulator, Variant};
 use sdo_sim::isa::{Assembler, Program, Reg};
-use sdo_sim::mem::MemorySystem;
-use sdo_sim::uarch::{AttackModel, Core};
+use sdo_sim::uarch::AttackModel;
 
 fn writer_program(region: u64, iters: i64) -> Program {
     let mut asm = Assembler::named("writer");
@@ -48,43 +47,34 @@ fn reader_program(region: u64, iters: i64) -> Program {
     asm.finish().expect("reader assembles")
 }
 
-fn run_pair(variant: Variant, attack: AttackModel) -> (Core, Core, MemorySystem) {
-    let cfg = SimConfig::table_i();
+/// The writer on core 0 and the reader on core 1, in lockstep (each
+/// cycle ticks core 0, then core 1) for at most 2M cycles; a core still
+/// running then is a [`SimError::Hang`].
+fn run_pair(variant: Variant, attack: AttackModel) -> Result<RunOutput, SimError> {
+    let cfg = SimConfig { max_cycles: 2_000_000, ..SimConfig::table_i() };
     let region = 0x9000u64;
-    let writer = writer_program(region, 400);
-    let reader = reader_program(region, 400);
-    let mut mem = MemorySystem::new(cfg.mem, 2);
-    mem.load_image(writer.data());
-    let sec = variant.security(attack);
-    let mut c0 = Core::new(0, cfg.core, sec, writer);
-    let mut c1 = Core::new(1, cfg.core, sec, reader);
-    for _ in 0..2_000_000u64 {
-        if c0.halted() && c1.halted() {
-            break;
-        }
-        c0.tick(&mut mem);
-        c1.tick(&mut mem);
-    }
-    (c0, c1, mem)
+    let programs = [writer_program(region, 400), reader_program(region, 400)];
+    Simulator::new(cfg).run(&RunRequest::multi(&programs).variant(variant).attack(attack))
 }
 
 #[test]
 fn two_cores_share_memory_and_finish() {
     for variant in [Variant::Unsafe, Variant::SttLd, Variant::Hybrid] {
-        let (c0, c1, mem) = run_pair(variant, AttackModel::Spectre);
-        assert!(c0.halted(), "writer must halt under {variant}");
-        assert!(c1.halted(), "reader must halt under {variant}");
+        // A hang names the core's program: writer or reader.
+        let out = run_pair(variant, AttackModel::Spectre)
+            .unwrap_or_else(|e| panic!("both cores must halt under {variant}: {e}"));
+        let (c0, c1) = (&out.results()[0], &out.results()[1]);
         // The writer's last value landed in memory.
-        assert!(mem.peek_word(0x9000 + 0x40) > 0);
-        assert!(c0.stats().committed_stores >= 400);
-        assert!(c1.stats().committed_loads >= 400);
+        assert!(out.memory().peek_word(0x9000 + 0x40) > 0);
+        assert!(c0.core.committed_stores >= 400);
+        assert!(c1.core.committed_loads >= 400);
     }
 }
 
 #[test]
 fn coherence_traffic_flows_between_cores() {
-    let (_c0, _c1, mem) = run_pair(Variant::Unsafe, AttackModel::Spectre);
-    let stats = mem.stats();
+    let out = run_pair(Variant::Unsafe, AttackModel::Spectre).expect("both cores halt");
+    let stats = out.memory().stats();
     assert!(
         stats.invalidations_sent > 0,
         "writer upgrades must invalidate the reader's copies"
@@ -99,8 +89,8 @@ fn consistency_squashes_are_possible_and_recovered() {
     // cores must converge and the reader's accumulator must be a sum of
     // values the writer actually produced (divisible by 3, since every
     // written value is).
-    let (c0, c1, _mem) = run_pair(Variant::Hybrid, AttackModel::Futuristic);
-    assert!(c0.halted() && c1.halted());
-    let acc = c1.arch_int()[7];
+    let out = run_pair(Variant::Hybrid, AttackModel::Futuristic)
+        .unwrap_or_else(|e| panic!("both cores must converge: {e}"));
+    let acc = out.int_regs(1)[7];
     assert_eq!(acc % 3, 0, "reader accumulated a torn/stale value: {acc}");
 }
