@@ -28,6 +28,7 @@
 
 use crate::config::Variant;
 use crate::engine::{JobPool, JOBS_ENV};
+use crate::proto::attack_slug;
 use sdo_uarch::{AttackModel, MetricsSnapshot};
 
 /// Environment variable consulted when `--seed` is absent (mirrors
@@ -469,11 +470,13 @@ pub fn parse_variant(name: &str) -> Result<Variant, String> {
 ///
 /// An error message listing the accepted names.
 pub fn parse_attack(name: &str) -> Result<AttackModel, String> {
-    match normalize(name).as_str() {
-        "spectre" => Ok(AttackModel::Spectre),
-        "futuristic" => Ok(AttackModel::Futuristic),
-        _ => Err(format!("unknown attack model '{name}'; options: spectre, futuristic")),
-    }
+    let wanted = normalize(name);
+    AttackModel::ALL.into_iter().find(|&a| normalize(attack_slug(a)) == wanted).ok_or_else(|| {
+        format!(
+            "unknown attack model '{name}'; options: {}",
+            AttackModel::ALL.map(attack_slug).join(", ")
+        )
+    })
 }
 
 #[cfg(test)]

@@ -25,8 +25,10 @@
 //! `[addr, byte]` writes; and those bytes are the image's canonical
 //! rendering, which decodes back to the image. A program held under its
 //! disassembly also relies on `parse_asm` rebuilding its instructions
-//! from it, which `crates/workloads/tests/roundtrip.rs` pins for every
-//! in-tree program.
+//! from it. That holds for every instruction, since disassembly and
+//! parser read one spelling table; `sdo-isa`'s
+//! `every_instruction_survives_disassembly` pins it for every instruction
+//! shape (sqrt's ignored `rhs` comes back as `lhs`).
 
 use crate::proto::write_data;
 use crate::store::KeyPrefix;

@@ -312,11 +312,10 @@ pub fn attack_slug(attack: AttackModel) -> &'static str {
 ///
 /// Returns a message for an unknown slug.
 pub fn attack_from_slug(slug: &str) -> Result<AttackModel, String> {
-    match slug {
-        "spectre" => Ok(AttackModel::Spectre),
-        "futuristic" => Ok(AttackModel::Futuristic),
-        other => Err(format!("unknown attack slug '{other}'")),
-    }
+    AttackModel::ALL
+        .into_iter()
+        .find(|&a| attack_slug(a) == slug)
+        .ok_or_else(|| format!("unknown attack slug '{slug}'"))
 }
 
 /// The cache level's wire name (`l1`/`l2`/`l3`/`dram`).
@@ -336,13 +335,10 @@ pub fn level_slug(level: CacheLevel) -> &'static str {
 ///
 /// Returns a message for an unknown slug.
 pub fn level_from_slug(slug: &str) -> Result<CacheLevel, String> {
-    match slug {
-        "l1" => Ok(CacheLevel::L1),
-        "l2" => Ok(CacheLevel::L2),
-        "l3" => Ok(CacheLevel::L3),
-        "dram" => Ok(CacheLevel::Dram),
-        other => Err(format!("unknown cache level slug '{other}'")),
-    }
+    CacheLevel::ALL
+        .into_iter()
+        .find(|&level| level_slug(level) == slug)
+        .ok_or_else(|| format!("unknown cache level slug '{slug}'"))
 }
 
 /// The location predictor's wire name: `static_` and a [`level_slug`],
@@ -361,10 +357,9 @@ fn predictor_slug(kind: PredictorKind) -> String {
 /// Decodes a location predictor from [`predictor_slug`]'s form.
 fn predictor_from_slug(slug: &str) -> Result<PredictorKind, String> {
     use PredictorKind::{Greedy, Hybrid, Loop, Pattern, Perfect, Static};
-    let levels = [CacheLevel::L1, CacheLevel::L2, CacheLevel::L3, CacheLevel::Dram];
     [Greedy, Loop, Hybrid, Pattern, Perfect]
         .into_iter()
-        .chain(levels.map(Static))
+        .chain(CacheLevel::ALL.map(Static))
         .find(|&kind| predictor_slug(kind) == slug)
         .ok_or_else(|| format!("unknown predictor slug '{slug}'"))
 }
@@ -475,8 +470,11 @@ pub(crate) fn write_request_tail<W: fmt::Write>(
 
 /// Writes a program as its name, disassembly text and sparse data
 /// image. The round trip through [`sdo_isa::parse_asm`] is
-/// instruction-identical (pinned by `crates/workloads/tests/roundtrip.rs`),
-/// so this *is* the program's canonical byte representation.
+/// instruction-identical for every instruction, since both read one
+/// spelling table (pinned by `sdo-isa`'s
+/// `every_instruction_survives_disassembly`; sqrt's ignored `rhs` comes
+/// back as `lhs`), so this *is* the program's canonical byte
+/// representation.
 fn write_program<W: fmt::Write>(program: &Program, out: &mut W) -> fmt::Result {
     write_object(
         out,

@@ -99,6 +99,11 @@ impl Assembler {
         Assembler { name: name.into(), ..Self::default() }
     }
 
+    /// Names the program (the text parser's `.name` directive).
+    pub(crate) fn set_name(&mut self, name: String) {
+        self.name = name;
+    }
+
     /// Allocates a fresh, unbound label.
     pub fn label(&mut self) -> Label {
         self.labels.push(None);
@@ -154,6 +159,13 @@ impl Assembler {
     /// Emits an already-resolved instruction.
     pub fn emit(&mut self, inst: Instruction) -> &mut Self {
         self.insts.push(Inst::Ready(inst));
+        self
+    }
+
+    /// Branch to `target` iff `cond` holds of `lhs` and `rhs` (the
+    /// `beq` … `bgeu` methods, for a condition chosen at run time).
+    pub fn branch(&mut self, cond: BranchCond, lhs: Reg, rhs: Reg, target: Label) -> &mut Self {
+        self.insts.push(Inst::Branch { cond, lhs, rhs, target });
         self
     }
 
@@ -297,8 +309,7 @@ macro_rules! branches {
             $(
                 $(#[$doc])*
                 pub fn $name(&mut self, lhs: Reg, rhs: Reg, target: Label) -> &mut Self {
-                    self.insts.push(Inst::Branch { cond: BranchCond::$cond, lhs, rhs, target });
-                    self
+                    self.branch(BranchCond::$cond, lhs, rhs, target)
                 }
             )*
         }

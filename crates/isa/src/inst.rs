@@ -19,6 +19,10 @@ pub enum MemWidth {
 }
 
 impl MemWidth {
+    /// Every width, in declaration order.
+    pub const ALL: [MemWidth; 4] =
+        [MemWidth::Byte, MemWidth::Half, MemWidth::Word4, MemWidth::Word];
+
     /// The access size in bytes (1, 2, 4 or 8).
     #[must_use]
     pub fn bytes(self) -> u64 {
@@ -60,6 +64,30 @@ pub enum BranchCond {
 }
 
 impl BranchCond {
+    /// Every condition, in declaration order.
+    pub const ALL: [BranchCond; 6] = [
+        BranchCond::Eq,
+        BranchCond::Ne,
+        BranchCond::Lt,
+        BranchCond::Ge,
+        BranchCond::LtU,
+        BranchCond::GeU,
+    ];
+
+    /// The branch mnemonic's suffix: the branch is spelled `b` and this
+    /// (`beq` … `bgeu`).
+    #[must_use]
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            BranchCond::Eq => "eq",
+            BranchCond::Ne => "ne",
+            BranchCond::Lt => "lt",
+            BranchCond::Ge => "ge",
+            BranchCond::LtU => "ltu",
+            BranchCond::GeU => "geu",
+        }
+    }
+
     /// Evaluates the condition on two register values.
     ///
     /// ```rust
@@ -142,6 +170,62 @@ fn sext32(x: u32) -> u64 {
 }
 
 impl AluOp {
+    /// Every op, in declaration order.
+    pub const ALL: [AluOp; 22] = [
+        AluOp::Add,
+        AluOp::Sub,
+        AluOp::And,
+        AluOp::Or,
+        AluOp::Xor,
+        AluOp::Sll,
+        AluOp::Srl,
+        AluOp::Sra,
+        AluOp::Slt,
+        AluOp::Sltu,
+        AluOp::Mul,
+        AluOp::Divu,
+        AluOp::AddW,
+        AluOp::SubW,
+        AluOp::SllW,
+        AluOp::SrlW,
+        AluOp::SraW,
+        AluOp::MulW,
+        AluOp::DivW,
+        AluOp::DivuW,
+        AluOp::RemW,
+        AluOp::RemuW,
+    ];
+
+    /// The op's mnemonic: the register form is spelled this, the
+    /// immediate form this and `i` (`add`/`addi` … `remuw`/`remuwi`).
+    #[must_use]
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            AluOp::Add => "add",
+            AluOp::Sub => "sub",
+            AluOp::And => "and",
+            AluOp::Or => "or",
+            AluOp::Xor => "xor",
+            AluOp::Sll => "sll",
+            AluOp::Srl => "srl",
+            AluOp::Sra => "sra",
+            AluOp::Slt => "slt",
+            AluOp::Sltu => "sltu",
+            AluOp::Mul => "mul",
+            AluOp::Divu => "divu",
+            AluOp::AddW => "addw",
+            AluOp::SubW => "subw",
+            AluOp::SllW => "sllw",
+            AluOp::SrlW => "srlw",
+            AluOp::SraW => "sraw",
+            AluOp::MulW => "mulw",
+            AluOp::DivW => "divw",
+            AluOp::DivuW => "divuw",
+            AluOp::RemW => "remw",
+            AluOp::RemuW => "remuw",
+        }
+    }
+
     /// Evaluates the operation on two 64-bit values.
     #[must_use]
     pub fn eval(self, lhs: u64, rhs: u64) -> u64 {
@@ -218,6 +302,22 @@ pub enum FpuOp {
 }
 
 impl FpuOp {
+    /// Every op, in declaration order.
+    pub const ALL: [FpuOp; 5] = [FpuOp::Add, FpuOp::Sub, FpuOp::Mul, FpuOp::Div, FpuOp::Sqrt];
+
+    /// The FP mnemonic's suffix: the op is spelled `f` and this
+    /// (`fadd` … `fsqrt`).
+    #[must_use]
+    pub fn mnemonic(self) -> &'static str {
+        match self {
+            FpuOp::Add => "add",
+            FpuOp::Sub => "sub",
+            FpuOp::Mul => "mul",
+            FpuOp::Div => "div",
+            FpuOp::Sqrt => "sqrt",
+        }
+    }
+
     /// Evaluates the operation on two binary64 values.
     #[must_use]
     pub fn eval(self, lhs: f64, rhs: f64) -> f64 {
@@ -376,7 +476,9 @@ pub enum Instruction {
         /// Signed offset added to the register value.
         offset: i64,
     },
-    /// Two-operand FP operation: `dst = op(lhs, rhs)`; `Sqrt` ignores `rhs`.
+    /// Two-operand FP operation: `dst = op(lhs, rhs)`; `Sqrt` ignores `rhs`,
+    /// and its text (`fsqrt dst, lhs`) names `lhs` alone, so a parsed
+    /// sqrt has `rhs == lhs`, as [`crate::Assembler::fsqrt`] builds it.
     Fpu {
         /// Operation selector.
         op: FpuOp,
@@ -568,14 +670,21 @@ impl Instruction {
     }
 }
 
+/// The instruction's assembly text, the form [`crate::parse_asm`]
+/// reads back: an op's mnemonic comes from the spelling tables above
+/// ([`AluOp::mnemonic`], [`BranchCond::mnemonic`], [`FpuOp::mnemonic`],
+/// [`MemWidth::suffix`]), which the parser reads too, and targets are
+/// absolute `@N`. Parsing the text gives the instruction back, except
+/// that `fsqrt` names one source: sqrt's ignored `rhs` comes back equal
+/// to `lhs`.
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Instruction::Alu { op, dst, lhs, rhs } => {
-                write!(f, "{} {dst}, {lhs}, {rhs}", format!("{op:?}").to_lowercase())
+                write!(f, "{} {dst}, {lhs}, {rhs}", op.mnemonic())
             }
             Instruction::AluImm { op, dst, src, imm } => {
-                write!(f, "{}i {dst}, {src}, {imm}", format!("{op:?}").to_lowercase())
+                write!(f, "{}i {dst}, {src}, {imm}", op.mnemonic())
             }
             Instruction::Li { dst, imm } => write!(f, "li {dst}, {imm}"),
             Instruction::Load { dst, base, offset, width } => {
@@ -587,16 +696,15 @@ impl fmt::Display for Instruction {
             Instruction::FLoad { dst, base, offset } => write!(f, "fld {dst}, {offset}({base})"),
             Instruction::FStore { src, base, offset } => write!(f, "fst {src}, {offset}({base})"),
             Instruction::Branch { cond, lhs, rhs, target } => {
-                write!(f, "b{} {lhs}, {rhs}, @{target}", format!("{cond:?}").to_lowercase())
+                write!(f, "b{} {lhs}, {rhs}, @{target}", cond.mnemonic())
             }
             Instruction::Jal { dst, target } => write!(f, "jal {dst}, @{target}"),
             Instruction::Jalr { dst, base, offset } => write!(f, "jalr {dst}, {offset}({base})"),
+            Instruction::Fpu { op: op @ FpuOp::Sqrt, dst, lhs, .. } => {
+                write!(f, "f{} {dst}, {lhs}", op.mnemonic())
+            }
             Instruction::Fpu { op, dst, lhs, rhs } => {
-                if matches!(op, FpuOp::Sqrt) {
-                    write!(f, "fsqrt {dst}, {lhs}")
-                } else {
-                    write!(f, "f{} {dst}, {lhs}, {rhs}", format!("{op:?}").to_lowercase())
-                }
+                write!(f, "f{} {dst}, {lhs}, {rhs}", op.mnemonic())
             }
             Instruction::FMvToInt { dst, src } => write!(f, "fmv.x {dst}, {src}"),
             Instruction::FMvFromInt { dst, src } => write!(f, "fmv.f {dst}, {src}"),

@@ -23,12 +23,20 @@
 //!     jr   r31
 //!     halt
 //! ```
+//!
+//! The mnemonics are the ones [`Instruction`]'s `Display` writes, read
+//! from the same spelling tables: `<alu>` and `<alu>i` for each
+//! [`AluOp::mnemonic`], `b<cond>` for each [`BranchCond::mnemonic`],
+//! `ld<width>`/`st<width>` for each [`MemWidth::suffix`] and `f<fpu>` for
+//! each [`FpuOp::mnemonic`], plus `li`, `fld`, `fst`, `jal`, `j`, `jalr`,
+//! `jr`, `fmv.x`, `fmv.f`, `nop` and `halt`. So every instruction's
+//! disassembly parses back to it (sqrt's ignored `rhs` as `lhs`).
 
-use crate::asm::Assembler;
-use crate::inst::MemWidth;
+use crate::asm::{Assembler, Label};
+use crate::inst::{AluOp, BranchCond, FpuOp, Instruction, MemWidth};
 use crate::program::{Program, MAX_PARSED_PAGES};
 use crate::reg::{FReg, Reg};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::error::Error;
 use std::fmt;
 
@@ -142,6 +150,91 @@ fn split_operands(s: &str) -> Vec<&str> {
     s.split(',').map(str::trim).filter(|p| !p.is_empty()).collect()
 }
 
+/// An instruction family, as its mnemonic names it.
+#[derive(Clone, Copy)]
+enum Form {
+    Alu(AluOp),
+    AluImm(AluOp),
+    Branch(BranchCond),
+    Load(MemWidth),
+    Store(MemWidth),
+    Fpu(FpuOp),
+    Li,
+    FLoad,
+    FStore,
+    Jal,
+    J,
+    Jalr,
+    Jr,
+    FMvToInt,
+    FMvFromInt,
+    Nop,
+    Halt,
+}
+
+impl Form {
+    /// The family `mnemonic` names, if any.
+    fn of(mnemonic: &str) -> Option<Form> {
+        Some(match mnemonic {
+            "li" => Form::Li,
+            "fld" => Form::FLoad,
+            "fst" => Form::FStore,
+            "jal" => Form::Jal,
+            "j" => Form::J,
+            "jalr" => Form::Jalr,
+            "jr" => Form::Jr,
+            "fmv.x" => Form::FMvToInt,
+            "fmv.f" => Form::FMvFromInt,
+            "nop" => Form::Nop,
+            "halt" => Form::Halt,
+            _ => return Form::spelled(mnemonic),
+        })
+    }
+
+    /// The op-carrying families: a prefix, an op's spelling from its
+    /// table in [`crate::inst`], and a suffix.
+    fn spelled(m: &str) -> Option<Form> {
+        fn find<T: Copy, const N: usize>(
+            all: [T; N],
+            spelling: fn(T) -> &'static str,
+            body: Option<&str>,
+        ) -> Option<T> {
+            let body = body?;
+            all.into_iter().find(|&op| spelling(op) == body)
+        }
+        let alu = |body| find(AluOp::ALL, AluOp::mnemonic, body);
+        let width = |body| find(MemWidth::ALL, MemWidth::suffix, body);
+        alu(Some(m))
+            .map(Form::Alu)
+            .or_else(|| alu(m.strip_suffix('i')).map(Form::AluImm))
+            .or_else(|| {
+                find(BranchCond::ALL, BranchCond::mnemonic, m.strip_prefix('b')).map(Form::Branch)
+            })
+            .or_else(|| width(m.strip_prefix("ld")).map(Form::Load))
+            .or_else(|| width(m.strip_prefix("st")).map(Form::Store))
+            .or_else(|| find(FpuOp::ALL, FpuOp::mnemonic, m.strip_prefix('f')).map(Form::Fpu))
+    }
+
+    /// How many operands the family takes.
+    fn arity(self) -> usize {
+        match self {
+            Form::Nop | Form::Halt => 0,
+            Form::J | Form::Jr => 1,
+            Form::Li
+            | Form::Load(_)
+            | Form::Store(_)
+            | Form::FLoad
+            | Form::FStore
+            | Form::Jal
+            | Form::Jalr
+            | Form::Fpu(FpuOp::Sqrt)
+            | Form::FMvToInt
+            | Form::FMvFromInt => 2,
+            Form::Alu(_) | Form::AluImm(_) | Form::Branch(_) | Form::Fpu(_) => 3,
+        }
+    }
+}
+
 /// Parses a textual assembly listing into a [`Program`].
 ///
 /// # Errors
@@ -170,23 +263,20 @@ pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
 
 fn parse_inner(source: &str) -> Result<Program, ParseError> {
     let mut asm = Assembler::new();
-    let mut labels: HashMap<String, crate::asm::Label> = HashMap::new();
-    let mut bound: HashSet<&str> = HashSet::new();
+    let mut labels: BTreeMap<String, Label> = BTreeMap::new();
+    let mut bound: BTreeSet<&str> = BTreeSet::new();
 
     // Absolute targets are written `@N` (as in disassembly listings);
     // they bind a dedicated label per address at the end.
-    let mut absolute: HashMap<u64, crate::asm::Label> = HashMap::new();
-    let mut label_of = |asm: &mut Assembler,
-                        absolute: &mut HashMap<u64, crate::asm::Label>,
-                        line: usize,
-                        name: &str|
-     -> Result<crate::asm::Label, ParseError> {
-        if let Some(addr) = name.strip_prefix('@') {
-            let target = parse_int(line, addr)? as u64;
-            return Ok(*absolute.entry(target).or_insert_with(|| asm.label()));
-        }
-        Ok(*labels.entry(name.to_string()).or_insert_with(|| asm.label()))
-    };
+    let mut absolute: BTreeMap<u64, Label> = BTreeMap::new();
+    let mut label_of =
+        |asm: &mut Assembler, line: usize, name: &str| -> Result<Label, ParseError> {
+            if let Some(addr) = name.strip_prefix('@') {
+                let target = parse_int(line, addr)? as u64;
+                return Ok(*absolute.entry(target).or_insert_with(|| asm.label()));
+            }
+            Ok(*labels.entry(name.to_string()).or_insert_with(|| asm.label()))
+        };
 
     for (lineno, raw) in source.lines().enumerate() {
         let line = lineno + 1;
@@ -206,17 +296,10 @@ fn parse_inner(source: &str) -> Result<Program, ParseError> {
                     if name.is_empty() {
                         return err(line, ".name needs a value");
                     }
-                    asm = {
-                        // Rebuild with the name, keeping prior state is not
-                        // possible through the public API at arbitrary
-                        // points, so require .name before any code.
-                        if asm.next_pc() != 0 || !asm.data_mut().is_empty() {
-                            return err(line, ".name must appear before any code or data");
-                        }
-                        let mut named = Assembler::named(name);
-                        std::mem::swap(&mut named, &mut asm);
-                        asm
-                    };
+                    if asm.next_pc() != 0 || !asm.data_mut().is_empty() {
+                        return err(line, ".name must appear before any code or data");
+                    }
+                    asm.set_name(name);
                 }
                 "word" | "byte" | "f64" => {
                     if args.len() < 2 {
@@ -276,7 +359,7 @@ fn parse_inner(source: &str) -> Result<Program, ParseError> {
             if !bound.insert(name) {
                 return err_tok(line, name, format!("label '{name}' defined more than once"));
             }
-            let label = label_of(&mut asm, &mut absolute, line, name)?;
+            let label = label_of(&mut asm, line, name)?;
             asm.bind(label);
             text = rest[1..].trim();
             if text.is_empty() {
@@ -293,186 +376,73 @@ fn parse_inner(source: &str) -> Result<Program, ParseError> {
             None => (text, ""),
         };
         let ops = split_operands(operand_text);
-
-        macro_rules! want {
-            ($n:expr) => {
-                if ops.len() != $n {
-                    return err_tok(
-                        line,
-                        mnemonic,
-                        format!("'{mnemonic}' expects {} operand(s), got {}", $n, ops.len()),
-                    );
-                }
-            };
+        let Some(form) = Form::of(mnemonic) else {
+            return err_tok(line, mnemonic, format!("unknown mnemonic '{mnemonic}'"));
+        };
+        if ops.len() != form.arity() {
+            let (want, got) = (form.arity(), ops.len());
+            return err_tok(
+                line,
+                mnemonic,
+                format!("'{mnemonic}' expects {want} operand(s), got {got}"),
+            );
         }
-
-        match mnemonic {
-            // Register-register ALU.
-            "add" | "sub" | "and" | "or" | "xor" | "sll" | "srl" | "sra" | "slt" | "sltu"
-            | "mul" | "divu" | "addw" | "subw" | "sllw" | "srlw" | "sraw" | "mulw" | "divw"
-            | "divuw" | "remw" | "remuw" => {
-                want!(3);
-                let d = parse_reg(line, ops[0])?;
-                let a = parse_reg(line, ops[1])?;
-                let b = parse_reg(line, ops[2])?;
-                match mnemonic {
-                    "add" => asm.add(d, a, b),
-                    "sub" => asm.sub(d, a, b),
-                    "and" => asm.and_(d, a, b),
-                    "or" => asm.or_(d, a, b),
-                    "xor" => asm.xor(d, a, b),
-                    "sll" => asm.sll(d, a, b),
-                    "srl" => asm.srl(d, a, b),
-                    "sra" => asm.sra(d, a, b),
-                    "slt" => asm.slt(d, a, b),
-                    "sltu" => asm.sltu(d, a, b),
-                    "mul" => asm.mul(d, a, b),
-                    "divu" => asm.divu(d, a, b),
-                    "addw" => asm.addw(d, a, b),
-                    "subw" => asm.subw(d, a, b),
-                    "sllw" => asm.sllw(d, a, b),
-                    "srlw" => asm.srlw(d, a, b),
-                    "sraw" => asm.sraw(d, a, b),
-                    "mulw" => asm.mulw(d, a, b),
-                    "divw" => asm.divw(d, a, b),
-                    "divuw" => asm.divuw(d, a, b),
-                    "remw" => asm.remw(d, a, b),
-                    _ => asm.remuw(d, a, b),
-                };
+        let reg = |i: usize| parse_reg(line, ops[i]);
+        let freg = |i: usize| parse_freg(line, ops[i]);
+        let int = |i: usize| parse_int(line, ops[i]);
+        let mem = |i: usize| parse_mem(line, ops[i]);
+        match form {
+            Form::Alu(op) => {
+                asm.emit(Instruction::Alu { op, dst: reg(0)?, lhs: reg(1)?, rhs: reg(2)? })
             }
-            // Register-immediate ALU.
-            "addi" | "andi" | "ori" | "xori" | "slli" | "srli" | "srai" | "muli" | "slti"
-            | "addwi" | "sllwi" | "srlwi" | "srawi" => {
-                want!(3);
-                let d = parse_reg(line, ops[0])?;
-                let a = parse_reg(line, ops[1])?;
-                let imm = parse_int(line, ops[2])?;
-                match mnemonic {
-                    "addi" => asm.addi(d, a, imm),
-                    "andi" => asm.andi(d, a, imm),
-                    "ori" => asm.ori(d, a, imm),
-                    "xori" => asm.xori(d, a, imm),
-                    "slli" => asm.slli(d, a, imm),
-                    "srli" => asm.srli(d, a, imm),
-                    "srai" => asm.srai(d, a, imm),
-                    "muli" => asm.muli(d, a, imm),
-                    "addwi" => asm.addwi(d, a, imm),
-                    "sllwi" => asm.sllwi(d, a, imm),
-                    "srlwi" => asm.srlwi(d, a, imm),
-                    "srawi" => asm.srawi(d, a, imm),
-                    _ => asm.slti(d, a, imm),
-                };
+            Form::AluImm(op) => {
+                asm.emit(Instruction::AluImm { op, dst: reg(0)?, src: reg(1)?, imm: int(2)? })
             }
-            "li" => {
-                want!(2);
-                let d = parse_reg(line, ops[0])?;
-                asm.li(d, parse_int(line, ops[1])?);
+            Form::Li => asm.emit(Instruction::Li { dst: reg(0)?, imm: int(1)? }),
+            Form::Load(width) => {
+                let (dst, (offset, base)) = (reg(0)?, mem(1)?);
+                asm.emit(Instruction::Load { dst, base, offset, width })
             }
-            // Memory.
-            "ld" | "ldb" | "ldh" | "ldw" | "st" | "stb" | "sth" | "stw" => {
-                want!(2);
-                let r0 = parse_reg(line, ops[0])?;
-                let (offset, base) = parse_mem(line, ops[1])?;
-                let width = match mnemonic {
-                    "ldb" | "stb" => MemWidth::Byte,
-                    "ldh" | "sth" => MemWidth::Half,
-                    "ldw" | "stw" => MemWidth::Word4,
-                    _ => MemWidth::Word,
-                };
-                if mnemonic.starts_with("ld") {
-                    asm.emit(crate::inst::Instruction::Load { dst: r0, base, offset, width });
-                } else {
-                    asm.emit(crate::inst::Instruction::Store { src: r0, base, offset, width });
-                }
+            Form::Store(width) => {
+                let (src, (offset, base)) = (reg(0)?, mem(1)?);
+                asm.emit(Instruction::Store { src, base, offset, width })
             }
-            "fld" | "fst" => {
-                want!(2);
-                let f = parse_freg(line, ops[0])?;
-                let (offset, base) = parse_mem(line, ops[1])?;
-                if mnemonic == "fld" {
-                    asm.fld(f, base, offset);
-                } else {
-                    asm.fst(f, base, offset);
-                }
+            Form::FLoad => {
+                let (dst, (offset, base)) = (freg(0)?, mem(1)?);
+                asm.emit(Instruction::FLoad { dst, base, offset })
             }
-            // Branches.
-            "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" => {
-                want!(3);
-                let a = parse_reg(line, ops[0])?;
-                let b = parse_reg(line, ops[1])?;
-                let target = label_of(&mut asm, &mut absolute, line, ops[2])?;
-                match mnemonic {
-                    "beq" => asm.beq(a, b, target),
-                    "bne" => asm.bne(a, b, target),
-                    "blt" => asm.blt(a, b, target),
-                    "bge" => asm.bge(a, b, target),
-                    "bltu" => asm.bltu(a, b, target),
-                    _ => asm.bgeu(a, b, target),
-                };
+            Form::FStore => {
+                let (src, (offset, base)) = (freg(0)?, mem(1)?);
+                asm.emit(Instruction::FStore { src, base, offset })
             }
-            "jal" => {
-                want!(2);
-                let d = parse_reg(line, ops[0])?;
-                let target = label_of(&mut asm, &mut absolute, line, ops[1])?;
-                asm.jal(d, target);
+            Form::Branch(cond) => {
+                let (lhs, rhs) = (reg(0)?, reg(1)?);
+                let target = label_of(&mut asm, line, ops[2])?;
+                asm.branch(cond, lhs, rhs, target)
             }
-            "j" => {
-                want!(1);
-                let target = label_of(&mut asm, &mut absolute, line, ops[0])?;
-                asm.j(target);
+            Form::Jal => {
+                let dst = reg(0)?;
+                let target = label_of(&mut asm, line, ops[1])?;
+                asm.jal(dst, target)
             }
-            "jalr" => {
-                want!(2);
-                let d = parse_reg(line, ops[0])?;
-                let (offset, base) = parse_mem(line, ops[1])?;
-                asm.jalr(d, base, offset);
+            Form::J => {
+                let target = label_of(&mut asm, line, ops[0])?;
+                asm.j(target)
             }
-            "jr" => {
-                want!(1);
-                let base = parse_reg(line, ops[0])?;
-                asm.jr(base);
+            Form::Jalr => {
+                let (dst, (offset, base)) = (reg(0)?, mem(1)?);
+                asm.emit(Instruction::Jalr { dst, base, offset })
             }
-            // FP.
-            "fadd" | "fsub" | "fmul" | "fdiv" => {
-                want!(3);
-                let d = parse_freg(line, ops[0])?;
-                let a = parse_freg(line, ops[1])?;
-                let b = parse_freg(line, ops[2])?;
-                match mnemonic {
-                    "fadd" => asm.fadd(d, a, b),
-                    "fsub" => asm.fsub(d, a, b),
-                    "fmul" => asm.fmul(d, a, b),
-                    _ => asm.fdiv(d, a, b),
-                };
+            Form::Jr => asm.jr(reg(0)?),
+            Form::Fpu(FpuOp::Sqrt) => asm.fsqrt(freg(0)?, freg(1)?),
+            Form::Fpu(op) => {
+                asm.emit(Instruction::Fpu { op, dst: freg(0)?, lhs: freg(1)?, rhs: freg(2)? })
             }
-            "fsqrt" => {
-                want!(2);
-                let d = parse_freg(line, ops[0])?;
-                let a = parse_freg(line, ops[1])?;
-                asm.fsqrt(d, a);
-            }
-            "fmv.x" => {
-                want!(2);
-                let d = parse_reg(line, ops[0])?;
-                let s = parse_freg(line, ops[1])?;
-                asm.fmv_to_int(d, s);
-            }
-            "fmv.f" => {
-                want!(2);
-                let d = parse_freg(line, ops[0])?;
-                let s = parse_reg(line, ops[1])?;
-                asm.fmv_from_int(d, s);
-            }
-            "nop" => {
-                want!(0);
-                asm.nop();
-            }
-            "halt" => {
-                want!(0);
-                asm.halt();
-            }
-            other => return err_tok(line, other, format!("unknown mnemonic '{other}'")),
-        }
+            Form::FMvToInt => asm.emit(Instruction::FMvToInt { dst: reg(0)?, src: freg(1)? }),
+            Form::FMvFromInt => asm.emit(Instruction::FMvFromInt { dst: freg(0)?, src: reg(1)? }),
+            Form::Nop => asm.nop(),
+            Form::Halt => asm.halt(),
+        };
     }
 
     // Bind absolute `@N` targets to their literal addresses.
@@ -688,6 +658,15 @@ mod tests {
     }
 
     #[test]
+    fn labels_bound_before_name_stay_bound() {
+        // Regression: `.name` used to swap in a fresh assembler, dropping
+        // the labels already allocated, and `j top` then indexed past them.
+        let prog = parse_asm("top:\n.name late\nj top").unwrap();
+        assert_eq!(prog.name(), "late");
+        assert_eq!(prog.fetch(0).direct_target(), Some(0));
+    }
+
+    #[test]
     fn name_after_code_rejected() {
         let e = parse_asm("nop\n.name late").unwrap_err();
         assert!(e.message.contains("before any code"));
@@ -753,5 +732,58 @@ mod tests {
         a.run(100).unwrap();
         b.run(100).unwrap();
         assert_eq!(a.int_regs(), b.int_regs());
+    }
+
+    /// Every instruction shape, at the extreme immediates and targets,
+    /// disassembles to text that parses back to it. The text's one
+    /// canonical form: `fsqrt` names one source, so sqrt's ignored `rhs`
+    /// comes back equal to its `lhs`.
+    #[test]
+    fn every_instruction_survives_disassembly() {
+        use Instruction::{FLoad, FMvFromInt, FMvToInt, FStore, Halt, Jal, Jalr, Li, Nop};
+        let (r, f) = (Reg::new, FReg::new);
+        let imms = [0, -1, i64::MIN, i64::MAX];
+        let targets = [0, 1 << 20, u64::MAX]; // the first, past the end, the last
+        let mut insts = Vec::new();
+        for op in AluOp::ALL {
+            insts.push(Instruction::Alu { op, dst: r(1), lhs: r(2), rhs: r(31) });
+            insts.extend(imms.map(|imm| Instruction::AluImm { op, dst: r(3), src: r(0), imm }));
+        }
+        for cond in BranchCond::ALL {
+            let (lhs, rhs) = (r(4), r(5));
+            insts.extend(targets.map(|target| Instruction::Branch { cond, lhs, rhs, target }));
+        }
+        for width in MemWidth::ALL {
+            for offset in imms {
+                insts.push(Instruction::Load { dst: r(6), base: r(7), offset, width });
+                insts.push(Instruction::Store { src: r(8), base: r(9), offset, width });
+            }
+        }
+        for offset in imms {
+            insts.extend([
+                FLoad { dst: f(1), base: r(10), offset },
+                FStore { src: f(31), base: r(11), offset },
+                Jalr { dst: r(12), base: r(13), offset },
+                Li { dst: r(14), imm: offset },
+            ]);
+        }
+        insts.extend(targets.map(|target| Jal { dst: r(15), target }));
+        insts.extend(FpuOp::ALL.map(|op| Instruction::Fpu { op, dst: f(2), lhs: f(3), rhs: f(4) }));
+        insts.extend([FMvToInt { dst: r(16), src: f(5) }, FMvFromInt { dst: f(6), src: r(17) }]);
+        insts.extend([Nop, Halt]);
+
+        let program = Program::new("every_shape", insts, crate::program::DataImage::new());
+        let reparsed = parse_asm(&program.disassemble()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(reparsed.len(), program.len());
+        let pairs = reparsed.instructions().iter().zip(program.instructions());
+        for (pc, (&got, &built)) in pairs.enumerate() {
+            let want = match built {
+                Instruction::Fpu { op: FpuOp::Sqrt, dst, lhs, .. } => {
+                    Instruction::Fpu { op: FpuOp::Sqrt, dst, lhs, rhs: lhs }
+                }
+                other => other,
+            };
+            assert_eq!(got, want, "instruction {pc}, `{built}`");
+        }
     }
 }

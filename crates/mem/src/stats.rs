@@ -76,62 +76,6 @@ impl MemStats {
         }
     }
 
-    /// Adds another stats block into this one.
-    pub fn merge(&mut self, other: &MemStats) {
-        let MemStats {
-            icache_hits,
-            icache_misses,
-            l1_hits,
-            l1_misses,
-            l2_hits,
-            l2_misses,
-            l3_hits,
-            l3_misses,
-            remote_hits,
-            dram_row_hits,
-            dram_row_misses,
-            obl_lookups,
-            obl_level_hits,
-            obl_all_miss,
-            obl_mshr_rejects,
-            validations,
-            validation_mismatches,
-            exposures,
-            stores,
-            invalidations_sent,
-            tlb_hits,
-            tlb_misses,
-            tlb_probe_hits,
-            tlb_probe_misses,
-        } = other;
-        self.icache_hits += icache_hits;
-        self.icache_misses += icache_misses;
-        self.l1_hits += l1_hits;
-        self.l1_misses += l1_misses;
-        self.l2_hits += l2_hits;
-        self.l2_misses += l2_misses;
-        self.l3_hits += l3_hits;
-        self.l3_misses += l3_misses;
-        self.remote_hits += remote_hits;
-        self.dram_row_hits += dram_row_hits;
-        self.dram_row_misses += dram_row_misses;
-        self.obl_lookups += obl_lookups;
-        for (a, b) in self.obl_level_hits.iter_mut().zip(obl_level_hits) {
-            *a += b;
-        }
-        self.obl_all_miss += obl_all_miss;
-        self.obl_mshr_rejects += obl_mshr_rejects;
-        self.validations += validations;
-        self.validation_mismatches += validation_mismatches;
-        self.exposures += exposures;
-        self.stores += stores;
-        self.invalidations_sent += invalidations_sent;
-        self.tlb_hits += tlb_hits;
-        self.tlb_misses += tlb_misses;
-        self.tlb_probe_hits += tlb_probe_hits;
-        self.tlb_probe_misses += tlb_probe_misses;
-    }
-
     /// Registers every counter under `prefix` in `m` (hierarchical
     /// paths, e.g. `mem.l1.hits`). Destructures `self` so adding a
     /// field without exporting it is a compile error — the registry
@@ -246,16 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_everything() {
-        let mut a = MemStats { l1_hits: 1, obl_level_hits: [1, 2, 3], ..Default::default() };
-        let b = MemStats { l1_hits: 2, obl_level_hits: [10, 20, 30], validations: 5, ..Default::default() };
-        a.merge(&b);
-        assert_eq!(a.l1_hits, 3);
-        assert_eq!(a.obl_level_hits, [11, 22, 33]);
-        assert_eq!(a.validations, 5);
-    }
-
-    #[test]
     fn display_is_nonempty() {
         assert!(!MemStats::default().to_string().is_empty());
     }
@@ -269,7 +203,7 @@ mod tests {
         assert_eq!(m.len(), 26);
         assert_eq!(m.counter("mem.l1.hits"), Some(7));
         assert_eq!(m.counter("mem.obl.l3_hits"), Some(3));
-        // Exporting twice accumulates, matching merge() semantics.
+        // Exporting twice accumulates.
         s.export_metrics(&mut m, "mem");
         assert_eq!(m.counter("mem.l1.hits"), Some(14));
     }

@@ -697,6 +697,25 @@ fn the_store_runner_and_the_daemon_coalesce_alike() {
 }
 
 #[test]
+fn a_translated_seqz_is_served_as_it_runs_locally() {
+    // Compilers emit `sltiu rd, rs, 1` for `seqz`; the RV32 frontend
+    // lowers it to an immediate `sltu`, whose disassembly the daemon
+    // reads back from the run line.
+    use sdo_rv32::{enc, lower::translate, Rv32Image};
+    let text = vec![enc::addi(10, 0, 7), enc::sltiu(11, 10, 1), enc::ebreak()];
+    let image = Rv32Image { entry: 0x1000, text_base: 0x1000, text, data: Vec::new() };
+    let request = RunRequest::program(&translate(&image, "seqz").unwrap());
+    let local = Simulator::new(SimConfig::tiny()).run(&request).unwrap().into_result();
+
+    let dir = temp_dir("seqz");
+    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let line = run_lines(&[request]);
+    assert_eq!(results(&drive(&server, &line)), [(local.clone(), false)]);
+    assert_eq!(results(&drive(&server, &line)), [(local, true)], "the second pass is a hit");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn a_store_filled_by_either_front_end_serves_the_other() {
     let prog = l1_resident(120, 1);
     let reqs: Vec<RunRequest> =
