@@ -7,15 +7,17 @@
 //! finding depends on the protection variant — STT-style mechanisms
 //! delay tainted loads until their visibility point, so a tainted
 //! address can never reach the cache; SDO issues them obliviously, so
-//! the cache channel is closed too. The mapping here is cross-checked
-//! against `sdo_verify::policy` in tests: a channel this module keeps
-//! findings for must be exactly a channel the policy calls open.
+//! the cache channel is closed too. Findings are projected through
+//! `sdo_verify::policy::closes`, the table the dynamic checker uses: a
+//! channel this module keeps findings for is exactly a channel the
+//! policy calls open.
 
 use crate::taint::Analysis;
 use sdo_harness::export::Column;
 use sdo_harness::proto::variant_from_slug;
 use sdo_harness::Variant;
 use sdo_obs::json::{obj, parse_json, Json};
+use sdo_verify::policy;
 use sdo_workloads::Channel;
 use std::fmt;
 
@@ -172,26 +174,6 @@ pub fn channel_name(ch: Channel) -> &'static str {
     }
 }
 
-/// Whether `variant`'s protection mechanism suppresses transmissions
-/// on `channel`. This is `sdo_verify::policy::closes` — the shared,
-/// exhaustively-matched suppression table — not a hand-mirrored copy:
-/// the static and dynamic layers consume one table, so adding a
-/// variant breaks the build in `policy.rs` rather than silently
-/// desynchronizing the two.
-///
-/// * `SttLd`/`SttLdFp` delay tainted loads until the visibility
-///   point, so a tainted address never reaches the cache. `SttLdFp`
-///   additionally delays tainted FP transmitters.
-/// * The SDO variants (`Static*`/`Hybrid`) issue predicted-safe
-///   oblivious accesses: both channels are data-oblivious.
-/// * `Perfect` closes FP timing but its oracle *prediction itself*
-///   is a function of residency — and residency of a tainted-address
-///   access is secret-dependent — so cache findings are kept.
-#[must_use]
-pub fn mechanism_suppresses(variant: Variant, channel: Channel) -> bool {
-    sdo_verify::policy::closes(variant, channel)
-}
-
 /// Classifies a taint [`Analysis`] under one protection variant.
 /// Output is pc-ordered within each kind (transmits, trainings, dead),
 /// a pure function of the analysis.
@@ -199,7 +181,7 @@ pub fn mechanism_suppresses(variant: Variant, channel: Channel) -> bool {
 pub fn findings_for(analysis: &Analysis, variant: Variant) -> Vec<Finding> {
     let mut out = Vec::new();
     for t in &analysis.transmits {
-        if mechanism_suppresses(variant, t.channel) {
+        if policy::closes(variant, t.channel) {
             continue;
         }
         out.push(Finding {
@@ -216,7 +198,7 @@ pub fn findings_for(analysis: &Analysis, variant: Variant) -> Vec<Finding> {
     // Tainted training only matters where loads are unprotected: under
     // every STT/SDO variant the trained-on value is delayed or
     // oblivious, so the predictor never observes it.
-    if !sdo_verify::policy::protects_loads(variant) {
+    if !policy::protects_loads(variant) {
         for t in &analysis.trainings {
             out.push(Finding {
                 program: analysis.program.clone(),
@@ -253,10 +235,7 @@ pub fn findings_for(analysis: &Analysis, variant: Variant) -> Vec<Finding> {
 pub fn closed_channel_findings(findings: &[Finding]) -> Vec<&Finding> {
     findings
         .iter()
-        .filter(|f| {
-            f.kind.gates()
-                && f.channel.is_some_and(|ch| sdo_verify::policy::closes(f.variant, ch))
-        })
+        .filter(|f| f.kind.gates() && f.channel.is_some_and(|ch| policy::closes(f.variant, ch)))
         .collect()
 }
 
@@ -286,19 +265,6 @@ pub fn findings_csv(findings: &[Finding]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn suppression_mirrors_dynamic_policy_exactly() {
-        for v in Variant::ALL {
-            for ch in [Channel::Cache, Channel::FpTiming] {
-                assert_eq!(
-                    mechanism_suppresses(v, ch),
-                    sdo_verify::policy::closes(v, ch),
-                    "variant {v:?} channel {ch:?}: static suppression must match policy"
-                );
-            }
-        }
-    }
 
     #[test]
     fn closed_channel_findings_are_empty_by_construction() {

@@ -32,9 +32,7 @@
 
 use crate::callgraph;
 use crate::cfg::Cfg;
-use crate::findings::{
-    channel_name, join_u64, mechanism_suppresses, parse_channel, u64_array, u64_list,
-};
+use crate::findings::{channel_name, join_u64, parse_channel, u64_array, u64_list};
 use crate::memory::MemModel;
 use crate::taint::{analyze_with, Analysis};
 use sdo_harness::export::Column;
@@ -43,6 +41,7 @@ use sdo_harness::Variant;
 use sdo_isa::Program;
 use sdo_obs::json::{obj, parse_json, Json};
 use sdo_rv32::Provenance;
+use sdo_verify::policy;
 use sdo_workloads::Channel;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -165,7 +164,7 @@ impl ScanResult {
     pub fn gadgets_for(&self, variant: Variant) -> Vec<Gadget> {
         self.chains
             .iter()
-            .filter(|c| !mechanism_suppresses(variant, c.channel))
+            .filter(|c| !policy::closes(variant, c.channel))
             .map(|c| Gadget {
                 program: self.analysis.program.clone(),
                 variant,

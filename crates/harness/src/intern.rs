@@ -264,7 +264,7 @@ mod tests {
         let want = Request::parse(&twice).unwrap_err();
         assert!(want.contains("over the 4096 a request may hold"), "{want}");
         let hits = table.hits();
-        assert_eq!(Request::parse_interned(&twice, &mut table).unwrap_err(), want);
+        assert_eq!(Request::parse_interned(&twice, &mut table).unwrap_err(), (1, want));
         assert_eq!(table.hits(), hits + 2, "both programs were taken from the table");
     }
 

@@ -40,10 +40,10 @@ use sdo_uarch::{
     SdoConfig, SquashCounts,
 };
 
-/// The most data-image pages (64 MiB) the run requests a daemon admits
-/// from one batch may hold between them; it answers the runs past it
-/// with `busy`. One request holds at most [`MAX_PARSED_PAGES`], so the
-/// first run of a batch always fits.
+/// The most data-image pages (64 MiB) the run requests of one round of
+/// a daemon's batch may hold between them; a request that would take
+/// the round past it opens the next round. One request holds at most
+/// [`MAX_PARSED_PAGES`], so a round's first request always fits.
 pub const BATCH_PAGES: usize = 4 * MAX_PARSED_PAGES;
 
 // ---------------------------------------------------------------------------
@@ -1283,7 +1283,7 @@ impl Request {
     /// the daemon turns this into a typed `error` reply rather than
     /// dying.
     pub fn parse(text: &str) -> Result<Request, String> {
-        Self::decode(text, None)
+        Self::decode(text, None).map_err(|(_, message)| message)
     }
 
     /// Parses one request line as [`parse`](Request::parse) does, with a
@@ -1293,12 +1293,19 @@ impl Request {
     ///
     /// # Errors
     ///
-    /// Returns exactly the error [`parse`](Request::parse) returns.
-    pub(crate) fn parse_interned(text: &str, table: &mut ProgramTable) -> Result<Request, String> {
+    /// Returns the id to answer the line under, with exactly the message
+    /// [`parse`](Request::parse) returns: the line's own id when the line
+    /// is well-formed JSON whose `op` is `run` or `grid` and whose `id`
+    /// is a u64, else [`BATCH_ERROR_ID`].
+    pub(crate) fn parse_interned(
+        text: &str,
+        table: &mut ProgramTable,
+    ) -> Result<Request, (u64, String)> {
         Self::decode(text, Some(table))
     }
 
-    fn decode(text: &str, mut table: Option<&mut ProgramTable>) -> Result<Request, String> {
+    fn decode(text: &str, mut table: Option<&mut ProgramTable>) -> Result<Request, (u64, String)> {
+        let unattributable = |message| (BATCH_ERROR_ID, message);
         let mut r = Reader::new(text);
         let mut request = None;
         let mut fields = Vec::new();
@@ -1313,12 +1320,30 @@ impl Request {
                 _ => r.skip()?,
             }
             Ok(())
-        })?;
-        r.finish()?;
+        })
+        .map_err(unattributable)?;
+        r.finish().map_err(unattributable)?;
         // A line that is not an object leaves no fields: "missing field 'op'".
         let v = Json::Obj(fields);
+        let op = v.str_field("op").map_err(unattributable)?;
+        // A run or grid line whose id reads is answered under it,
+        // whatever else in it fails to decode.
+        let id = match op {
+            "run" | "grid" => v.u64_field("id").unwrap_or(BATCH_ERROR_ID),
+            _ => BATCH_ERROR_ID,
+        };
+        Self::from_fields(op, &v, request).map_err(|message| (id, message))
+    }
+
+    /// The message a line's decoded fields ask for: `op`, the fields
+    /// `v` read as values, and the outcome of decoding its `request`.
+    fn from_fields(
+        op: &str,
+        v: &Json,
+        request: Option<Result<RunRequest, String>>,
+    ) -> Result<Request, String> {
         let request = || request.unwrap_or_else(|| Err("missing field 'request'".to_string()));
-        match v.str_field("op")? {
+        match op {
             "run" => Ok(Request::Run {
                 id: v.u64_field("id")?,
                 request: request()?,
@@ -1393,12 +1418,6 @@ pub enum Reply {
         /// Human-readable cause.
         message: String,
     },
-    /// Back-pressure: the batch exceeded the daemon's queue bound; the
-    /// client must resubmit this request in a later batch.
-    Busy {
-        /// Echoed request id.
-        id: u64,
-    },
     /// Daemon statistics.
     Stats {
         /// Echoed request id.
@@ -1420,7 +1439,6 @@ impl Reply {
             Reply::Result { id, .. }
             | Reply::Grid { id, .. }
             | Reply::Error { id, .. }
-            | Reply::Busy { id }
             | Reply::Stats { id, .. } => id,
         }
     }
@@ -1455,9 +1473,6 @@ impl Reply {
                 ("id", Json::UInt(*id)),
                 ("error", Json::Str(message.clone())),
             ]),
-            Reply::Busy { id } => {
-                obj(vec![("id", Json::UInt(*id)), ("busy", Json::Bool(true))])
-            }
             Reply::Stats { id, hits, misses, entries } => obj(vec![
                 ("id", Json::UInt(*id)),
                 (
@@ -1483,9 +1498,6 @@ impl Reply {
         let id = v.u64_field("id")?;
         if let Some(Json::Str(message)) = v.get("error") {
             return Ok(Reply::Error { id, message: message.clone() });
-        }
-        if let Some(Json::Bool(true)) = v.get("busy") {
-            return Ok(Reply::Busy { id });
         }
         if let Some(stats) = v.get("stats") {
             return Ok(Reply::Stats {
@@ -1517,7 +1529,7 @@ impl Reply {
                 cached: v.bool_field("cached")?,
             });
         }
-        Err("reply carries none of result/error/busy/stats/grid".to_string())
+        Err("reply carries none of result/error/stats/grid".to_string())
     }
 }
 
@@ -1899,7 +1911,7 @@ mod tests {
                 };
                 for variant in [String::from_utf8(changed).unwrap(), line[..at].to_string()] {
                     let hits = exec.programs().hits();
-                    let got = exec.parse(&variant);
+                    let got = exec.parse(&variant).map_err(|(_, message)| message);
                     assert_eq!(got, Request::parse(&variant), "byte {at}");
                     assert_eq!(exec.programs().hits(), hits, "byte {at} was recognised");
                     outcomes[usize::from(got.is_ok())] += 1;
@@ -2287,13 +2299,13 @@ mod tests {
                 Ok(message) => runs_of(&message).iter().for_each(|run| {
                     held.prefix(&run.programs[0]);
                 }),
-                Err(e) => assert_eq!(e, "unknown op 'campaign'"),
+                Err(e) => assert_eq!(e, (BATCH_ERROR_ID, "unknown op 'campaign'".to_string())),
             }
         }
         let mut long_lived = held.clone();
         let base = SimConfig::tiny();
         let mut rng = SdoRng::seed_from_u64(0xf022_11e5);
-        let (mut accepted, mut rejected, mut taken) = (0, 0, 0);
+        let (mut accepted, mut rejected, mut taken, mut attributed) = (0, 0, 0, 0);
         for case in 0..10_240 {
             // One case in 128 mutates the large line: it is 99% of the
             // bytes, and most of the test's time.
@@ -2303,10 +2315,26 @@ mod tests {
             // The daemon answers a non-UTF-8 line before parsing it.
             let text = String::from_utf8_lossy(&bytes);
             let want = parse_tree(&text);
+            // A failing line is answered under its own id when it is
+            // well-formed JSON with op run or grid and a u64 id.
+            let want_id = match parse_json(&text) {
+                Ok(v) if matches!(v.str_field("op"), Ok("run" | "grid")) => {
+                    v.u64_field("id").unwrap_or(BATCH_ERROR_ID)
+                }
+                _ => BATCH_ERROR_ID,
+            };
             let mut table = held.clone();
             let interned = Request::parse_interned(&text, &mut table);
             taken += table.hits() - held.hits();
             let lived = Request::parse_interned(&text, &mut long_lived);
+            for (decoder, got) in [("interned", &interned), ("long-lived", &lived)] {
+                if let Err((id, _)) = got {
+                    assert_eq!(*id, want_id, "case {case} ({mutation}, {decoder})");
+                }
+            }
+            attributed += usize::from(matches!(interned, Err((id, _)) if id != BATCH_ERROR_ID));
+            let message = |got: Result<Request, (u64, String)>| got.map_err(|(_, message)| message);
+            let (interned, lived) = (message(interned), message(lived));
             for (decoder, got) in [
                 ("one pass", Request::parse(&text)),
                 ("interned", interned.clone()),
@@ -2343,6 +2371,7 @@ mod tests {
             }
         }
         assert!(accepted > 1000 && rejected > 1000, "{accepted} accepted, {rejected} rejected");
+        assert!(attributed > 500, "only {attributed} rejected lines were answered under their id");
         assert!(taken > 1000, "only {taken} lines took a held program");
         assert!(long_lived.pages() <= MAX_PARSED_PAGES);
     }
@@ -2441,7 +2470,6 @@ mod tests {
             Reply::Grid { id: 8, results: vec![(result.clone(), false), (result.clone(), true)] },
             Reply::Result { id: 3, result, cached: true },
             Reply::Error { id: 4, message: "boom \"quoted\"".to_string() },
-            Reply::Busy { id: 5 },
             Reply::Stats { id: 6, hits: 1, misses: 2, entries: 3 },
         ] {
             assert_eq!(Reply::parse(&reply.render()).unwrap(), reply);
@@ -2453,7 +2481,6 @@ mod tests {
         // DESIGN.md §13's reply block, one line per shape: no `op` key,
         // and the key beside `id` names the shape.
         for (reply, line) in [
-            (Reply::Busy { id: 5 }, r#"{"id":5,"busy":true}"#),
             (Reply::Error { id: 4, message: "boom".to_string() }, r#"{"id":4,"error":"boom"}"#),
             (
                 Reply::Stats { id: 6, hits: 1, misses: 2, entries: 3 },

@@ -21,7 +21,7 @@ use crate::sim::{RunOutput, RunRequest, RunResult, SimError, Simulator};
 use crate::store::{KeyPrefix, ResultStore, RunKey};
 use crate::{SimConfig, Variant};
 use sdo_isa::Program;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,8 +98,11 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// Returns exactly the error [`Request::parse`] returns.
-    pub fn parse(&self, line: &str) -> Result<Request, String> {
+    /// Returns the id to answer the line under, with exactly the message
+    /// [`Request::parse`] returns. The id is the line's own when the line
+    /// is well-formed JSON whose `op` is `run` or `grid` and whose `id` is
+    /// a u64, and [`BATCH_ERROR_ID`] otherwise.
+    pub fn parse(&self, line: &str) -> Result<Request, (u64, String)> {
         Request::parse_interned(line, &mut self.programs())
     }
 
@@ -170,7 +173,7 @@ impl Executor {
         E: From<SimError> + Clone + Send,
     {
         let mut fresh: Vec<(usize, Option<RunKey>)> = Vec::new(); // (run index, key)
-        let mut seen: HashMap<RunKey, usize> = HashMap::new(); // key → position in `fresh`
+        let mut seen: BTreeMap<RunKey, usize> = BTreeMap::new(); // key → position in `fresh`
         let sources: Vec<Source<E>> = runs
             .iter()
             .zip(self.keys(runs))
@@ -477,9 +480,7 @@ impl Runner {
     /// Against a daemon the whole grid travels as a single `grid`
     /// request line (one round-trip, one reply line), and the daemon
     /// expands it with the same [`expand_grid`], so store entries are
-    /// shared with per-point runs. A daemon whose queue cannot absorb
-    /// the whole grid answers `Busy`, and the client transparently falls
-    /// back to submitting the points as an ordinary batch.
+    /// shared with per-point runs.
     ///
     /// # Errors
     ///
@@ -498,27 +499,20 @@ impl Runner {
     ) -> Result<Vec<RunResult>, SimError> {
         assert_eq!(template.programs.len(), 1, "Runner grids are single-program");
         assert!(!template.record, "recording runs do not route through a Runner");
-        if let Some(path) = &self.server {
-            if let Some(results) = self.run_grid_remote(template, configs, variants, path)? {
-                return Ok(results);
-            }
-            // The daemon bounced the grid (queue too small for its point
-            // count): per-point submission chunks naturally through the
-            // Busy/resubmit protocol.
+        match &self.server {
+            Some(path) => self.run_grid_remote(template, configs, variants, path),
+            None => self.run_batch(&expand_grid(template, configs, variants), pool),
         }
-        self.run_batch(&expand_grid(template, configs, variants), pool)
     }
 
-    /// One grid request over the socket. `Ok(None)` means the daemon
-    /// answered `Busy` and the caller should fall back to a per-point
-    /// batch.
+    /// One grid request over the socket.
     fn run_grid_remote(
         &self,
         template: &RunRequest,
         configs: &[SimConfig],
         variants: &[Variant],
         path: &str,
-    ) -> Result<Option<Vec<RunResult>>, SimError> {
+    ) -> Result<Vec<RunResult>, SimError> {
         let grid = Request::Grid {
             id: 0,
             request: template.clone(),
@@ -535,76 +529,59 @@ impl Runner {
                         results.len()
                     )));
                 }
-                Ok(Some(
-                    results
-                        .into_iter()
-                        .map(|(result, cached)| {
-                            self.exec.tally(cached);
-                            result
-                        })
-                        .collect(),
-                ))
+                Ok(results
+                    .into_iter()
+                    .map(|(result, cached)| {
+                        self.exec.tally(cached);
+                        result
+                    })
+                    .collect())
             }
-            Some(Reply::Busy { .. }) => Ok(None),
             Some(Reply::Error { message, .. }) => Err(SimError::Server(message)),
             other => Err(SimError::Server(format!("unexpected reply {other:?} to a grid request"))),
         }
     }
 
+    /// One batch over the socket: the daemon answers every line, so one
+    /// exchange returns a reply per request, in request order.
     fn run_remote(&self, reqs: &[RunRequest], path: &str) -> Result<Vec<RunResult>, SimError> {
-        let mut conn = Connection::open(path)?;
-        let mut slots: Vec<Option<RunResult>> = vec![None; reqs.len()];
-        let mut first_error: Option<(usize, String)> = None;
-        // Submit everything; resubmit whatever the daemon bounced with
-        // `Busy` (its bounded queue is the back-pressure contract) until
-        // every id has a terminal reply.
-        let mut pending: Vec<usize> = (0..reqs.len()).collect();
-        while !pending.is_empty() {
-            let batch: Vec<Request> = pending
-                .iter()
-                .map(|&i| {
-                    // Resolve the config client-side: the daemon's base
-                    // config is its own (and not ours), so a request
-                    // sent with `config: None` would silently run under
-                    // whatever the daemon was started with. Resolving
-                    // here matches the RunKey canonicalization (the key
-                    // hashes the effective config), so cache behavior is
-                    // unchanged.
-                    let mut request = reqs[i].clone();
-                    request.config = Some(request.effective_config(self.config()));
-                    Request::Run { id: i as u64, request, no_cache: self.no_cache }
-                })
-                .collect();
-            let mut bounced: Vec<usize> = Vec::new();
-            for (&i, reply) in pending.iter().zip(conn.exchange(&batch)?) {
-                match reply {
-                    Reply::Result { result, cached, .. } => {
-                        self.exec.tally(cached);
-                        slots[i] = Some(result);
-                    }
-                    Reply::Busy { .. } => bounced.push(i),
-                    Reply::Error { message, .. } => {
-                        if first_error.as_ref().is_none_or(|&(prev, _)| i < prev) {
-                            first_error = Some((i, message));
-                        }
-                    }
-                    other => {
-                        return Err(SimError::Server(format!(
-                            "unexpected reply {other:?} to a run batch"
-                        )))
-                    }
+        let batch: Vec<Request> = reqs
+            .iter()
+            .enumerate()
+            .map(|(i, req)| {
+                // Resolve the config client-side: the daemon's base
+                // config is its own (and not ours), so a request sent
+                // with `config: None` would silently run under whatever
+                // the daemon was started with. Resolving here matches
+                // the RunKey canonicalization (the key hashes the
+                // effective config), so cache behavior is unchanged.
+                let mut request = req.clone();
+                request.config = Some(request.effective_config(self.config()));
+                Request::Run { id: i as u64, request, no_cache: self.no_cache }
+            })
+            .collect();
+        let mut results = Vec::with_capacity(reqs.len());
+        let mut first_error = None;
+        for reply in Connection::open(path)?.exchange(&batch)? {
+            match reply {
+                Reply::Result { result, cached, .. } => {
+                    self.exec.tally(cached);
+                    results.push(result);
+                }
+                Reply::Error { message, .. } => {
+                    first_error.get_or_insert(message);
+                }
+                other => {
+                    return Err(SimError::Server(format!(
+                        "unexpected reply {other:?} to a run batch"
+                    )))
                 }
             }
-            pending = bounced;
         }
-        if let Some((_, message)) = first_error {
-            return Err(SimError::Server(message));
+        match first_error {
+            Some(message) => Err(SimError::Server(message)),
+            None => Ok(results),
         }
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.ok_or_else(|| SimError::Server(format!("no reply for request {i}"))))
-            .collect()
     }
 }
 
@@ -720,8 +697,8 @@ mod tests {
             .map(|&v| RunRequest::program(&prog).variant(v))
             .collect();
         for (tag, reply, id) in [
-            ("unsent", "{\"id\":999,\"busy\":true}\n", 999),
-            ("answered", "{\"id\":0,\"busy\":true}\n", 0),
+            ("unsent", "{\"id\":999,\"error\":\"boom\"}\n", 999),
+            ("answered", "{\"id\":0,\"error\":\"boom\"}\n", 0),
         ] {
             let (path, daemon) = fake_daemon(tag, reply);
             let err = Runner::server(SimConfig::tiny(), &path)

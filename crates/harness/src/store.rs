@@ -190,7 +190,7 @@ fn compress(h: &mut [u32; 8], block: &[u8]) {
 /// own settings it does not equal, so an override that changes nothing
 /// keys as none. The payload is hashed as it is written: the part its
 /// first program decides, then the rest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RunKey([u8; 32]);
 
 impl RunKey {

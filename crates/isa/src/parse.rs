@@ -68,29 +68,43 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-impl ParseError {
-    /// Fills in `column` by locating `token` in its source line.
-    fn locate(mut self, source: &str) -> Self {
-        if self.column == 0 && self.line > 0 && !self.token.is_empty() {
-            if let Some(raw) = source.lines().nth(self.line - 1) {
-                if let Some(at) = raw.find(self.token.as_str()) {
-                    self.column = at + 1;
-                }
-            }
+/// A source line being parsed: its 1-based number and its text.
+#[derive(Clone, Copy)]
+struct Line<'a> {
+    number: usize,
+    text: &'a str,
+}
+
+impl Line<'_> {
+    /// The 1-based column of `token`. Every token an error blames is a
+    /// slice of its line's text, so its address gives its position, even
+    /// where the same text appears earlier on the line. An empty token,
+    /// or one that is not on the line, gets 0, as an error without one
+    /// does.
+    fn column(self, token: &str) -> usize {
+        let line = self.text.as_bytes().as_ptr_range();
+        let span = token.as_bytes().as_ptr_range();
+        if token.is_empty() || span.start < line.start || span.end > line.end {
+            return 0;
         }
-        self
+        span.start.addr() - line.start.addr() + 1
     }
 }
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError { line, column: 0, token: String::new(), message: message.into() })
+fn err<T>(line: Line<'_>, message: impl Into<String>) -> Result<T, ParseError> {
+    Err(ParseError { line: line.number, column: 0, token: String::new(), message: message.into() })
 }
 
-fn err_tok<T>(line: usize, token: &str, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError { line, column: 0, token: token.to_string(), message: message.into() })
+fn err_tok<T>(line: Line<'_>, token: &str, message: impl Into<String>) -> Result<T, ParseError> {
+    Err(ParseError {
+        line: line.number,
+        column: line.column(token),
+        token: token.to_string(),
+        message: message.into(),
+    })
 }
 
-fn parse_int(line: usize, s: &str) -> Result<i64, ParseError> {
+fn parse_int(line: Line<'_>, s: &str) -> Result<i64, ParseError> {
     let s = s.trim();
     let (neg, body) = match s.strip_prefix('-') {
         Some(rest) => (true, rest),
@@ -106,7 +120,7 @@ fn parse_int(line: usize, s: &str) -> Result<i64, ParseError> {
     Ok(if neg { (value as i64).wrapping_neg() } else { value as i64 })
 }
 
-fn parse_reg(line: usize, s: &str) -> Result<Reg, ParseError> {
+fn parse_reg(line: Line<'_>, s: &str) -> Result<Reg, ParseError> {
     let s = s.trim();
     let Some(num) = s.strip_prefix('r') else {
         return err_tok(line, s, format!("expected integer register (rN), got '{s}'"));
@@ -119,7 +133,7 @@ fn parse_reg(line: usize, s: &str) -> Result<Reg, ParseError> {
     }
 }
 
-fn parse_freg(line: usize, s: &str) -> Result<FReg, ParseError> {
+fn parse_freg(line: Line<'_>, s: &str) -> Result<FReg, ParseError> {
     let s = s.trim();
     let Some(num) = s.strip_prefix('f') else {
         return err_tok(line, s, format!("expected fp register (fN), got '{s}'"));
@@ -133,7 +147,7 @@ fn parse_freg(line: usize, s: &str) -> Result<FReg, ParseError> {
 }
 
 /// Parses `offset(base)`, e.g. `-8(r2)`.
-fn parse_mem(line: usize, s: &str) -> Result<(i64, Reg), ParseError> {
+fn parse_mem(line: Line<'_>, s: &str) -> Result<(i64, Reg), ParseError> {
     let s = s.trim();
     let Some(open) = s.find('(') else {
         return err_tok(line, s, format!("expected offset(base), got '{s}'"));
@@ -258,10 +272,6 @@ impl Form {
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn parse_asm(source: &str) -> Result<Program, ParseError> {
-    parse_inner(source).map_err(|e| e.locate(source))
-}
-
-fn parse_inner(source: &str) -> Result<Program, ParseError> {
     let mut asm = Assembler::new();
     let mut labels: BTreeMap<String, Label> = BTreeMap::new();
     let mut bound: BTreeSet<&str> = BTreeSet::new();
@@ -270,7 +280,7 @@ fn parse_inner(source: &str) -> Result<Program, ParseError> {
     // they bind a dedicated label per address at the end.
     let mut absolute: BTreeMap<u64, Label> = BTreeMap::new();
     let mut label_of =
-        |asm: &mut Assembler, line: usize, name: &str| -> Result<Label, ParseError> {
+        |asm: &mut Assembler, line: Line<'_>, name: &str| -> Result<Label, ParseError> {
             if let Some(addr) = name.strip_prefix('@') {
                 let target = parse_int(line, addr)? as u64;
                 return Ok(*absolute.entry(target).or_insert_with(|| asm.label()));
@@ -279,7 +289,7 @@ fn parse_inner(source: &str) -> Result<Program, ParseError> {
         };
 
     for (lineno, raw) in source.lines().enumerate() {
-        let line = lineno + 1;
+        let line = Line { number: lineno + 1, text: raw };
         let text = raw.split([';', '#']).next().unwrap_or("").trim();
         if text.is_empty() {
             continue;
@@ -589,6 +599,15 @@ mod tests {
         let e = parse_asm(".quux 1").unwrap_err();
         assert_eq!(e.column, 2);
         assert_eq!(e.token, "quux");
+
+        // The operand that failed, not an earlier token with its text.
+        let e = parse_asm("addi r1, r1, r1").unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "line 1:14: bad integer literal 'r1': invalid digit found in string"
+        );
+        let e = parse_asm("ld r1, r1").unwrap_err();
+        assert_eq!(e.to_string(), "line 1:8: expected offset(base), got 'r1'");
 
         // Whole-program errors carry no position and keep the short form.
         let e = parse_asm("j nowhere\nhalt").unwrap_err();

@@ -12,13 +12,12 @@
 //!
 //! A batch is a sequence of request lines terminated by a blank line.
 //! The daemon writes exactly one reply line per request line, in request
-//! order, then flushes. Back-pressure is explicit: run requests beyond
-//! the configured queue bound, or whose program images would take the
-//! batch's admitted runs past [`BATCH_PAGES`] pages, are answered with
-//! `Busy` and must be resubmitted in a later batch (the
-//! [`Runner`](sdo_harness::Runner) client does this automatically).
-//! Lines are parsed one at a time as they are answered, so only admitted
-//! runs hold their images until they execute.
+//! order, then flushes. It answers every line itself: run and grid lines
+//! are admitted into rounds of at most 256 runs whose program images
+//! hold at most [`BATCH_PAGES`] pages, and each round executes before
+//! the next is admitted. Lines are parsed one at a time as their turn
+//! comes, so only a round's admitted runs hold their images, and only
+//! until the round has run.
 //!
 //! A batch costs work in proportion to its requests, whatever the size
 //! of the store. The store's `manifest.tsv` index is derived from the
@@ -29,14 +28,16 @@
 //!
 //! Malformed lines (not UTF-8, or not a request), hangs, store failures
 //! and in-flight worker panics all become typed `Error` replies — the
-//! daemon keeps serving. Panics are caught per simulation with
-//! [`std::panic::catch_unwind`] and rendered through
-//! [`sdo_harness::engine::panic_message`], the same plumbing the
-//! in-process pool uses.
+//! daemon keeps serving. A `run` or `grid` line that is well-formed JSON
+//! with a u64 `id` is answered under that id, whatever else in it fails
+//! to decode; any other malformed line gets [`BATCH_ERROR_ID`]. Panics
+//! are caught per simulation with [`std::panic::catch_unwind`] and
+//! rendered through [`sdo_harness::engine::panic_message`], the same
+//! plumbing the in-process pool uses.
 //!
 //! ## One memoization path
 //!
-//! Admitted runs, grid points included, execute through
+//! Each round's runs, grid points included, execute through
 //! [`Executor::execute`], the executor the in-process `--store` runner
 //! uses too: it keys each run, looks it up in the store, coalesces equal
 //! keys in flight, simulates the misses on the warm pool and saves each
@@ -68,21 +69,25 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// 1 MiB image is a 1.3 MB line) arrives in a few dozen reads.
 const SOCKET_READ_BYTES: usize = 64 << 10;
 
+/// The most runs a round admits, a grid's points counted one by one:
+/// it bounds the requests and results a round holds besides its images
+/// (which [`BATCH_PAGES`] bounds). Every in-tree client's batch fits in
+/// one round (fig6's is 160 runs).
+const ROUND_RUNS: usize = 256;
+
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
     /// Content-addressed store directory (`None` = serve without
     /// memoization — every run simulates).
     pub store: Option<String>,
-    /// Maximum run requests accepted per batch; the rest get `Busy`.
-    pub queue: usize,
     /// Base machine configuration for requests with no override.
     pub base: SimConfig,
 }
 
 impl Default for ServeOptions {
     fn default() -> Self {
-        ServeOptions { store: None, queue: 256, base: SimConfig::table_i() }
+        ServeOptions { store: None, base: SimConfig::table_i() }
     }
 }
 
@@ -91,7 +96,6 @@ impl Default for ServeOptions {
 #[derive(Debug)]
 pub struct Server {
     exec: Executor,
-    queue: usize,
     pool: JobPool,
     shutdown: AtomicBool,
 }
@@ -108,12 +112,7 @@ impl Server {
             Some(dir) => Some(ResultStore::open(dir.as_str())?),
             None => None,
         };
-        Ok(Server {
-            exec: Executor::new(opts.base, store),
-            queue: opts.queue.max(1),
-            pool,
-            shutdown: AtomicBool::new(false),
-        })
+        Ok(Server { exec: Executor::new(opts.base, store), pool, shutdown: AtomicBool::new(false) })
     }
 
     /// Requests served from the store since startup.
@@ -217,29 +216,32 @@ impl Server {
     /// (`shutdown` lines excepted — they carry no id and get no reply).
     /// A line that is not UTF-8 is answered like any other malformed
     /// line.
+    ///
+    /// Run and grid lines are admitted into rounds. A round takes lines
+    /// while they keep it within 256 runs, a grid's points counted as
+    /// runs, and [`BATCH_PAGES`] pages of images, a grid's counted once.
+    /// It always takes its first line, so a grid wider than a round is a
+    /// round of its own. A round executes before the next line that
+    /// does not fit is admitted, and before a `stats` line is answered,
+    /// so a `stats` reply counts every line before it.
     #[must_use]
     pub fn handle_batch<L: AsRef<[u8]>>(&self, lines: &[L]) -> Vec<Reply> {
-        // Each line is parsed when its turn comes, so a line answered
-        // here (an error, Busy) drops its program images at once; only
-        // admitted runs keep theirs (the table shares them).
-        let parsed = lines.iter().map(|line| {
-            std::str::from_utf8(line.as_ref())
-                .map_err(|e| format!("invalid UTF-8 at byte {}", e.valid_up_to()))
-                .and_then(|text| self.exec.parse(text))
-        });
-
         // `replies` gets exactly one entry per line — Shutdown lines
         // (which get no reply) hold a None that the final flatten drops —
-        // so `Admitted.slot` can index by line number. `runs` holds the
-        // admitted runs, each grid expanded into its points.
+        // so `Admitted.slot` can index by line number.
         let mut replies: Vec<Option<Reply>> = Vec::with_capacity(lines.len());
-        let mut runs: Vec<(RunRequest, bool)> = Vec::new();
-        let mut admitted: Vec<Admitted> = Vec::new();
-        let mut held_pages = 0usize;
-        for (slot, req) in parsed.enumerate() {
-            let (id, request, no_cache, grid) = match req {
-                Err(message) => {
-                    replies.push(Some(Reply::Error { id: BATCH_ERROR_ID, message }));
+        let mut round = Round::default();
+        for line in lines {
+            // Each line is parsed when its turn comes, so a line answered
+            // here (an error) drops its program images at once; only
+            // admitted runs keep theirs (the table shares them), until
+            // their round has run.
+            let parsed = std::str::from_utf8(line.as_ref())
+                .map_err(|e| (BATCH_ERROR_ID, format!("invalid UTF-8 at byte {}", e.valid_up_to())))
+                .and_then(|text| self.exec.parse(text));
+            let (id, request, no_cache, grid) = match parsed {
+                Err((id, message)) => {
+                    replies.push(Some(Reply::Error { id, message }));
                     continue;
                 }
                 Ok(Request::Run { id, request, no_cache }) => (id, request, no_cache, None),
@@ -247,6 +249,7 @@ impl Server {
                     (id, request, no_cache, Some((configs, variants)))
                 }
                 Ok(Request::Stats { id }) => {
+                    self.execute(std::mem::take(&mut round), &mut replies);
                     replies.push(Some(self.stats_reply(id)));
                     continue;
                 }
@@ -259,32 +262,47 @@ impl Server {
                 }
             };
             let points = grid.as_ref().map(|(configs, variants)| configs.len() * variants.len());
-            let pages: usize = request.programs.iter().map(|p| p.data().pages().len()).sum();
-            if let Some(reply) = self.refusal(id, &request, points, pages, runs.len(), held_pages) {
-                replies.push(Some(reply));
+            if let Some(message) = refusal(id, &request, points) {
+                replies.push(Some(Reply::Error { id, message }));
                 continue;
             }
-            held_pages += pages;
-            let expanded = match grid {
-                None => vec![request],
-                Some((configs, variants)) => expand_grid(&request, &configs, &variants),
-            };
-            runs.extend(expanded.into_iter().map(|run| (run, no_cache)));
-            admitted.push(Admitted { slot, id, points });
-            replies.push(None); // filled after execution
+            // A grid's points share the request's images, so they count once.
+            let pages: usize = request.programs.iter().map(|p| p.data().pages().len()).sum();
+            let runs = points.unwrap_or(1);
+            if !round.admitted.is_empty()
+                && (round.runs.len() + runs > ROUND_RUNS || round.pages + pages > BATCH_PAGES)
+            {
+                self.execute(std::mem::take(&mut round), &mut replies);
+            }
+            round.pages += pages;
+            match grid {
+                None => round.runs.push((request, no_cache)),
+                Some((configs, variants)) => round.runs.extend(
+                    expand_grid(&request, &configs, &variants)
+                        .into_iter()
+                        .map(|run| (run, no_cache)),
+                ),
+            }
+            round.admitted.push(Admitted { slot: replies.len(), id, points });
+            replies.push(None); // filled when the round executes
         }
+        self.execute(round, &mut replies);
+        replies.into_iter().flatten().collect()
+    }
 
+    /// Executes `round` and fills the reply slots of its lines.
+    fn execute(&self, round: Round, replies: &mut [Option<Reply>]) {
         // Outcomes come back in run order, so each admitted request
         // takes the next one, or a grid the next `points`.
-        let batch: Vec<(&RunRequest, bool)> =
-            runs.iter().map(|(request, no_cache)| (request, *no_cache)).collect();
+        let runs: Vec<(&RunRequest, bool)> =
+            round.runs.iter().map(|(request, no_cache)| (request, *no_cache)).collect();
         let mut outcomes =
-            self.exec.execute(&batch, &self.pool, |req| self.run_guarded(req)).into_iter();
-        for Admitted { slot, id, points } in admitted {
+            self.exec.execute(&runs, &self.pool, |req| self.run_guarded(req)).into_iter();
+        for Admitted { slot, id, points } in round.admitted {
             replies[slot] = match points {
-                // A grid is all-or-nothing, so the client can fall back
-                // cleanly: its first failing point fails it. Every point
-                // is taken first, so later requests stay aligned.
+                // A grid is all-or-nothing: its first failing point
+                // fails it. Every point is taken first, so later
+                // requests stay aligned.
                 Some(points) => {
                     let group: Vec<_> = (&mut outcomes).take(points).collect();
                     Some(match group.into_iter().collect() {
@@ -298,49 +316,6 @@ impl Server {
                 }),
             };
         }
-        replies.into_iter().flatten().collect()
-    }
-
-    /// The reply refusing a run request, or a grid of `points` runs,
-    /// whose images hold `pages` pages, from a batch that has admitted
-    /// `accepted` runs holding `held_pages` pages; `None` admits it. A
-    /// reserved id, an unservable request and an empty grid are errors.
-    /// Past the queue bound or [`BATCH_PAGES`] the request is `Busy`: a
-    /// grid is admitted or bounced whole, so a Busy grid never
-    /// half-executes, and its points share the request's images, so
-    /// they count once.
-    fn refusal(
-        &self,
-        id: u64,
-        request: &RunRequest,
-        points: Option<usize>,
-        pages: usize,
-        accepted: usize,
-        held_pages: usize,
-    ) -> Option<Reply> {
-        let error = |message: String| Some(Reply::Error { id, message });
-        if id == BATCH_ERROR_ID {
-            return error(format!("request id {id} is reserved for unattributable errors"));
-        }
-        // The protocol carries exactly one result per request, so
-        // multi-core and PC-recording runs (which need the full
-        // in-process `RunOutput`) are refused rather than truncated.
-        if request.programs.len() != 1 {
-            return error(format!(
-                "multi-core requests ({} programs) are not servable; run them in-process",
-                request.programs.len()
-            ));
-        }
-        if request.record {
-            return error("recording runs are not servable; run them in-process".to_string());
-        }
-        if points == Some(0) {
-            return error("grid has no points (empty configs or variants)".to_string());
-        }
-        if accepted + points.unwrap_or(1) > self.queue || held_pages + pages > BATCH_PAGES {
-            return Some(Reply::Busy { id });
-        }
-        None
     }
 
     /// One simulation with the panic boundary drawn *inside* the worker
@@ -366,6 +341,31 @@ impl Server {
     }
 }
 
+/// Why a run or grid request is refused before it is admitted: a
+/// reserved id, an unservable request or an empty grid (`points` is the
+/// grid's point count). `None` admits it.
+fn refusal(id: u64, request: &RunRequest, points: Option<usize>) -> Option<String> {
+    if id == BATCH_ERROR_ID {
+        return Some(format!("request id {id} is reserved for unattributable errors"));
+    }
+    // The protocol carries exactly one result per request, so
+    // multi-core and PC-recording runs (which need the full
+    // in-process `RunOutput`) are refused rather than truncated.
+    if request.programs.len() != 1 {
+        return Some(format!(
+            "multi-core requests ({} programs) are not servable; run them in-process",
+            request.programs.len()
+        ));
+    }
+    if request.record {
+        return Some("recording runs are not servable; run them in-process".to_string());
+    }
+    if points == Some(0) {
+        return Some("grid has no points (empty configs or variants)".to_string());
+    }
+    None
+}
+
 /// Why an admitted run failed: the text of its `error` reply.
 #[derive(Debug, Clone)]
 struct Failure(String);
@@ -374,6 +374,16 @@ impl From<SimError> for Failure {
     fn from(e: SimError) -> Self {
         Failure(e.to_string())
     }
+}
+
+/// The run and grid lines admitted since the last round executed:
+/// their runs, each grid expanded into its points, in line order, and
+/// the image pages their requests hold.
+#[derive(Debug, Default)]
+struct Round {
+    runs: Vec<(RunRequest, bool)>,
+    admitted: Vec<Admitted>,
+    pages: usize,
 }
 
 /// An admitted run or grid request: its reply slot in the batch, its

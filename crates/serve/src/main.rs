@@ -6,10 +6,9 @@
 //! warm pool until a `shutdown` request. `--store <dir>` fronts the
 //! content-addressed result store: repeated requests are cache hits
 //! returning byte-identical results with zero simulations executed.
-//! `--queue <N>` bounds how many run requests one batch may carry before
-//! the daemon answers `Busy` (explicit back-pressure; clients resubmit).
-//! On exit (stdio EOF or a `shutdown` request) the daemon writes the
-//! store's `manifest.tsv` index once.
+//! The daemon answers every line of a batch itself, executing a large
+//! batch in rounds. On exit (stdio EOF or a `shutdown` request) the
+//! daemon writes the store's `manifest.tsv` index once.
 
 use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
 use sdo_harness::store::ResultStore;
@@ -19,7 +18,8 @@ use sdo_serve::{ServeOptions, Server};
 const SPEC: BinSpec = BinSpec {
     name: "serve",
     about: "cache-backed simulation service: a warm-pool daemon fronting the \
-            content-addressed result store over stdio or a Unix socket",
+            content-addressed result store over stdio or a Unix socket, answering \
+            every line of each batch",
     usage_args: "[options]",
     jobs: true,
     csv: CsvSupport::None,
@@ -27,12 +27,11 @@ const SPEC: BinSpec = BinSpec {
     seed: false,
     no_skip: false,
     // The daemon *is* the server; the uniform client flags would be
-    // circular here, so it declares its own --store/--socket/--queue.
+    // circular here, so it declares its own --store/--socket.
     client: false,
     extra_options: &[
         ("--socket <path>", "listen on a Unix socket instead of stdio"),
         ("--store <dir>", "serve (and fill) the content-addressed result store at <dir>"),
-        ("--queue <N>", "max run requests per batch before Busy replies (default 256)"),
     ],
 };
 
@@ -50,14 +49,11 @@ fn main() {
         match arg.as_str() {
             "--socket" => socket = Some(value("--socket")),
             "--store" => opts.store = Some(value("--store")),
-            "--queue" => opts.queue = parse_queue(&value("--queue")),
             other => {
                 if let Some(v) = other.strip_prefix("--socket=") {
                     socket = Some(v.to_string());
                 } else if let Some(v) = other.strip_prefix("--store=") {
                     opts.store = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--queue=") {
-                    opts.queue = parse_queue(v);
                 } else {
                     SPEC.usage_error(&format!("unexpected argument '{other}'"));
                 }
@@ -70,12 +66,10 @@ fn main() {
     let outcome = match &socket {
         Some(path) => {
             eprintln!(
-                "serve: listening on {path} ({}, queue {})",
-                opts.store.as_deref().map_or_else(
-                    || "no store".to_string(),
-                    |dir| format!("store {dir}")
-                ),
-                opts.queue,
+                "serve: listening on {path} ({})",
+                opts.store
+                    .as_deref()
+                    .map_or_else(|| "no store".to_string(), |dir| format!("store {dir}")),
             );
             server.serve_socket(path)
         }
@@ -95,11 +89,4 @@ fn main() {
         server.hits(),
         server.misses()
     );
-}
-
-fn parse_queue(v: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => SPEC.usage_error(&format!("--queue expects a positive integer, got '{v}'")),
-    }
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests for the daemon: the batch contract (one reply per
-//! request, in order), cache hits with byte-identical results, explicit
-//! `Busy` back-pressure, typed errors for malformed/unservable/hanging
+//! request, in order, a large batch executed in rounds), cache hits with
+//! byte-identical results, typed errors for malformed/unservable/hanging
 //! requests with the daemon surviving all of them, and the socket
 //! transport driven by the `Runner` client.
 
@@ -19,8 +19,8 @@ fn temp_dir(tag: &str) -> String {
     dir.to_string_lossy().into_owned()
 }
 
-fn opts(store: Option<String>, queue: usize) -> ServeOptions {
-    ServeOptions { store, queue, base: SimConfig::tiny() }
+fn opts(store: Option<String>) -> ServeOptions {
+    ServeOptions { store, base: SimConfig::tiny() }
 }
 
 /// Feeds `batches` (already newline-framed) through a stdio server and
@@ -48,7 +48,7 @@ fn batch(msgs: &[Request]) -> String {
 #[test]
 fn run_requests_hit_the_store_on_the_second_pass() {
     let dir = temp_dir("hits");
-    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(Some(dir.clone())), JobPool::new(2)).unwrap();
     let prog = l1_resident(120, 1);
     // Every Table II variant, then a kernel whose timing the loop
     // predictor alone changes, run as Hybrid with an SDO override.
@@ -157,7 +157,7 @@ fn identical_in_flight_requests_simulate_once() {
     // In-flight coalescing: N identical requests in one batch must cost
     // exactly one simulation — the duplicates clone the representative's
     // result (flagged `cached`, counted as hits), even with no store.
-    let server = Server::new(opts(None, 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(None), JobPool::new(2)).unwrap();
     let prog = l1_resident(120, 1);
     let reqs: Vec<Request> = (0..6)
         .map(|i| Request::Run { id: i, request: RunRequest::program(&prog), no_cache: false })
@@ -209,7 +209,7 @@ fn identical_in_flight_requests_simulate_once() {
 #[test]
 fn grid_requests_expand_server_side_and_share_the_store() {
     let dir = temp_dir("grid");
-    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(Some(dir.clone())), JobPool::new(2)).unwrap();
     let prog = l1_resident(120, 1);
     let mut wide = SimConfig::tiny();
     wide.core.rob_entries *= 2;
@@ -272,40 +272,49 @@ fn grid_requests_expand_server_side_and_share_the_store() {
 }
 
 #[test]
-fn grid_wider_than_the_queue_is_bounced_whole() {
-    // queue = 3 but the grid expands to 4 points: accepted atomically or
-    // not at all, so the client can fall back to per-point submission.
-    let server = Server::new(opts(None, 3), JobPool::serial()).unwrap();
+fn a_grid_wider_than_a_round_gets_one_reply() {
+    // 2 configs × 150 variants is 300 points, more than a round's 256
+    // runs: the grid is a round of its own, answered whole.
+    let server = Server::new(opts(None), JobPool::new(2)).unwrap();
     let prog = l1_resident(60, 1);
+    let variants: Vec<Variant> = Variant::ALL.iter().copied().cycle().take(150).collect();
     let grid = Request::Grid {
         id: 5,
         request: RunRequest::program(&prog),
         configs: vec![SimConfig::tiny(), SimConfig::tiny()],
-        variants: vec![Variant::Unsafe, Variant::SttLd],
+        variants,
         no_cache: false,
     };
     let replies = drive(&server, &batch(&[grid]));
-    assert!(matches!(replies[0], Reply::Busy { id: 5 }), "got {:?}", replies[0]);
-    assert_eq!(server.misses(), 0, "a bounced grid executes nothing");
+    assert_eq!(replies.len(), 1, "a grid is one request, one reply");
+    let Reply::Grid { id: 5, results } = &replies[0] else {
+        panic!("expected a grid reply, got {:?}", replies[0]);
+    };
+    assert_eq!(results.len(), 300);
+    // Equal points coalesce: one simulation per distinct variant.
+    assert_eq!(server.misses(), Variant::ALL.len() as u64);
 }
 
 #[test]
-fn queue_bound_bounces_the_overflow_with_busy() {
-    let server = Server::new(opts(None, 2), JobPool::serial()).unwrap();
+fn a_batch_past_a_round_is_answered_in_full() {
+    // 257 lines of one request: the first 256 are one round, which
+    // simulates once, and the 257th opens a second round, which
+    // simulates again on this storeless daemon.
+    let server = Server::new(opts(None), JobPool::new(2)).unwrap();
     let prog = l1_resident(60, 1);
-    let reqs: Vec<Request> = (0..4)
-        .map(|i| Request::Run {
-            id: i,
-            request: RunRequest::program(&prog),
-            no_cache: false,
-        })
+    let reqs: Vec<Request> = (0..257)
+        .map(|i| Request::Run { id: i, request: RunRequest::program(&prog), no_cache: false })
         .collect();
     let replies = drive(&server, &batch(&reqs));
-    assert_eq!(replies.len(), 4);
-    assert!(matches!(replies[0], Reply::Result { id: 0, .. }));
-    assert!(matches!(replies[1], Reply::Result { id: 1, .. }));
-    assert!(matches!(replies[2], Reply::Busy { id: 2 }));
-    assert!(matches!(replies[3], Reply::Busy { id: 3 }));
+    assert_eq!(replies.len(), 257, "one reply per line");
+    for (i, reply) in replies.iter().enumerate() {
+        let Reply::Result { id, cached, .. } = reply else {
+            panic!("line {i}: expected a result, got {reply:?}");
+        };
+        assert_eq!(*id, i as u64, "replies in line order");
+        assert_eq!(*cached, i % 256 != 0, "line {i}: each round's first line simulates");
+    }
+    assert_eq!(server.misses(), 2);
 }
 
 /// A `run` line for a small kernel whose data image also holds one byte
@@ -323,15 +332,15 @@ fn run_line_with_pages(id: u64, pages: usize) -> String {
 
 #[test]
 fn a_line_over_the_page_budget_is_an_error_and_the_batch_goes_on() {
-    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
-    // Data on as many pages as a whole batch may hold is past what one
+    let server = Server::new(opts(None), JobPool::serial()).unwrap();
+    // Data on as many pages as a whole round may hold is past what one
     // request may hold: refused while decoding, before its pages exist.
     let input = run_line_with_pages(1, BATCH_PAGES) + &run_line_with_pages(2, 3) + "\n";
     let replies = drive(&server, &input);
     assert_eq!(replies.len(), 2);
     match &replies[0] {
         Reply::Error { id, message } => {
-            assert_eq!(*id, BATCH_ERROR_ID);
+            assert_eq!(*id, 1, "a run line whose id reads is answered under it");
             assert!(message.contains("a request may hold"), "{message}");
         }
         other => panic!("expected an error, got {other:?}"),
@@ -340,25 +349,66 @@ fn a_line_over_the_page_budget_is_an_error_and_the_batch_goes_on() {
 }
 
 #[test]
-fn runs_past_the_batch_page_budget_are_bounced_with_busy() {
-    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
-    // Four of these fit in one batch's page budget; the fifth does not.
+fn runs_past_the_round_page_budget_open_the_next_round() {
+    let server = Server::new(opts(None), JobPool::serial()).unwrap();
+    // Four of these fit in one round's page budget; the fifth does not.
+    // All five are one request, so the first round simulates it once and
+    // the fifth line's round simulates it again.
     let pages = BATCH_PAGES / 4 - 16;
     let input: String = (0..5).map(|id| run_line_with_pages(id, pages)).collect::<String>() + "\n";
     let replies = drive(&server, &input);
     assert_eq!(replies.len(), 5);
-    for (id, reply) in replies.iter().enumerate().take(4) {
-        assert!(matches!(reply, Reply::Result { id: i, .. } if *i == id as u64), "got {reply:?}");
+    for (id, reply) in replies.iter().enumerate() {
+        let Reply::Result { id: i, cached, .. } = reply else {
+            panic!("line {id}: expected a result, got {reply:?}");
+        };
+        assert_eq!(*i, id as u64, "replies in line order");
+        assert_eq!(*cached, id % 4 != 0, "line {id}");
     }
-    assert!(matches!(replies[4], Reply::Busy { id: 4 }), "got {:?}", replies[4]);
-    // Resubmitted alone, it runs.
-    let replies = drive(&server, &(run_line_with_pages(4, pages) + "\n"));
-    assert!(matches!(replies[0], Reply::Result { id: 4, .. }), "got {:?}", replies[0]);
+    assert_eq!(server.misses(), 2);
+}
+
+#[test]
+fn a_run_line_whose_program_fails_to_parse_keeps_its_id() {
+    let server = Server::new(opts(None), JobPool::serial()).unwrap();
+    let good = |id| {
+        Request::Run { id, request: RunRequest::program(&l1_resident(60, 1)), no_cache: false }
+            .render()
+    };
+    let bad = r#"{"op":"run","id":1,"request":{"programs":[{"name":"bad","asm":"frob r1","data":[]}],"prewarm":[],"variant":"unsafe","attack":"spectre","config":null,"seed":0,"record":false},"no_cache":false}"#;
+    let replies = drive(&server, &format!("{}\n{bad}\n{}\n\n", good(0), good(2)));
+    assert_eq!(replies.len(), 3, "one reply per line: {replies:?}");
+    assert!(matches!(replies[0], Reply::Result { id: 0, .. }), "{:?}", replies[0]);
+    let Reply::Error { id: 1, message } = &replies[1] else {
+        panic!("the bad program's line must be an error under its id, got {:?}", replies[1]);
+    };
+    assert_eq!(message, "program 'bad': line 1:1: unknown mnemonic 'frob'");
+    assert!(matches!(replies[2], Reply::Result { id: 2, .. }), "{:?}", replies[2]);
+}
+
+#[test]
+fn a_stats_line_counts_the_lines_before_it() {
+    let dir = temp_dir("stats-order");
+    let server = Server::new(opts(Some(dir.clone())), JobPool::serial()).unwrap();
+    let run = |id| Request::Run {
+        id,
+        request: RunRequest::program(&l1_resident(60, 1)),
+        no_cache: false,
+    };
+    let replies = drive(&server, &batch(&[run(0), Request::Stats { id: 1 }, run(2)]));
+    assert!(matches!(replies[0], Reply::Result { id: 0, cached: false, .. }), "{:?}", replies[0]);
+    let Reply::Stats { id: 1, hits, misses, entries } = replies[1] else {
+        panic!("expected stats, got {:?}", replies[1]);
+    };
+    assert_eq!((hits, misses, entries), (0, 1, 1), "the run before the stats line has run");
+    // The run after it is a new round, served from the store.
+    assert!(matches!(replies[2], Reply::Result { id: 2, cached: true, .. }), "{:?}", replies[2]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn faults_become_typed_errors_and_the_daemon_keeps_serving() {
-    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let server = Server::new(opts(None), JobPool::serial()).unwrap();
     let prog = l1_resident(200, 1);
 
     // Batch 1: a malformed line, an unservable request, and a hang.
@@ -420,7 +470,7 @@ fn shutdown_line_before_run_lines_keeps_reply_slots_aligned() {
     // occupy a slot internally — a batch of [shutdown, run, run] once
     // made the run replies index out of bounds (daemon panic) instead
     // of answering both runs.
-    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let server = Server::new(opts(None), JobPool::serial()).unwrap();
     let prog = l1_resident(60, 1);
     let msgs = [
         Request::Shutdown,
@@ -437,7 +487,7 @@ fn shutdown_line_before_run_lines_keeps_reply_slots_aligned() {
 #[test]
 fn stats_and_campaign_requests_are_answered_inline() {
     let dir = temp_dir("stats");
-    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(Some(dir.clone())), JobPool::new(2)).unwrap();
     let prog = l1_resident(100, 1);
     let run = Request::Run { id: 0, request: RunRequest::program(&prog), no_cache: false };
     drive(&server, &batch(&[run]));
@@ -484,7 +534,7 @@ fn assert_non_utf8_replies(out: &[u8]) {
 
 #[test]
 fn a_line_that_is_not_utf8_is_answered_in_its_slot() {
-    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let server = Server::new(opts(None), JobPool::serial()).unwrap();
     let mut out = Vec::new();
     server.serve(Cursor::new(NON_UTF8_BATCH), &mut out).expect("the stream survives");
     assert_non_utf8_replies(&out);
@@ -510,7 +560,7 @@ fn serve_binary_survives_a_line_that_is_not_utf8() {
 
 #[test]
 fn shutdown_ends_the_stream_without_a_reply() {
-    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let server = Server::new(opts(None), JobPool::serial()).unwrap();
     let replies = drive(&server, &format!("{}\n\n", Request::Shutdown.render()));
     assert!(replies.is_empty(), "shutdown carries no id and gets no reply");
     assert!(server.shutting_down());
@@ -521,7 +571,7 @@ fn socket_transport_serves_the_runner_client() {
     let dir = temp_dir("socket");
     let sock = format!("{}/sock", temp_dir("socket-path"));
     std::fs::create_dir_all(std::path::Path::new(&sock).parent().unwrap()).unwrap();
-    let server = Server::new(opts(Some(dir.clone()), 3), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(Some(dir.clone())), JobPool::new(2)).unwrap();
 
     std::thread::scope(|scope| {
         let server = &server;
@@ -539,8 +589,6 @@ fn socket_transport_serves_the_runner_client() {
         let reqs: Vec<RunRequest> =
             Variant::ALL.iter().map(|&v| RunRequest::program(&prog).variant(v)).collect();
 
-        // Batch larger than the daemon queue (3): the client must ride
-        // the Busy/resubmit loop transparently.
         let client = Runner::server(SimConfig::tiny(), &sock);
         let remote = client.run_batch(&reqs, &JobPool::serial()).unwrap();
         assert_eq!(client.misses(), reqs.len() as u64);
@@ -602,9 +650,11 @@ fn sensitivity_sweep_through_the_daemon_is_byte_identical() {
     // Daemon base deliberately differs from the client's: the grid's
     // points carry explicit configs built from the CLIENT base, so the
     // daemon base must never leak into the sweep.
-    let server =
-        Server::new(ServeOptions { store: Some(dir.clone()), queue: 64, base: SimConfig::table_i() }, JobPool::new(2))
-            .unwrap();
+    let server = Server::new(
+        ServeOptions { store: Some(dir.clone()), base: SimConfig::table_i() },
+        JobPool::new(2),
+    )
+    .unwrap();
 
     std::thread::scope(|scope| {
         let server = &server;
@@ -686,7 +736,7 @@ fn the_store_runner_and_the_daemon_coalesce_alike() {
     assert_eq!(ResultStore::open(&runner_dir).unwrap().len().unwrap(), 2);
 
     let server_dir = temp_dir("coalesce-server");
-    let server = Server::new(opts(Some(server_dir.clone()), 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(Some(server_dir.clone())), JobPool::new(2)).unwrap();
     let served = results(&drive(&server, &run_lines(&reqs)));
     assert_eq!((server.hits(), server.misses()), (1, 2));
     assert_eq!(served.iter().map(|(_, cached)| *cached).collect::<Vec<_>>(), [false, true, false]);
@@ -708,7 +758,7 @@ fn a_translated_seqz_is_served_as_it_runs_locally() {
     let local = Simulator::new(SimConfig::tiny()).run(&request).unwrap().into_result();
 
     let dir = temp_dir("seqz");
-    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(Some(dir.clone())), JobPool::new(2)).unwrap();
     let line = run_lines(&[request]);
     assert_eq!(results(&drive(&server, &line)), [(local.clone(), false)]);
     assert_eq!(results(&drive(&server, &line)), [(local, true)], "the second pass is a hit");
@@ -730,7 +780,7 @@ fn a_store_filled_by_either_front_end_serves_the_other() {
         .unwrap()
         .run_batch(&reqs, &JobPool::new(2))
         .unwrap();
-    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(Some(dir.clone())), JobPool::new(2)).unwrap();
     let served = results(&drive(&server, &run_lines(&reqs)));
     assert!(served.iter().all(|(_, cached)| *cached), "every run line is a store hit");
     assert_eq!((server.hits(), server.misses()), (reqs.len() as u64, 0));
@@ -740,7 +790,7 @@ fn a_store_filled_by_either_front_end_serves_the_other() {
 
     // Filled by the daemon, answered in-process: all hits, same bytes.
     let dir = temp_dir("fill-server");
-    let server = Server::new(opts(Some(dir.clone()), 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(Some(dir.clone())), JobPool::new(2)).unwrap();
     let served: Vec<RunResult> =
         results(&drive(&server, &run_lines(&reqs))).into_iter().map(|(result, _)| result).collect();
     let runner = Runner::with_store(SimConfig::tiny(), &dir).unwrap();
@@ -756,7 +806,7 @@ fn worker_panics_and_store_failures_are_typed_error_replies() {
     let request = RunRequest::program(&prog);
 
     // A panicking simulation is answered in its slot; the daemon lives.
-    let server = Server::new(opts(None, 64), JobPool::new(2)).unwrap();
+    let server = Server::new(opts(None), JobPool::new(2)).unwrap();
     let mut no_rob = SimConfig::tiny();
     no_rob.core.rob_entries = 0;
     let panicking =
@@ -783,7 +833,7 @@ fn worker_panics_and_store_failures_are_typed_error_replies() {
         } else {
             std::os::unix::fs::symlink(std::path::Path::new(&dir).join("missing"), &shard).unwrap();
         }
-        let server = Server::new(opts(Some(dir.clone()), 64), JobPool::serial()).unwrap();
+        let server = Server::new(opts(Some(dir.clone())), JobPool::serial()).unwrap();
         let run = Request::Run { id: 5, request: request.clone(), no_cache: false };
         let replies = drive(&server, &batch(&[run]));
         let Reply::Error { id: 5, message } = &replies[0] else {
@@ -796,7 +846,7 @@ fn worker_panics_and_store_failures_are_typed_error_replies() {
 
 #[test]
 fn a_grid_failing_at_its_first_point_leaves_later_replies_aligned() {
-    let server = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let server = Server::new(opts(None), JobPool::serial()).unwrap();
     let prog = l1_resident(60, 1);
     let mut hang = SimConfig::tiny();
     hang.max_cycles = 10;
@@ -817,7 +867,7 @@ fn a_grid_failing_at_its_first_point_leaves_later_replies_aligned() {
     let Reply::Result { id: 2, result, .. } = &replies[1] else {
         panic!("the run after the grid gets its own result, got {:?}", replies[1]);
     };
-    let alone = drive(&Server::new(opts(None, 64), JobPool::serial()).unwrap(), &batch(&[run]));
+    let alone = drive(&Server::new(opts(None), JobPool::serial()).unwrap(), &batch(&[run]));
     assert!(matches!(&alone[0], Reply::Result { result: r, .. } if r == result));
 }
 
@@ -877,12 +927,12 @@ fn non_canonical_spellings_answer_as_a_fresh_daemon_does() {
         no_cache: false,
     };
     let (lived_dir, fresh_dir) = (temp_dir("spell-lived"), temp_dir("spell-fresh"));
-    let lived = Server::new(opts(Some(lived_dir.clone()), 64), JobPool::new(2)).unwrap();
+    let lived = Server::new(opts(Some(lived_dir.clone())), JobPool::new(2)).unwrap();
     for message in [&run, &grid] {
         let lines = spellings(&message.render());
         for (k, line) in lines.iter().enumerate() {
             assert_eq!(Request::parse(line).unwrap(), *message, "spelling {k} decodes alike");
-            let fresh = Server::new(opts(Some(fresh_dir.clone()), 64), JobPool::new(2)).unwrap();
+            let fresh = Server::new(opts(Some(fresh_dir.clone())), JobPool::new(2)).unwrap();
             let want = answer(&fresh, line);
             assert_eq!(answer(&lived, line), want, "spelling {k}");
             let cached = match &want[..] {
@@ -918,7 +968,7 @@ fn a_daemon_past_its_program_table_budget_answers_as_a_fresh_one() {
     // Seven programs of about 1,000 pages each, named apart, are charged
     // more than the table's 4,096 pages, so the long-lived daemon drops
     // the least recently used ones; the first three come back afterwards.
-    let lived = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+    let lived = Server::new(opts(None), JobPool::serial()).unwrap();
     let lines: Vec<String> = (0..7)
         .map(|k| {
             let line = run_line_with_pages(k, 990 + k as usize);
@@ -928,7 +978,7 @@ fn a_daemon_past_its_program_table_budget_answers_as_a_fresh_one() {
     assert!(lines.iter().all(|line| line.contains("l1_resident ")), "each line is renamed");
     for (k, line) in lines.iter().chain(&lines[..3]).enumerate() {
         let line = line.trim_end();
-        let fresh = Server::new(opts(None, 64), JobPool::serial()).unwrap();
+        let fresh = Server::new(opts(None), JobPool::serial()).unwrap();
         let want = answer(&fresh, line);
         assert!(matches!(want[..], [Reply::Result { .. }]), "line {k}: {want:?}");
         assert_eq!(answer(&lived, line), want, "line {k}");

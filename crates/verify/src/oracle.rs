@@ -34,7 +34,7 @@ use crate::policy;
 use sdo_harness::Variant;
 use sdo_obs::{Event, EventKind, MemOp, SquashCause};
 use sdo_workloads::Channel;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A Section VII proof obligation the oracle checks dynamically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,7 +106,7 @@ struct OblState {
 pub fn check(variant: Variant, events: &[Event]) -> Vec<Violation> {
     let loads_protected = policy::protects_loads(variant);
     let fp_protected = policy::closes(variant, Channel::FpTiming);
-    let mut obl: HashMap<u64, OblState> = HashMap::new();
+    let mut obl: BTreeMap<u64, OblState> = BTreeMap::new();
     let mut out = Vec::new();
     let mut flag = |inv: Invariant, index: usize, event: Event, detail: String| {
         out.push(Violation { invariant: inv, index, event, detail });

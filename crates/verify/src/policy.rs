@@ -54,12 +54,16 @@ pub fn closes(variant: Variant, channel: Channel) -> bool {
         // which depends on the secret: not data-oblivious.
         (Channel::Cache, Variant::Perfect) => false,
         (Channel::FpTiming, Variant::Perfect) => true,
-        // STT{ld} taints only load results into the cache channel's
-        // transmitters; FP latency is deliberately out of scope.
+        // STT delays a tainted transmitter until its visibility point,
+        // so a tainted address never reaches the cache. STT{ld} taints
+        // only load results into the cache channel's transmitters; FP
+        // latency is deliberately out of scope. STT{ld+fp} also delays
+        // tainted FP transmitters.
         (Channel::Cache, Variant::SttLd) => true,
         (Channel::FpTiming, Variant::SttLd) => false,
         (Channel::Cache | Channel::FpTiming, Variant::SttLdFp) => true,
-        // Every realizable STT+SDO variant closes both channels.
+        // Every realizable STT+SDO variant issues predicted-safe accesses
+        // obliviously, so both channels are data-oblivious.
         (
             Channel::Cache | Channel::FpTiming,
             Variant::StaticL1 | Variant::StaticL2 | Variant::StaticL3 | Variant::Hybrid,
