@@ -32,15 +32,27 @@ use sdo_analyze::differential;
 use sdo_analyze::findings::{closed_channel_findings, findings_csv};
 use sdo_analyze::scan::{gadgets_csv, scan_program, Gadget, ScanResult};
 use sdo_analyze::Finding;
-use sdo_harness::cli::{parse_variant, BinSpec, CommonArgs, CsvSupport};
+use sdo_harness::cli::{parse_variant, BinSpec, CommonArgs, Opt, CSV, JOBS, METRICS, SEED};
 use sdo_harness::table::TextTable;
 use sdo_harness::{SimConfig, Variant};
 use sdo_isa::Program;
 use sdo_rv32::{load_elf32, load_flat, translate_with_provenance, Provenance};
 use sdo_uarch::{AttackModel, MetricsSnapshot};
-use sdo_verify::replay::{classify_gadget, replay_divergence};
 use sdo_verify::Checker;
 use sdo_workloads::Channel;
+
+const VARIANT: Opt =
+    Opt::value("--variant", "<name>", "classify under one variant (repeatable; default: all)");
+const REPORT: Opt =
+    Opt::value("--report", "<dir>", "write findings (and counterexamples) as JSONL under <dir>");
+const DIFFERENTIAL: Opt =
+    Opt::value("--differential", "<N>", "cross-check N fuzzed specs against the dynamic checker");
+const SCAN: Opt = Opt::switch(
+    "--scan",
+    "binary-scanner mode: positional args are RV32 images (flat or ELF32; \
+     default: the in-tree corpus); reports gadget chains with RV32 addresses \
+     and replays annotated gadgets dynamically",
+);
 
 const SPEC: BinSpec = BinSpec {
     name: "analyze",
@@ -48,82 +60,38 @@ const SPEC: BinSpec = BinSpec {
             per-variant transmitter classification, and an optional static\u{2194}dynamic \
             soundness differential",
     usage_args: "[file.s ...] [options]",
-    jobs: true,
-    csv: CsvSupport::FigureOnly,
-    metrics: true,
-    seed: true,
-    no_skip: false,
-    // Static analysis and checker differentials run no cacheable
-    // simulations (the dynamic side carries the observability probe).
-    client: false,
-    extra_options: &[
-        ("--variant <name>", "classify under one variant (repeatable; default: all)"),
-        ("--report <dir>", "write findings (and counterexamples) as JSONL under <dir>"),
-        ("--differential <N>", "cross-check N fuzzed specs against the dynamic checker"),
-        (
-            "--scan",
-            "binary-scanner mode: positional args are RV32 images (flat or ELF32; \
-             default: the in-tree corpus); reports gadget chains with RV32 addresses \
-             and replays annotated gadgets dynamically",
-        ),
-    ],
+    // No CLIENT: static analysis and checker differentials run no
+    // cacheable simulations (the dynamic side carries the observability
+    // probe).
+    options: &[JOBS, CSV, METRICS, SEED, &[VARIANT, REPORT, DIFFERENTIAL, SCAN]],
 };
 
 fn main() {
     let args = CommonArgs::parse(&SPEC);
-    let mut variants: Vec<Variant> = Vec::new();
-    let mut report_dir: Option<String> = None;
-    let mut differential_count: Option<usize> = None;
-    let mut files: Vec<String> = Vec::new();
-    let mut scan_mode = false;
-
-    let mut it = args.rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map_or_else(|| SPEC.usage_error(&format!("{flag} requires a value")), String::clone)
-        };
-        match arg.as_str() {
-            "--variant" => {
-                let v = value("--variant");
-                variants.push(parse_variant(&v).unwrap_or_else(|e| SPEC.usage_error(&e)));
-            }
-            "--report" => report_dir = Some(value("--report")),
-            "--scan" => scan_mode = true,
-            "--differential" => {
-                let v = value("--differential");
-                differential_count =
-                    Some(v.parse().unwrap_or_else(|_| {
-                        SPEC.usage_error(&format!("--differential expects a count, got '{v}'"))
-                    }));
-            }
-            other => {
-                if let Some(v) = other.strip_prefix("--variant=") {
-                    variants.push(parse_variant(v).unwrap_or_else(|e| SPEC.usage_error(&e)));
-                } else if let Some(v) = other.strip_prefix("--report=") {
-                    report_dir = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--differential=") {
-                    differential_count = Some(v.parse().unwrap_or_else(|_| {
-                        SPEC.usage_error(&format!("--differential expects a count, got '{v}'"))
-                    }));
-                } else if other.starts_with('-') {
-                    SPEC.usage_error(&format!("unknown option '{other}'"));
-                } else {
-                    files.push(other.to_string());
-                }
-            }
-        }
-    }
+    let mut variants: Vec<Variant> = args
+        .values(&VARIANT)
+        .map(|name| parse_variant(name).unwrap_or_else(|e| SPEC.usage_error(&e)))
+        .collect();
     if variants.is_empty() {
         variants = Variant::ALL.to_vec();
     }
+    let report_dir = args.value(&REPORT);
+    let differential_count: Option<usize> = args
+        .values(&DIFFERENTIAL)
+        .map(|v| {
+            v.parse().unwrap_or_else(|_| {
+                SPEC.usage_error(&format!("--differential expects a count, got '{v}'"))
+            })
+        })
+        .last();
+    let files = &args.positionals;
 
-    if scan_mode {
-        run_scan(&args, &variants, &files, report_dir.as_deref());
+    if args.has(&SCAN) {
+        run_scan(&args, &variants, files, report_dir);
         return;
     }
 
-    let targets = if files.is_empty() { default_targets() } else { load_files(&files) };
+    let targets = if files.is_empty() { default_targets() } else { load_files(files) };
     let start = std::time::Instant::now();
     let reports = analyze_all(&targets, &args.pool);
     let elapsed = start.elapsed();
@@ -177,7 +145,7 @@ fn main() {
         result
     });
 
-    if let Some(dir) = &report_dir {
+    if let Some(dir) = report_dir {
         if let Err(e) = write_report(dir, &findings, diff.as_ref()) {
             SPEC.runtime_error(&format!("cannot write report under {dir}: {e}"));
         }
@@ -283,41 +251,31 @@ fn run_scan(
     for (t, scan) in targets.iter().zip(&scans) {
         let Some(case) = cases.iter().find(|c| c.name == t.name) else { continue };
         for &v in variants {
-            let statically_flagged = !scan.gadgets_for(v).is_empty();
-            if statically_flagged {
-                match classify_gadget(&checker, case, v, AttackModel::Spectre) {
-                    Ok(r) => {
-                        eprintln!(
-                            "scan-differential: {} under {}: {}",
-                            t.name,
-                            v.slug(),
-                            r.verdict.wire_name()
-                        );
-                        match r.verdict {
-                            sdo_verify::GadgetVerdict::Confirmed => confirmed += 1,
-                            sdo_verify::GadgetVerdict::OverApprox => overapprox += 1,
-                        }
-                    }
-                    Err(e) => eprintln!(
-                        "scan-differential: {} under {}: replay failed: {e}",
-                        t.name,
-                        v.slug()
-                    ),
+            let diverged = match checker.check_case(case, v, AttackModel::Spectre) {
+                Ok(outcome) => outcome.divergence.is_some(),
+                Err(e) => {
+                    eprintln!("scan-differential: {} under {}: replay failed: {e}", t.name, v.slug());
+                    continue;
                 }
-            } else {
-                match replay_divergence(&checker, case, v, AttackModel::Spectre) {
-                    Ok(true) => unsound.push(format!(
-                        "{} under {}: statically clean but secret-swap divergent",
-                        t.name,
-                        v.slug()
-                    )),
-                    Ok(false) => {}
-                    Err(e) => eprintln!(
-                        "scan-differential: {} under {}: replay failed: {e}",
-                        t.name,
-                        v.slug()
-                    ),
-                }
+            };
+            // A reported gadget is CONFIRMED when the secret-swapped runs
+            // diverge and OVER-APPROX (allowed for a may analysis) when
+            // they agree; a clean verdict that diverges is unsound.
+            if !scan.gadgets_for(v).is_empty() {
+                let verdict = if diverged {
+                    confirmed += 1;
+                    "CONFIRMED"
+                } else {
+                    overapprox += 1;
+                    "OVER-APPROX"
+                };
+                eprintln!("scan-differential: {} under {}: {verdict}", t.name, v.slug());
+            } else if diverged {
+                unsound.push(format!(
+                    "{} under {}: statically clean but secret-swap divergent",
+                    t.name,
+                    v.slug()
+                ));
             }
         }
     }

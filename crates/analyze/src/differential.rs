@@ -55,14 +55,6 @@ pub struct DifferentialResult {
     pub verdict_flips: usize,
 }
 
-impl DifferentialResult {
-    /// Whether the static and dynamic views agreed everywhere.
-    #[must_use]
-    pub fn agreed(&self) -> bool {
-        self.disagreements.is_empty()
-    }
-}
-
 /// Whether the analyzer calls `spec` clean under `variant`: no
 /// transmit finding on an open channel and no tainted-training site
 /// the variant leaves unprotected. Dead-untaint findings don't affect

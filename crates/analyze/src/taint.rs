@@ -411,12 +411,6 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Whether no transmitter (on any channel) was found.
-    #[must_use]
-    pub fn transmit_free(&self) -> bool {
-        self.transmits.is_empty()
-    }
-
     /// Transmit sites on one channel.
     #[must_use]
     pub fn transmits_via(&self, ch: Channel) -> usize {
@@ -917,7 +911,7 @@ pub(crate) mod tests {
         asm.ld(r(3), r(2), 0); // dependent load, but never speculative
         asm.halt();
         let a = analyze(&asm.finish().unwrap());
-        assert!(a.transmit_free());
+        assert!(a.transmits.is_empty());
         assert!(a.trainings.is_empty());
         assert!(a.dead.is_empty());
         assert_eq!(a.speculative_accesses, 0);

@@ -15,7 +15,7 @@
 //! on the figure bins. The cache summary goes to stderr.
 
 use sdo_core::predictor::{GreedyPredictor, LocationPredictor};
-use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
+use sdo_harness::cli::{BinSpec, CommonArgs, CLIENT, JOBS, NO_SKIP};
 use sdo_harness::engine::JobPool;
 use sdo_harness::{AttackModel, PredictorKind, RunRequest, Runner, SdoConfig, SimConfig, Variant};
 use sdo_mem::CacheLevel;
@@ -163,18 +163,12 @@ const SPEC: BinSpec = BinSpec {
     name: "ablations",
     about: "Ablations of the DESIGN.md §6 design choices.",
     usage_args: "[options]",
-    jobs: true,
-    csv: CsvSupport::None,
-    metrics: false,
-    seed: false,
-    no_skip: true,
-    client: true,
-    extra_options: &[],
+    options: &[JOBS, NO_SKIP, CLIENT],
 };
 
 fn main() {
     let args = CommonArgs::parse(&SPEC);
-    args.reject_rest(&SPEC);
+    args.reject_positionals(&SPEC);
     let runner = args.runner(&SPEC, SimConfig::table_i());
     let kernels = quick_suite();
     ablation_early_forward(&kernels, &runner, &args.pool);

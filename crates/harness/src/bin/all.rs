@@ -9,7 +9,7 @@
 //! quiescence fast-forward on and off, and a warm result store replays
 //! the cold store's CSV without simulating anything. Host-time
 //! throughput is the repository benchmark's job (`benchmark/`).
-use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
+use sdo_harness::cli::{BinSpec, CommonArgs, CLIENT, JOBS, METRICS, NO_SKIP};
 use sdo_harness::engine::JobPool;
 use sdo_harness::experiments::{
     fig6_report, fig7_report, fig8_report, pentest, pentest_metrics, pentest_report,
@@ -23,18 +23,12 @@ const SPEC: BinSpec = BinSpec {
     name: "all",
     about: "Runs every experiment (suite, figures, tables, pentest) and prints the full report.",
     usage_args: "[options]",
-    jobs: true,
-    csv: CsvSupport::None,
-    metrics: true,
-    seed: false,
-    no_skip: true,
-    client: true,
-    extra_options: &[],
+    options: &[JOBS, METRICS, NO_SKIP, CLIENT],
 };
 
 fn main() {
     let args = CommonArgs::parse(&SPEC);
-    args.reject_rest(&SPEC);
+    args.reject_positionals(&SPEC);
     let pool = args.pool;
 
     let cfg = args.sim_config(SimConfig::table_i());

@@ -9,7 +9,9 @@
 //!
 //! Defaults: `hash_lookup STT{ld} Hybrid spectre`. Variant names accept
 //! hyphen/underscore spellings (`stt-ld`, `static_l2`, ...).
-use sdo_harness::cli::{parse_attack, parse_variant, BinSpec, CommonArgs, CsvSupport};
+use sdo_harness::cli::{
+    parse_attack, parse_variant, BinSpec, CommonArgs, CLIENT, JOBS, METRICS, NO_SKIP,
+};
 use sdo_harness::sim::{RunRequest, RunResult};
 use sdo_harness::table::TextTable;
 use sdo_harness::{SimConfig, Variant};
@@ -20,27 +22,21 @@ const SPEC: BinSpec = BinSpec {
     name: "compare",
     about: "Compares two Table II variants side by side on one suite kernel.",
     usage_args: "[kernel] [variant-a] [variant-b] [spectre|futuristic] [options]",
-    jobs: true,
-    csv: CsvSupport::None,
-    metrics: true,
-    seed: false,
-    no_skip: true,
-    client: true,
-    extra_options: &[],
+    options: &[JOBS, METRICS, NO_SKIP, CLIENT],
 };
 
 fn main() {
     let args = CommonArgs::parse(&SPEC);
-    if args.rest.len() > 4 {
-        SPEC.usage_error(&format!("unexpected argument '{}'", args.rest[4]));
+    let pos = &args.positionals;
+    if let Some(extra) = pos.get(4) {
+        SPEC.usage_error(&format!("unexpected argument '{extra}'"));
     }
-    let kernel = args.rest.first().map_or("hash_lookup", String::as_str);
-    let va = parse_variant(args.rest.get(1).map_or("STT{ld}", String::as_str))
-        .unwrap_or_else(|e| SPEC.usage_error(&e));
-    let vb = parse_variant(args.rest.get(2).map_or("Hybrid", String::as_str))
-        .unwrap_or_else(|e| SPEC.usage_error(&e));
-    let attack: AttackModel = parse_attack(args.rest.get(3).map_or("spectre", String::as_str))
-        .unwrap_or_else(|e| SPEC.usage_error(&e));
+    let arg = |i: usize, default: &'static str| pos.get(i).map_or(default, String::as_str);
+    let kernel = arg(0, "hash_lookup");
+    let va = parse_variant(arg(1, "STT{ld}")).unwrap_or_else(|e| SPEC.usage_error(&e));
+    let vb = parse_variant(arg(2, "Hybrid")).unwrap_or_else(|e| SPEC.usage_error(&e));
+    let attack: AttackModel =
+        parse_attack(arg(3, "spectre")).unwrap_or_else(|e| SPEC.usage_error(&e));
 
     let kernels = suite();
     let Some(w) = kernels.iter().find(|w| w.name() == kernel) else {

@@ -2,85 +2,61 @@
 //!
 //! ```text
 //! cargo run --release -p sdo-harness --bin run -- prog.s [options]
-//!
-//! options:
-//!   --variant <name>   Unsafe | STT{ld} | STT{ld+fp} | Static L1/L2/L3 |
-//!                      Hybrid | Perfect — hyphen/underscore spellings
-//!                      accepted (static-l1, stt_ld_fp, ...); default Unsafe
-//!   --attack <model>   spectre | futuristic   (default: spectre)
-//!   --all              run every Table II variant and tabulate
-//!   --disasm           print the disassembly before running
-//!   --metrics <path>   write the run's metric snapshot as JSON
 //! ```
+//!
+//! `--help` lists the options. `--variant` takes any Table II variant
+//! name, hyphen/underscore spellings included (`static-l1`, `stt_ld_fp`).
 
-use sdo_harness::cli::{parse_attack, parse_variant, BinSpec, CommonArgs, CsvSupport};
+use sdo_harness::cli::{
+    parse_attack, parse_variant, BinSpec, CommonArgs, Opt, CLIENT, JOBS, METRICS, NO_SKIP,
+};
 use sdo_harness::table::TextTable;
 use sdo_harness::{RunRequest, SimConfig, Variant};
 use sdo_isa::parse_asm;
 use sdo_uarch::{AttackModel, MetricsSnapshot};
 
+const VARIANT: Opt =
+    Opt::value("--variant", "<name>", "Table II variant to simulate (default: Unsafe)");
+const ATTACK: Opt = Opt::value("--attack", "<model>", "spectre | futuristic (default: spectre)");
+const ALL: Opt = Opt::switch("--all", "run every Table II variant and tabulate");
+const DISASM: Opt = Opt::switch("--disasm", "print the disassembly before running");
+
 const SPEC: BinSpec = BinSpec {
     name: "run",
     about: "Assembles a text program and simulates it on the Table I machine.",
     usage_args: "<file.s> [options]",
-    jobs: true,
-    csv: CsvSupport::None,
-    metrics: true,
-    seed: false,
-    no_skip: true,
-    client: true,
-    extra_options: &[
-        ("--variant <name>", "Table II variant to simulate (default: Unsafe)"),
-        ("--attack <model>", "spectre | futuristic (default: spectre)"),
-        ("--all", "run every Table II variant and tabulate"),
-        ("--disasm", "print the disassembly before running"),
-    ],
+    options: &[JOBS, METRICS, NO_SKIP, CLIENT, &[VARIANT, ATTACK, ALL, DISASM]],
 };
 
 fn main() {
     let args = CommonArgs::parse(&SPEC);
-    let mut file = None;
-    let mut variant = Variant::Unsafe;
-    let mut attack = AttackModel::Spectre;
-    let mut all = false;
-    let mut disasm = false;
-
-    let mut rest = args.rest.iter();
-    while let Some(arg) = rest.next() {
-        match arg.as_str() {
-            "--variant" => {
-                let Some(name) = rest.next() else {
-                    SPEC.usage_error("--variant requires a name");
-                };
-                variant = parse_variant(name).unwrap_or_else(|e| SPEC.usage_error(&e));
-            }
-            "--attack" => {
-                let Some(name) = rest.next() else {
-                    SPEC.usage_error("--attack requires a model");
-                };
-                attack = parse_attack(name).unwrap_or_else(|e| SPEC.usage_error(&e));
-            }
-            "--all" => all = true,
-            "--disasm" => disasm = true,
-            other if file.is_none() && !other.starts_with('-') => file = Some(other.to_string()),
-            other => SPEC.usage_error(&format!("unexpected argument '{other}'")),
-        }
-    }
-    let Some(file) = file else {
-        SPEC.usage_error("missing input file");
+    let variant = args
+        .values(&VARIANT)
+        .map(|name| parse_variant(name).unwrap_or_else(|e| SPEC.usage_error(&e)))
+        .last()
+        .unwrap_or(Variant::Unsafe);
+    let attack = args
+        .values(&ATTACK)
+        .map(|name| parse_attack(name).unwrap_or_else(|e| SPEC.usage_error(&e)))
+        .last()
+        .unwrap_or(AttackModel::Spectre);
+    let file = match args.positionals.as_slice() {
+        [] => SPEC.usage_error("missing input file"),
+        [file] => file,
+        [_, extra, ..] => SPEC.usage_error(&format!("unexpected argument '{extra}'")),
     };
 
-    let source = std::fs::read_to_string(&file)
+    let source = std::fs::read_to_string(file)
         .unwrap_or_else(|e| SPEC.runtime_error(&format!("cannot read {file}: {e}")));
     let program =
         parse_asm(&source).unwrap_or_else(|e| SPEC.runtime_error(&format!("{file}: {e}")));
-    if disasm {
+    if args.has(&DISASM) {
         println!("{}", program.disassemble());
     }
 
     let runner = args.runner(&SPEC, SimConfig::table_i());
     let mut metrics = MetricsSnapshot::new();
-    if all {
+    if args.has(&ALL) {
         // One request per Table II variant; Variant::ALL starts with the
         // Unsafe baseline, so the canonical first result normalizes the
         // rest.

@@ -11,7 +11,7 @@
 //! `--server <sock>` submits it to a running `sdo-serve` daemon. The
 //! cache summary goes to stderr so it never perturbs the figure or CSV
 //! stream.
-use sdo_harness::cli::{BinSpec, CommonArgs, CsvMode, CsvSupport};
+use sdo_harness::cli::{BinSpec, CommonArgs, CsvMode, CLIENT, CSV_RUNS, JOBS, METRICS, NO_SKIP};
 use sdo_harness::experiments::{fig6_report, run_suite_on, rv32_workloads};
 use sdo_harness::export::{fig6_csv, runs_csv};
 use sdo_harness::SimConfig;
@@ -20,18 +20,12 @@ const SPEC: BinSpec = BinSpec {
     name: "rv32",
     about: "Runs the compiled RV32 corpus through every variant and attack model.",
     usage_args: "[options]",
-    jobs: true,
-    csv: CsvSupport::FigureAndRuns,
-    metrics: true,
-    seed: false,
-    no_skip: true,
-    client: true,
-    extra_options: &[],
+    options: &[JOBS, CSV_RUNS, METRICS, NO_SKIP, CLIENT],
 };
 
 fn main() {
     let args = CommonArgs::parse(&SPEC);
-    args.reject_rest(&SPEC);
+    args.reject_positionals(&SPEC);
     let runner = args.runner(&SPEC, SimConfig::table_i());
     let results = run_suite_on(&runner, &rv32_workloads(), &args.pool)
         .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));

@@ -1,33 +1,43 @@
 //! Shared command-line handling for the harness binaries.
 //!
-//! Every binary historically parsed its own arguments with a slightly
-//! different dialect (panics vs `exit(2)`, `--csv` here but not there,
-//! variant names that had to be spelled exactly like the figure labels).
-//! This module gives them one dialect:
+//! Each binary declares every option it takes once, in the `options`
+//! table of its [`BinSpec`]: the shared groups below plus entries of
+//! its own. That one table renders the `--help` page
+//! ([`BinSpec::usage`]) and drives [`CommonArgs::try_parse`], the only
+//! code that reads a binary's arguments, so the two cannot drift. The
+//! dialect:
 //!
-//! * `--jobs <N>` / `--jobs=N` (or the `SDO_JOBS` environment variable)
-//!   selects the worker count, on every simulating binary;
-//! * `--csv` / `--csv=runs` selects machine-readable output where the
-//!   binary supports it;
-//! * `--metrics <path>` writes the merged [`MetricsSnapshot`] of every
-//!   simulation the binary ran, as JSON;
-//! * `--seed <N>` / `--seed=N` (or the `SDO_SEED` environment variable)
-//!   seeds randomized workloads and fuzz campaigns reproducibly, on
-//!   binaries that declare support;
-//! * `--server <sock>` submits every simulation batch to the
-//!   `sdo-serve` daemon listening on that Unix socket, `--store <dir>`
-//!   memoizes results in a local content-addressed store, and
-//!   `--no-cache` bypasses lookups — the uniform client dialect, on
-//!   every simulating binary;
-//! * `--help` prints a uniform usage page and exits 0;
-//! * usage errors exit 2, runtime errors (I/O, simulation hangs) exit 1.
+//! * every option that takes a value accepts `--flag value` and
+//!   `--flag=value`; `--csv=runs` is a spelling of its own;
+//! * `--help` or `-h` anywhere prints the usage page and exits 0;
+//! * an argument starting with `-` that the binary does not declare, an
+//!   option missing its value and a switch given `=value` are usage
+//!   errors (exit 2); every other argument is a positional, kept in
+//!   order;
+//! * runtime errors (I/O, simulation hangs) exit 1.
+//!
+//! The shared groups a binary may take:
+//!
+//! * [`JOBS`]: `--jobs <N>` (else the `SDO_JOBS` environment variable)
+//!   selects the worker count;
+//! * [`CSV`] (`--csv`) and [`CSV_RUNS`] (`--csv` and `--csv=runs`)
+//!   select machine-readable output;
+//! * [`METRICS`]: `--metrics <path>` writes the merged
+//!   [`MetricsSnapshot`] of every simulation the binary ran, as JSON;
+//! * [`SEED`]: `--seed <N>` (else the `SDO_SEED` environment variable)
+//!   seeds randomized workloads and fuzz campaigns reproducibly;
+//! * [`NO_SKIP`]: `--no-skip` disables quiescence fast-forward;
+//! * [`CLIENT`]: `--server <sock>` submits every simulation batch to
+//!   the `sdo-serve` daemon listening on that Unix socket,
+//!   `--store <dir>` memoizes results in a local content-addressed
+//!   store, and `--no-cache` bypasses lookups.
 //!
 //! Variant and attack-model names are parsed leniently:
 //! `Static L1` == `static-l1` == `static_l1` == `StaticL1`, and
 //! `STT{ld+fp}` == `stt-ld-fp` == `stt_ld_fp`.
 
 use crate::config::Variant;
-use crate::engine::{JobPool, JOBS_ENV};
+use crate::engine::JobPool;
 use crate::proto::attack_slug;
 use sdo_uarch::{AttackModel, MetricsSnapshot};
 
@@ -35,16 +45,71 @@ use sdo_uarch::{AttackModel, MetricsSnapshot};
 /// `SDO_JOBS` for `--jobs`).
 pub const SEED_ENV: &str = "SDO_SEED";
 
-/// Which CSV flags a binary accepts.
+/// One option a binary takes: its flag, the placeholder of its value
+/// (none for a switch) and its line on the `--help` page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CsvSupport {
-    /// No CSV output; `--csv` is a usage error.
-    None,
-    /// `--csv` only (a single table); `--csv=runs` is a usage error.
-    FigureOnly,
-    /// `--csv` (the figure matrix) and `--csv=runs` (the per-run dump).
-    FigureAndRuns,
+pub struct Opt {
+    flag: &'static str,
+    value: Option<&'static str>,
+    help: &'static str,
 }
+
+impl Opt {
+    /// A switch, given as `flag` alone.
+    #[must_use]
+    pub const fn switch(flag: &'static str, help: &'static str) -> Opt {
+        Opt { flag, value: None, help }
+    }
+
+    /// An option taking a value, given as `flag value` or `flag=value`;
+    /// `placeholder` names the value on the `--help` page (`<dir>`).
+    #[must_use]
+    pub const fn value(flag: &'static str, placeholder: &'static str, help: &'static str) -> Opt {
+        Opt { flag, value: Some(placeholder), help }
+    }
+}
+
+const JOBS_OPT: Opt =
+    Opt::value("--jobs", "<N>", "worker threads (default: $SDO_JOBS or all cores)");
+const CSV_OPT: Opt = Opt::switch("--csv", "print the figure as CSV on stdout");
+const CSV_RUNS_OPT: Opt = Opt::switch("--csv=runs", "print the full per-run dump as CSV");
+const METRICS_OPT: Opt =
+    Opt::value("--metrics", "<path>", "write the merged metric snapshot as JSON");
+const SEED_OPT: Opt =
+    Opt::value("--seed", "<N>", "RNG seed for reproducible campaigns (default: $SDO_SEED or 0)");
+const NO_SKIP_OPT: Opt =
+    Opt::switch("--no-skip", "disable quiescence fast-forward (byte-identical output, slower)");
+const SERVER_OPT: Opt = Opt::value(
+    "--server",
+    "<sock>",
+    "submit simulations to the sdo-serve daemon at this Unix socket",
+);
+const STORE_OPT: Opt = Opt::value(
+    "--store",
+    "<dir>",
+    "memoize results in a content-addressed store at this directory",
+);
+const NO_CACHE_OPT: Opt =
+    Opt::switch("--no-cache", "bypass store lookups (fresh results are still saved)");
+const HELP_OPT: Opt = Opt::switch("--help", "show this help and exit");
+
+/// `--jobs <N>`: the worker count ([`CommonArgs::pool`]).
+pub const JOBS: &[Opt] = &[JOBS_OPT];
+/// `--csv`: a single CSV table ([`CsvMode::Figure`]).
+pub const CSV: &[Opt] = &[CSV_OPT];
+/// `--csv` and `--csv=runs`: the figure matrix or the per-run dump.
+pub const CSV_RUNS: &[Opt] = &[CSV_OPT, CSV_RUNS_OPT];
+/// `--metrics <path>` ([`CommonArgs::write_metrics`]).
+pub const METRICS: &[Opt] = &[METRICS_OPT];
+/// `--seed <N>` ([`CommonArgs::seed`]).
+pub const SEED: &[Opt] = &[SEED_OPT];
+/// `--no-skip` ([`CommonArgs::sim_config`]).
+pub const NO_SKIP: &[Opt] = &[NO_SKIP_OPT];
+/// `--server <sock>`, `--store <dir>` and `--no-cache`: binaries whose
+/// simulations route through a [`crate::Runner`]
+/// ([`CommonArgs::runner`]) and can therefore run locally, memoized, or
+/// as a thin client of an `sdo-serve` daemon.
+pub const CLIENT: &[Opt] = &[SERVER_OPT, STORE_OPT, NO_CACHE_OPT];
 
 /// The CSV mode requested on the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +120,8 @@ pub enum CsvMode {
     Runs,
 }
 
-/// Static description of one binary: name, summary, and which common
-/// flags it supports. Drives both parsing and the `--help` page.
+/// Static description of one binary: name, summary, and every option it
+/// takes. Drives both parsing and the `--help` page.
 #[derive(Debug, Clone, Copy)]
 pub struct BinSpec {
     /// Binary name as invoked (`fig6`, `run`, ...).
@@ -66,86 +131,24 @@ pub struct BinSpec {
     /// Positional-argument syntax for the usage line, e.g.
     /// `"<file.s> [options]"`; use `"[options]"` when there are none.
     pub usage_args: &'static str,
-    /// Whether `--jobs` is accepted (false only for non-simulating
-    /// binaries like `table1`).
-    pub jobs: bool,
-    /// Which CSV flags are accepted.
-    pub csv: CsvSupport,
-    /// Whether `--metrics <path>` is accepted.
-    pub metrics: bool,
-    /// Whether `--seed <N>` is accepted (binaries with randomized
-    /// workloads or fuzz campaigns).
-    pub seed: bool,
-    /// Whether `--no-skip` is accepted (simulating binaries, where it
-    /// disables quiescence fast-forward; outputs are byte-identical
-    /// either way, so this is purely a verification escape hatch).
-    pub no_skip: bool,
-    /// Whether the client flags (`--server`, `--store`, `--no-cache`)
-    /// are accepted — binaries whose simulations route through a
-    /// [`crate::Runner`] and can therefore run locally, memoized, or as
-    /// a thin client of an `sdo-serve` daemon.
-    pub client: bool,
-    /// Binary-specific options as `(flag, help)` pairs, appended to the
-    /// options table of `--help`.
-    pub extra_options: &'static [(&'static str, &'static str)],
+    /// Every option the binary takes, in `--help` order: the shared
+    /// groups it takes ([`JOBS`], [`CLIENT`], ...) and a group of its
+    /// own. `--help` is implied.
+    pub options: &'static [&'static [Opt]],
 }
 
 impl BinSpec {
     /// Renders the uniform `--help` page.
     #[must_use]
     pub fn usage(&self) -> String {
-        let mut out = format!("usage: {} {}\n\n{}\n\noptions:\n", self.name, self.usage_args, self.about);
-        let mut opts: Vec<(&str, String)> = Vec::new();
-        if self.jobs {
-            opts.push((
-                "--jobs <N>",
-                format!("worker threads (default: ${JOBS_ENV} or all cores)"),
-            ));
-        }
-        if self.csv != CsvSupport::None {
-            opts.push(("--csv", "print the figure as CSV on stdout".into()));
-        }
-        if self.csv == CsvSupport::FigureAndRuns {
-            opts.push(("--csv=runs", "print the full per-run dump as CSV".into()));
-        }
-        if self.metrics {
-            opts.push((
-                "--metrics <path>",
-                "write the merged metric snapshot as JSON".into(),
-            ));
-        }
-        if self.seed {
-            opts.push((
-                "--seed <N>",
-                format!("RNG seed for reproducible campaigns (default: ${SEED_ENV} or 0)"),
-            ));
-        }
-        if self.no_skip {
-            opts.push((
-                "--no-skip",
-                "disable quiescence fast-forward (byte-identical output, slower)".into(),
-            ));
-        }
-        if self.client {
-            opts.push((
-                "--server <sock>",
-                "submit simulations to the sdo-serve daemon at this Unix socket".into(),
-            ));
-            opts.push((
-                "--store <dir>",
-                "memoize results in a content-addressed store at this directory".into(),
-            ));
-            opts.push((
-                "--no-cache",
-                "bypass store lookups (fresh results are still saved)".into(),
-            ));
-        }
-        for &(flag, help) in self.extra_options {
-            opts.push((flag, help.into()));
-        }
-        opts.push(("--help", "show this help and exit".into()));
-        for (flag, help) in opts {
-            out.push_str(&format!("  {flag:<18} {help}\n"));
+        let mut out =
+            format!("usage: {} {}\n\n{}\n\noptions:\n", self.name, self.usage_args, self.about);
+        for opt in self.declared().chain([&HELP_OPT]) {
+            let flag = match opt.value {
+                Some(placeholder) => format!("{} {placeholder}", opt.flag),
+                None => opt.flag.to_string(),
+            };
+            out.push_str(&format!("  {flag:<18} {}\n", opt.help));
         }
         out
     }
@@ -164,10 +167,16 @@ impl BinSpec {
         eprintln!("{}: {msg}", self.name);
         std::process::exit(1);
     }
+
+    fn declared(&self) -> impl Iterator<Item = &'static Opt> {
+        self.options.iter().flat_map(|group| group.iter())
+    }
 }
 
-/// The common flags of one invocation, parsed; binary-specific arguments
-/// are left in [`CommonArgs::rest`] in their original order.
+/// One invocation, parsed against its [`BinSpec`]: the typed results of
+/// the shared options, the binary's own options (read with
+/// [`CommonArgs::value`], [`CommonArgs::values`] and
+/// [`CommonArgs::has`]) and the positionals.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Worker pool from `--jobs` / `SDO_JOBS` / available parallelism.
@@ -180,15 +189,15 @@ pub struct CommonArgs {
     pub seed: Option<u64>,
     /// `--no-skip`: run with quiescence fast-forward disabled.
     pub no_skip: bool,
-    /// `--server`: Unix-socket path of the `sdo-serve` daemon to submit
-    /// simulations to.
-    pub server: Option<String>,
-    /// `--store`: directory of the content-addressed result store.
-    pub store: Option<String>,
-    /// `--no-cache`: bypass store lookups (fresh results still saved).
-    pub no_cache: bool,
-    /// Arguments the common layer did not consume.
-    pub rest: Vec<String>,
+    /// The arguments that are not options, in order.
+    pub positionals: Vec<String>,
+    server: Option<String>,
+    store: Option<String>,
+    no_cache: bool,
+    /// Every option given, in order, with its value (empty for a switch).
+    given: Vec<(Opt, String)>,
+    /// The binary's spec, whose options every lookup must name.
+    spec: BinSpec,
 }
 
 /// Why [`CommonArgs::try_parse`] stopped: help requested, or a malformed
@@ -217,131 +226,120 @@ impl CommonArgs {
     }
 
     /// Pure parsing core of [`CommonArgs::parse`] (testable: no process
-    /// exit, no environment reads beyond the `SDO_JOBS` fallback).
+    /// exit, no environment reads beyond the `SDO_JOBS` and `SDO_SEED`
+    /// fallbacks).
     ///
     /// # Errors
     ///
-    /// [`CliError::Help`] when `--help` is present; [`CliError::Usage`]
-    /// on a malformed or unsupported common flag.
+    /// [`CliError::Help`] when `--help` or `-h` is present;
+    /// [`CliError::Usage`] on an undeclared option, a missing or
+    /// malformed value, or `--server` with `--store`.
     pub fn try_parse(spec: &BinSpec, args: Vec<String>) -> Result<CommonArgs, CliError> {
-        let mut jobs: Option<usize> = None;
-        let mut csv = None;
-        let mut metrics = None;
-        let mut seed: Option<u64> = None;
-        let mut no_skip = false;
-        let mut server: Option<String> = None;
-        let mut store: Option<String> = None;
-        let mut no_cache = false;
-        let mut rest = Vec::new();
+        if args.iter().any(|arg| arg == HELP_OPT.flag || arg == "-h") {
+            return Err(CliError::Help);
+        }
+        let find = |flag: &str| spec.declared().find(|opt| opt.flag == flag);
+        let mut given = Vec::new();
+        let mut positionals = Vec::new();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--help" | "-h" => return Err(CliError::Help),
-                "--jobs" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::Usage("--jobs requires a value".into()))?;
-                    jobs = Some(parse_jobs(spec, &v)?);
-                }
-                "--csv" => {
-                    require_csv(spec)?;
-                    csv = Some(CsvMode::Figure);
-                }
-                "--csv=runs" => {
-                    require_csv(spec)?;
-                    if spec.csv == CsvSupport::FigureOnly {
-                        return Err(CliError::Usage(
-                            "--csv=runs is not supported here (use --csv)".into(),
-                        ));
-                    }
-                    csv = Some(CsvMode::Runs);
-                }
-                "--metrics" => {
-                    if !spec.metrics {
-                        return Err(CliError::Usage("--metrics is not supported here".into()));
-                    }
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::Usage("--metrics requires a path".into()))?;
-                    metrics = Some(v);
-                }
-                "--seed" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::Usage("--seed requires a value".into()))?;
-                    seed = Some(parse_seed(spec, &v)?);
-                }
-                "--no-skip" => {
-                    if !spec.no_skip {
-                        return Err(CliError::Usage("--no-skip is not supported here".into()));
-                    }
-                    no_skip = true;
-                }
-                // The uniform client flags. Bins with `client: false` get
-                // them passed through in `rest` instead: either they
-                // declare their own meaning (the serve daemon's --store)
-                // or `reject_rest` turns them into a usage error.
-                "--server" if spec.client => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::Usage("--server requires a socket path".into()))?;
-                    server = Some(v);
-                }
-                "--store" if spec.client => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| CliError::Usage("--store requires a directory".into()))?;
-                    store = Some(v);
-                }
-                "--no-cache" if spec.client => {
-                    no_cache = true;
-                }
-                other => {
-                    if let Some(v) = other.strip_prefix("--jobs=") {
-                        jobs = Some(parse_jobs(spec, v)?);
-                    } else if let Some(v) = other.strip_prefix("--metrics=") {
-                        if !spec.metrics {
-                            return Err(CliError::Usage(
-                                "--metrics is not supported here".into(),
-                            ));
-                        }
-                        metrics = Some(v.to_string());
-                    } else if let Some(v) = other.strip_prefix("--seed=") {
-                        seed = Some(parse_seed(spec, v)?);
-                    } else if let Some(v) = other.strip_prefix("--server=") {
-                        if spec.client {
-                            server = Some(v.to_string());
-                        } else {
-                            rest.push(arg);
-                        }
-                    } else if let Some(v) = other.strip_prefix("--store=") {
-                        if spec.client {
-                            store = Some(v.to_string());
-                        } else {
-                            rest.push(arg);
-                        }
-                    } else if let Some(v) = other.strip_prefix("--csv=") {
-                        require_csv(spec)?;
-                        return Err(CliError::Usage(format!(
-                            "unknown CSV mode '{v}' (expected --csv or --csv=runs)"
-                        )));
-                    } else {
-                        rest.push(arg);
-                    }
-                }
+            if !arg.starts_with('-') {
+                positionals.push(arg);
+                continue;
             }
+            let unexpected = || CliError::Usage(format!("unexpected argument '{arg}'"));
+            let (opt, inline) = match find(&arg) {
+                Some(opt) => (opt, None),
+                None => {
+                    let (flag, value) = arg.split_once('=').ok_or_else(unexpected)?;
+                    (find(flag).ok_or_else(unexpected)?, Some(value.to_string()))
+                }
+            };
+            let value = match (opt.value, inline) {
+                (None, None) => String::new(),
+                (None, Some(_)) => {
+                    let flag = opt.flag;
+                    return Err(CliError::Usage(format!("{flag} takes no value, got '{arg}'")));
+                }
+                (Some(_), Some(value)) => value,
+                (Some(_), None) => it
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("{} requires a value", opt.flag)))?,
+            };
+            given.push((*opt, value));
         }
+
+        let pool =
+            last(&given, &JOBS_OPT, parse_jobs)?.map_or_else(JobPool::from_env, JobPool::new);
+        let csv = given.iter().rev().find_map(|(opt, _)| match *opt {
+            CSV_OPT => Some(CsvMode::Figure),
+            CSV_RUNS_OPT => Some(CsvMode::Runs),
+            _ => None,
+        });
+        let text = |v: &str| Ok(v.to_string());
+        let seed = match last(&given, &SEED_OPT, parse_seed)? {
+            Some(seed) => Some(seed),
+            // Environment fallback, mirroring --jobs / SDO_JOBS.
+            None => std::env::var(SEED_ENV).ok().and_then(|v| v.parse().ok()),
+        };
+        let server = last(&given, &SERVER_OPT, text)?;
+        let store = last(&given, &STORE_OPT, text)?;
         if server.is_some() && store.is_some() {
             return Err(CliError::Usage(
                 "--store conflicts with --server (the daemon owns its own store)".into(),
             ));
         }
-        let pool = jobs.map_or_else(JobPool::from_env, JobPool::new);
-        if seed.is_none() {
-            // Environment fallback, mirroring --jobs / SDO_JOBS.
-            seed = std::env::var(SEED_ENV).ok().and_then(|v| v.parse().ok());
-        }
-        Ok(CommonArgs { pool, csv, metrics, seed, no_skip, server, store, no_cache, rest })
+        Ok(CommonArgs {
+            pool,
+            csv,
+            metrics: last(&given, &METRICS_OPT, text)?,
+            seed,
+            no_skip: given.iter().any(|(opt, _)| *opt == NO_SKIP_OPT),
+            positionals,
+            server,
+            store,
+            no_cache: given.iter().any(|(opt, _)| *opt == NO_CACHE_OPT),
+            given,
+            spec: *spec,
+        })
+    }
+
+    /// Every value given for `opt`, in order (a repeatable option such
+    /// as `--variant`).
+    ///
+    /// # Panics
+    ///
+    /// If the binary does not declare `opt`: such a lookup could never
+    /// find anything.
+    pub fn values<'a>(&'a self, opt: &Opt) -> impl Iterator<Item = &'a str> + 'a {
+        let opt = *opt;
+        assert!(
+            self.spec.declared().any(|o| *o == opt),
+            "{} is not among the options of {}",
+            opt.flag,
+            self.spec.name
+        );
+        self.given.iter().filter(move |(o, _)| *o == opt).map(|(_, value)| value.as_str())
+    }
+
+    /// The last value given for `opt`, if any.
+    ///
+    /// # Panics
+    ///
+    /// As [`CommonArgs::values`].
+    #[must_use]
+    pub fn value(&self, opt: &Opt) -> Option<&str> {
+        self.values(opt).last()
+    }
+
+    /// Whether the switch `opt` was given.
+    ///
+    /// # Panics
+    ///
+    /// As [`CommonArgs::values`].
+    #[must_use]
+    pub fn has(&self, opt: &Opt) -> bool {
+        self.values(opt).next().is_some()
     }
 
     /// The machine configuration after applying `--no-skip`: `base` with
@@ -392,10 +390,10 @@ impl CommonArgs {
         }
     }
 
-    /// Usage-errors (exit 2) if any unconsumed arguments remain — the
-    /// final call of binaries with no positional arguments.
-    pub fn reject_rest(&self, spec: &BinSpec) {
-        if let Some(extra) = self.rest.first() {
+    /// Usage-errors (exit 2) on the first positional argument — the
+    /// call of binaries that take none.
+    pub fn reject_positionals(&self, spec: &BinSpec) {
+        if let Some(extra) = self.positionals.first() {
             spec.usage_error(&format!("unexpected argument '{extra}'"));
         }
     }
@@ -412,24 +410,29 @@ impl CommonArgs {
     }
 }
 
-fn require_csv(spec: &BinSpec) -> Result<(), CliError> {
-    if spec.csv == CsvSupport::None {
-        return Err(CliError::Usage("--csv is not supported here".into()));
+/// The last value given for `opt`, every one of them checked by `parse`.
+fn last<T>(
+    given: &[(Opt, String)],
+    opt: &Opt,
+    parse: impl Fn(&str) -> Result<T, CliError>,
+) -> Result<Option<T>, CliError> {
+    let mut last = None;
+    for (o, value) in given {
+        if o == opt {
+            last = Some(parse(value)?);
+        }
     }
-    Ok(())
+    Ok(last)
 }
 
-fn parse_jobs(_spec: &BinSpec, v: &str) -> Result<usize, CliError> {
+fn parse_jobs(v: &str) -> Result<usize, CliError> {
     match v.parse::<usize>() {
         Ok(n) if n > 0 => Ok(n),
         _ => Err(CliError::Usage(format!("--jobs expects a positive integer, got '{v}'"))),
     }
 }
 
-fn parse_seed(spec: &BinSpec, v: &str) -> Result<u64, CliError> {
-    if !spec.seed {
-        return Err(CliError::Usage("--seed is not supported here".into()));
-    }
+fn parse_seed(v: &str) -> Result<u64, CliError> {
     v.parse::<u64>()
         .map_err(|_| CliError::Usage(format!("--seed expects an unsigned integer, got '{v}'")))
 }
@@ -487,13 +490,7 @@ mod tests {
         name: "testbin",
         about: "test",
         usage_args: "[options]",
-        jobs: true,
-        csv: CsvSupport::FigureAndRuns,
-        metrics: true,
-        seed: true,
-        no_skip: true,
-        client: true,
-        extra_options: &[],
+        options: &[JOBS, CSV_RUNS, METRICS, SEED, NO_SKIP, CLIENT],
     };
 
     fn strings(args: &[&str]) -> Vec<String> {
@@ -510,7 +507,7 @@ mod tests {
         assert_eq!(a.pool.jobs(), 3);
         assert_eq!(a.csv, Some(CsvMode::Runs));
         assert_eq!(a.metrics.as_deref(), Some("m.json"));
-        assert_eq!(a.rest, strings(&["pos"]));
+        assert_eq!(a.positionals, strings(&["pos"]));
     }
 
     #[test]
@@ -520,7 +517,7 @@ mod tests {
         assert_eq!(a.pool.jobs(), 5);
         assert_eq!(a.csv, Some(CsvMode::Figure));
         assert_eq!(a.metrics.as_deref(), Some("x.json"));
-        assert!(a.rest.is_empty());
+        assert!(a.positionals.is_empty());
     }
 
     #[test]
@@ -541,12 +538,12 @@ mod tests {
             CommonArgs::try_parse(&SPEC, strings(&["--csv=bogus"])),
             Err(CliError::Usage(_))
         ));
-        let no_csv = BinSpec { csv: CsvSupport::None, ..SPEC };
+        let no_csv = BinSpec { options: &[JOBS, METRICS], ..SPEC };
         assert!(matches!(
             CommonArgs::try_parse(&no_csv, strings(&["--csv"])),
             Err(CliError::Usage(_))
         ));
-        let figure_only = BinSpec { csv: CsvSupport::FigureOnly, ..SPEC };
+        let figure_only = BinSpec { options: &[CSV], ..SPEC };
         let a = CommonArgs::try_parse(&figure_only, strings(&["--csv"])).unwrap();
         assert_eq!(a.csv, Some(CsvMode::Figure));
         assert!(matches!(
@@ -554,7 +551,7 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(figure_only.usage().contains("--csv") && !figure_only.usage().contains("--csv=runs"));
-        let no_metrics = BinSpec { metrics: false, ..SPEC };
+        let no_metrics = BinSpec { options: &[JOBS], ..SPEC };
         assert!(matches!(
             CommonArgs::try_parse(&no_metrics, strings(&["--metrics", "m"])),
             Err(CliError::Usage(_))
@@ -572,7 +569,7 @@ mod tests {
             CommonArgs::try_parse(&SPEC, strings(&["--seed", "minus-one"])),
             Err(CliError::Usage(_))
         ));
-        let no_seed = BinSpec { seed: false, ..SPEC };
+        let no_seed = BinSpec { options: &[JOBS], ..SPEC };
         assert!(matches!(
             CommonArgs::try_parse(&no_seed, strings(&["--seed", "7"])),
             Err(CliError::Usage(_))
@@ -587,15 +584,7 @@ mod tests {
         {
             assert!(u.contains(flag), "missing {flag} in:\n{u}");
         }
-        let bare = BinSpec {
-            jobs: false,
-            csv: CsvSupport::None,
-            metrics: false,
-            seed: false,
-            no_skip: false,
-            client: false,
-            ..SPEC
-        };
+        let bare = BinSpec { options: &[], ..SPEC };
         let u = bare.usage();
         assert!(!u.contains("--jobs") && !u.contains("--csv") && !u.contains("--metrics"));
         assert!(!u.contains("--seed"));
@@ -626,15 +615,14 @@ mod tests {
             CommonArgs::try_parse(&SPEC, strings(&["--server", "s", "--store", "d"])),
             Err(CliError::Usage(_))
         ));
-        // Gated on the spec — but by pass-through, not a hard error:
-        // non-client bins see the raw flags in `rest`, so the serve
-        // daemon can give --store its own meaning while everything else
-        // rejects them via `reject_rest`.
-        let no_client = BinSpec { client: false, ..SPEC };
+        // Gated on the spec: a binary that does not declare them
+        // rejects them like any other undeclared argument.
+        let no_client = BinSpec { options: &[JOBS], ..SPEC };
         for args in [&["--server", "s"][..], &["--store", "d"], &["--no-cache"], &["--store=d"]] {
-            let a = CommonArgs::try_parse(&no_client, strings(args)).unwrap();
-            assert!(a.server.is_none() && a.store.is_none() && !a.no_cache);
-            assert_eq!(a.rest.len(), args.len(), "flags pass through verbatim: {args:?}");
+            assert_eq!(
+                CommonArgs::try_parse(&no_client, strings(args)).unwrap_err(),
+                CliError::Usage(format!("unexpected argument '{}'", args[0])),
+            );
         }
 
         // Flag-to-backend mapping (plain local runner has no report;
@@ -655,11 +643,61 @@ mod tests {
         let a = CommonArgs::try_parse(&SPEC, strings(&["--no-skip"])).unwrap();
         assert!(a.no_skip);
         assert!(!a.sim_config(crate::SimConfig::tiny()).fast_forward);
-        let unsupported = BinSpec { no_skip: false, ..SPEC };
+        let unsupported = BinSpec { options: &[JOBS], ..SPEC };
         assert!(matches!(
             CommonArgs::try_parse(&unsupported, strings(&["--no-skip"])),
             Err(CliError::Usage(_))
         ));
+    }
+
+    const REPORT: Opt = Opt::value("--report", "<dir>", "write a report into <dir>");
+    const VARIANT: Opt = Opt::value("--variant", "<name>", "one variant (repeatable)");
+    const QUICK: Opt = Opt::switch("--quick", "a quick run");
+    const OWN: BinSpec = BinSpec { options: &[JOBS, &[REPORT, VARIANT, QUICK]], ..SPEC };
+
+    #[test]
+    fn own_options_take_both_spellings_and_keep_every_value() {
+        let args = ["a.s", "--report", "r", "--variant=hybrid", "--quick", "b.s", "--variant", "x"];
+        let a = CommonArgs::try_parse(&OWN, strings(&args)).unwrap();
+        assert_eq!(a.value(&REPORT), Some("r"));
+        assert_eq!(a.values(&VARIANT).collect::<Vec<_>>(), ["hybrid", "x"]);
+        assert_eq!(a.value(&VARIANT), Some("x"));
+        assert!(a.has(&QUICK));
+        assert_eq!(a.positionals, strings(&["a.s", "b.s"]));
+        let a = CommonArgs::try_parse(&OWN, strings(&["--report=r"])).unwrap();
+        assert_eq!(a.value(&REPORT), Some("r"));
+        assert!(!a.has(&QUICK) && a.value(&VARIANT).is_none());
+    }
+
+    #[test]
+    fn the_dialect_is_one_for_every_option() {
+        let usage = |args: &[&str]| match CommonArgs::try_parse(&OWN, strings(args)) {
+            Err(CliError::Usage(msg)) => msg,
+            other => panic!("{args:?}: expected a usage error, got {other:?}"),
+        };
+        // Help anywhere, even where a value is expected.
+        for args in [&["a.s", "-h"][..], &["--report", "--help"], &["--bogus", "--help"]] {
+            assert_eq!(CommonArgs::try_parse(&OWN, strings(args)).unwrap_err(), CliError::Help);
+        }
+        assert_eq!(usage(&["--report"]), "--report requires a value");
+        assert_eq!(usage(&["--quick=yes"]), "--quick takes no value, got '--quick=yes'");
+        // An undeclared argument is named as given, `=value` included.
+        for arg in ["--bogus", "--bogus=1", "-x", "--csv", "--seed=3", "--reportx"] {
+            assert_eq!(usage(&[arg]), format!("unexpected argument '{arg}'"));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "--quick is not among the options of testbin")]
+    fn reading_an_undeclared_option_is_a_bug() {
+        let a = CommonArgs::try_parse(&SPEC, strings(&[])).unwrap();
+        let _ = a.has(&QUICK);
+    }
+
+    #[test]
+    fn shared_help_lines_name_their_environment_fallbacks() {
+        assert!(JOBS_OPT.help.contains(&format!("${}", crate::engine::JOBS_ENV)));
+        assert!(SEED_OPT.help.contains(&format!("${SEED_ENV}")));
     }
 
     #[test]

@@ -709,6 +709,7 @@ mod tests {
             };
             assert!(message.contains(&format!("replied for id {id},")), "{message}");
             daemon.join().unwrap();
+            std::fs::remove_dir_all(std::path::Path::new(&path).parent().unwrap()).unwrap();
         }
     }
 }

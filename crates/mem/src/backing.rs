@@ -34,14 +34,6 @@ impl BackingStore {
         Self::default()
     }
 
-    /// Creates a store seeded from a program's initial data image.
-    #[must_use]
-    pub fn from_image(image: &DataImage) -> Self {
-        let mut store = Self::new();
-        store.load_image(image);
-        store
-    }
-
     /// Copies a data image into the store: its non-zero bytes overwrite
     /// the store's, and its zero bytes leave the store's in place.
     pub fn load_image(&mut self, image: &DataImage) {
@@ -225,15 +217,5 @@ mod tests {
         assert_eq!(m.read_word(0), 0xffff_ffff_ffff_ff00);
         assert_eq!(m.read_bytes(0, 1), 0);
         assert_eq!(m.read_bytes(1, 1), 0xff);
-    }
-
-    #[test]
-    fn from_image_seeds_contents() {
-        let mut img = DataImage::new();
-        img.set_word(0x2000, 7);
-        img.set_byte(0x2008, 9);
-        let m = BackingStore::from_image(&img);
-        assert_eq!(m.read_word(0x2000), 7);
-        assert_eq!(m.read_byte(0x2008), 9);
     }
 }

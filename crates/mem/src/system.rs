@@ -305,11 +305,6 @@ impl MemorySystem {
         &self.stats
     }
 
-    /// Resets statistics (e.g., after warmup).
-    pub fn reset_stats(&mut self) {
-        self.stats = MemStats::default();
-    }
-
     /// L1 MSHR registers of `core` occupied at cycle `now` — the fill
     /// level the core's observability probe samples each cycle. Cheap:
     /// a popcount-style scan over the occupancy bitmask.
@@ -372,25 +367,6 @@ impl MemorySystem {
     #[must_use]
     pub fn peek_word(&self, addr: Addr) -> u64 {
         self.backing.read_word(addr)
-    }
-
-    /// Invalidates a line everywhere (all private caches, the L3 slice and
-    /// the directory), notifying cores that held it — a `clflush`-style
-    /// primitive used by the covert-channel receiver in the penetration
-    /// test.
-    pub fn flush_line(&mut self, addr: Addr) {
-        let line = line_of(addr);
-        if let Some(entry) = self.dir.remove(&line) {
-            for c in 0..self.n_cores {
-                if entry.sharers & (1 << c) != 0 {
-                    self.l1[c].invalidate(line);
-                    self.l2[c].invalidate(line);
-                    self.inval_queues[c].push(line);
-                    self.stats.invalidations_sent += 1;
-                }
-            }
-        }
-        self.l3[self.mesh.slice_of(line)].invalidate(line);
     }
 
     /// Pre-warms a byte range into the hierarchy at the given level for
@@ -1155,18 +1131,6 @@ mod tests {
     }
 
     #[test]
-    fn flush_line_clears_everywhere_and_notifies() {
-        let mut m = sys(2);
-        let a = m.load(0, 0xE000, 0);
-        let _b = m.load(1, 0xE000, a.complete_at);
-        m.flush_line(0xE000);
-        assert_eq!(m.residency(0, 0xE000), CacheLevel::Dram);
-        assert_eq!(m.residency(1, 0xE000), CacheLevel::Dram);
-        assert_eq!(m.take_invalidations(0), vec![line_of(0xE000)]);
-        assert_eq!(m.take_invalidations(1), vec![line_of(0xE000)]);
-    }
-
-    #[test]
     fn l3_eviction_back_invalidates_private_caches() {
         // Two cores: core 0 keeps one line hot in its private caches while
         // core 1 floods the same L3 set until core 0's line is the L3
@@ -1348,14 +1312,5 @@ mod tests {
         let look = m.obl_lookup(0, 0x8000, CacheLevel::L3, 1000).unwrap();
         assert!(look.tlb_hit);
         assert!(look.success());
-    }
-
-    #[test]
-    fn reset_stats_clears() {
-        let mut m = sys(1);
-        let _ = m.load(0, 0, 0);
-        assert!(m.stats().loads() > 0);
-        m.reset_stats();
-        assert_eq!(m.stats().loads(), 0);
     }
 }

@@ -15,9 +15,11 @@
 //! order, then flushes. It answers every line itself: run and grid lines
 //! are admitted into rounds of at most 256 runs whose program images
 //! hold at most [`BATCH_PAGES`] pages, and each round executes before
-//! the next is admitted. Lines are parsed one at a time as their turn
-//! comes, so only a round's admitted runs hold their images, and only
-//! until the round has run.
+//! the next is admitted. A grid counts its points as runs and asks for
+//! at most 256 of them, so it always fits in one round; a wider grid is
+//! refused with an `error` reply before it is expanded. Lines are parsed
+//! one at a time as their turn comes, so only a round's admitted runs
+//! hold their images, and only until the round has run.
 //!
 //! A batch costs work in proportion to its requests, whatever the size
 //! of the store. The store's `manifest.tsv` index is derived from the
@@ -69,10 +71,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// 1 MiB image is a 1.3 MB line) arrives in a few dozen reads.
 const SOCKET_READ_BYTES: usize = 64 << 10;
 
-/// The most runs a round admits, a grid's points counted one by one:
-/// it bounds the requests and results a round holds besides its images
-/// (which [`BATCH_PAGES`] bounds). Every in-tree client's batch fits in
-/// one round (fig6's is 160 runs).
+/// The most runs a round admits, a grid's points counted one by one,
+/// and so the most points a grid may ask for: it bounds the requests
+/// and results a round holds besides its images (which [`BATCH_PAGES`]
+/// bounds). Every in-tree client's batch fits in one round (fig6's is
+/// 160 runs, the sensitivity sweep's grid 24 points).
 const ROUND_RUNS: usize = 256;
 
 /// Daemon configuration.
@@ -220,10 +223,10 @@ impl Server {
     /// Run and grid lines are admitted into rounds. A round takes lines
     /// while they keep it within 256 runs, a grid's points counted as
     /// runs, and [`BATCH_PAGES`] pages of images, a grid's counted once.
-    /// It always takes its first line, so a grid wider than a round is a
-    /// round of its own. A round executes before the next line that
-    /// does not fit is admitted, and before a `stats` line is answered,
-    /// so a `stats` reply counts every line before it.
+    /// A grid of more than 256 points is refused, so every grid fits in
+    /// one round. A round executes before the next line that does not
+    /// fit is admitted, and before a `stats` line is answered, so a
+    /// `stats` reply counts every line before it.
     #[must_use]
     pub fn handle_batch<L: AsRef<[u8]>>(&self, lines: &[L]) -> Vec<Reply> {
         // `replies` gets exactly one entry per line — Shutdown lines
@@ -261,7 +264,9 @@ impl Server {
                     continue;
                 }
             };
-            let points = grid.as_ref().map(|(configs, variants)| configs.len() * variants.len());
+            let points = grid
+                .as_ref()
+                .map(|(configs, variants)| configs.len().saturating_mul(variants.len()));
             if let Some(message) = refusal(id, &request, points) {
                 replies.push(Some(Reply::Error { id, message }));
                 continue;
@@ -342,8 +347,9 @@ impl Server {
 }
 
 /// Why a run or grid request is refused before it is admitted: a
-/// reserved id, an unservable request or an empty grid (`points` is the
-/// grid's point count). `None` admits it.
+/// reserved id, an unservable request, or a grid with no points or more
+/// than a round's [`ROUND_RUNS`] (`points` is the grid's point count).
+/// `None` admits it.
 fn refusal(id: u64, request: &RunRequest, points: Option<usize>) -> Option<String> {
     if id == BATCH_ERROR_ID {
         return Some(format!("request id {id} is reserved for unattributable errors"));
@@ -360,10 +366,13 @@ fn refusal(id: u64, request: &RunRequest, points: Option<usize>) -> Option<Strin
     if request.record {
         return Some("recording runs are not servable; run them in-process".to_string());
     }
-    if points == Some(0) {
-        return Some("grid has no points (empty configs or variants)".to_string());
+    match points {
+        Some(0) => Some("grid has no points (empty configs or variants)".to_string()),
+        Some(points) if points > ROUND_RUNS => Some(format!(
+            "grid has {points} points, more than the {ROUND_RUNS} a round runs; split it"
+        )),
+        _ => None,
     }
-    None
 }
 
 /// Why an admitted run failed: the text of its `error` reply.

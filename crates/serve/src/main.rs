@@ -10,10 +10,13 @@
 //! batch in rounds. On exit (stdio EOF or a `shutdown` request) the
 //! daemon writes the store's `manifest.tsv` index once.
 
-use sdo_harness::cli::{BinSpec, CommonArgs, CsvSupport};
+use sdo_harness::cli::{BinSpec, CommonArgs, Opt, JOBS};
 use sdo_harness::store::ResultStore;
-use sdo_harness::SimConfig;
 use sdo_serve::{ServeOptions, Server};
+
+const SOCKET: Opt = Opt::value("--socket", "<path>", "listen on a Unix socket instead of stdio");
+const STORE: Opt =
+    Opt::value("--store", "<dir>", "serve (and fill) the content-addressed result store at <dir>");
 
 const SPEC: BinSpec = BinSpec {
     name: "serve",
@@ -21,55 +24,24 @@ const SPEC: BinSpec = BinSpec {
             content-addressed result store over stdio or a Unix socket, answering \
             every line of each batch",
     usage_args: "[options]",
-    jobs: true,
-    csv: CsvSupport::None,
-    metrics: false,
-    seed: false,
-    no_skip: false,
-    // The daemon *is* the server; the uniform client flags would be
-    // circular here, so it declares its own --store/--socket.
-    client: false,
-    extra_options: &[
-        ("--socket <path>", "listen on a Unix socket instead of stdio"),
-        ("--store <dir>", "serve (and fill) the content-addressed result store at <dir>"),
-    ],
+    // The daemon *is* the server: the CLIENT group would be circular
+    // here, so it declares its own --store.
+    options: &[JOBS, &[SOCKET, STORE]],
 };
 
 fn main() {
     let args = CommonArgs::parse(&SPEC);
-    let mut opts = ServeOptions { base: SimConfig::table_i(), ..ServeOptions::default() };
-    let mut socket: Option<String> = None;
+    args.reject_positionals(&SPEC);
+    let store = args.value(&STORE);
+    let opts = ServeOptions { store: store.map(String::from), ..ServeOptions::default() };
 
-    let mut it = args.rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .map_or_else(|| SPEC.usage_error(&format!("{flag} requires a value")), String::clone)
-        };
-        match arg.as_str() {
-            "--socket" => socket = Some(value("--socket")),
-            "--store" => opts.store = Some(value("--store")),
-            other => {
-                if let Some(v) = other.strip_prefix("--socket=") {
-                    socket = Some(v.to_string());
-                } else if let Some(v) = other.strip_prefix("--store=") {
-                    opts.store = Some(v.to_string());
-                } else {
-                    SPEC.usage_error(&format!("unexpected argument '{other}'"));
-                }
-            }
-        }
-    }
-
-    let server = Server::new(opts.clone(), args.pool)
-        .unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
-    let outcome = match &socket {
+    let server =
+        Server::new(opts, args.pool).unwrap_or_else(|e| SPEC.runtime_error(&e.to_string()));
+    let outcome = match args.value(&SOCKET) {
         Some(path) => {
             eprintln!(
                 "serve: listening on {path} ({})",
-                opts.store
-                    .as_deref()
-                    .map_or_else(|| "no store".to_string(), |dir| format!("store {dir}")),
+                store.map_or_else(|| "no store".to_string(), |dir| format!("store {dir}")),
             );
             server.serve_socket(path)
         }

@@ -273,24 +273,34 @@ fn grid_requests_expand_server_side_and_share_the_store() {
 
 #[test]
 fn a_grid_wider_than_a_round_gets_one_reply() {
-    // 2 configs × 150 variants is 300 points, more than a round's 256
-    // runs: the grid is a round of its own, answered whole.
+    // A grid asks for at most a round's 256 runs. 2 configs × 150
+    // variants is 300 points: an error under the grid's id before
+    // anything simulates, and the next line is still answered.
     let server = Server::new(opts(None), JobPool::new(2)).unwrap();
     let prog = l1_resident(60, 1);
-    let variants: Vec<Variant> = Variant::ALL.iter().copied().cycle().take(150).collect();
-    let grid = Request::Grid {
-        id: 5,
+    let grid = |id, width| Request::Grid {
+        id,
         request: RunRequest::program(&prog),
         configs: vec![SimConfig::tiny(), SimConfig::tiny()],
-        variants,
+        variants: Variant::ALL.iter().copied().cycle().take(width).collect(),
         no_cache: false,
     };
-    let replies = drive(&server, &batch(&[grid]));
+    let replies = drive(&server, &batch(&[grid(5, 150), Request::Stats { id: 6 }]));
+    assert_eq!(replies.len(), 2, "one reply per line");
+    let Reply::Error { id: 5, message } = &replies[0] else {
+        panic!("expected an error reply, got {:?}", replies[0]);
+    };
+    assert!(message.contains("300 points"), "{message}");
+    assert!(matches!(replies[1], Reply::Stats { id: 6, misses: 0, .. }), "{:?}", replies[1]);
+    assert_eq!(server.misses(), 0, "a refused grid simulates nothing");
+
+    // 2 × 128 is a round's 256 points exactly: one grid reply.
+    let replies = drive(&server, &batch(&[grid(7, 128)]));
     assert_eq!(replies.len(), 1, "a grid is one request, one reply");
-    let Reply::Grid { id: 5, results } = &replies[0] else {
+    let Reply::Grid { id: 7, results } = &replies[0] else {
         panic!("expected a grid reply, got {:?}", replies[0]);
     };
-    assert_eq!(results.len(), 300);
+    assert_eq!(results.len(), 256);
     // Equal points coalesce: one simulation per distinct variant.
     assert_eq!(server.misses(), Variant::ALL.len() as u64);
 }
@@ -637,6 +647,7 @@ fn socket_transport_serves_the_runner_client() {
     });
     assert!(!std::path::Path::new(&sock).exists(), "socket file is removed on shutdown");
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(std::path::Path::new(&sock).parent().unwrap()).unwrap();
 }
 
 #[test]
@@ -697,6 +708,7 @@ fn sensitivity_sweep_through_the_daemon_is_byte_identical() {
         stream.write_all(format!("{}\n\n", Request::Shutdown.render()).as_bytes()).unwrap();
     });
     std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(std::path::Path::new(&sock).parent().unwrap()).unwrap();
 }
 
 /// Run lines for `reqs`, ids in order.

@@ -295,4 +295,32 @@ mod tests {
     fn empty_stream_gives_empty_window() {
         assert!(window_around(&[], &None, &[]).is_empty());
     }
+
+    fn rv32_gadget() -> LitmusCase {
+        let cases = sdo_workloads::rv32_litmus_cases();
+        cases.into_iter().find(|c| c.name == "rv32_gadget").expect("gadget case")
+    }
+
+    #[test]
+    fn compiled_gadget_diverges_where_the_policy_keeps_the_channel_open() {
+        // Perfect keeps the cache channel open in the static table
+        // because its oracle prediction is itself residency-dependent,
+        // and the secret-swapped runs diverge dynamically too.
+        let checker = Checker::new();
+        let case = rv32_gadget();
+        for v in [Variant::Unsafe, Variant::Perfect] {
+            let outcome = checker.check_case(&case, v, AttackModel::Spectre).expect("completes");
+            assert!(outcome.divergence.is_some(), "{v:?} must leak the compiled gadget");
+        }
+    }
+
+    #[test]
+    fn compiled_gadget_shows_no_divergence_under_closed_variants() {
+        let checker = Checker::new();
+        let case = rv32_gadget();
+        for v in [Variant::SttLd, Variant::StaticL1, Variant::Hybrid] {
+            let outcome = checker.check_case(&case, v, AttackModel::Spectre).expect("completes");
+            assert!(outcome.divergence.is_none(), "{v:?} must close the compiled gadget");
+        }
+    }
 }

@@ -39,12 +39,10 @@ pub mod checker;
 pub mod fuzz;
 pub mod oracle;
 pub mod policy;
-pub mod replay;
 pub mod report;
 
 pub use campaign::{CampaignConfig, CampaignResult};
 pub use checker::{Capture, Checker, SwapOutcome, SECRET_PAIR};
 pub use fuzz::{minimize, minimize_with_invariant, Gadget, LitmusSpec};
 pub use oracle::{Invariant, Violation};
-pub use replay::{classify_gadget, replay_divergence, GadgetReplay, GadgetVerdict};
 pub use report::{CexKind, Counterexample};
